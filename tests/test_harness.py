@@ -1,6 +1,7 @@
 """Monte Carlo harness: windows, aggregation, determinism, persistence."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,24 @@ def test_divergence_raises_with_context():
     assert err.iteration > 0
     assert err.value > err.threshold
     assert "mu=5" in str(err)
+
+
+def test_prox_divergence_is_pinned():
+    # far past stability the error crosses the threshold at iteration 30,
+    # as it did when the prox minimized over every interval candidate (the
+    # oracle in test_strategies.py); the finite states on the way raise no
+    # floating-point warnings
+    cfg = base_config(
+        seed=3, iters=50, runs=1, graph={"kind": "ring", "n": 8},
+        model={"kind": "mse", "m": 2, "noise_var": 0.1,
+               "truth": {"kind": "piecewise", "sizes": [4, 4]}},
+        strategy={"kind": "prox_l1", "mu": 1.5, "eta": 1.0, "rho": 0.1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(cfg)
+    assert info.value.iteration == 30
+    assert info.value.value == 2256932.850029656
 
 
 def test_noiseless_convergence():

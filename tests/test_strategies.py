@@ -1,7 +1,10 @@
 """Adaptation strategies: self-learning, social steps, assembly, reductions."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptnets.graphs import (
     ClusterPartition,
@@ -201,6 +204,96 @@ def test_social_spectral_linear_reduces_to_smooth():
 # Proximal step
 # ---------------------------------------------------------------------------
 
+
+# Test-only oracle: the l1 prox computed agent by agent, minimizing the
+# objective over all D + 1 interval candidates of each coordinate. The
+# vectorised interval rule in adaptnets.strategies must agree bit for bit.
+
+def _prox_weighted_l1(anchor: np.ndarray, values: np.ndarray,
+                      rho: np.ndarray, gamma: float) -> np.ndarray:
+    """Exact coordinatewise minimizer of
+
+        (x - a)^2 / (2 gamma) + sum_i rho_i |x - b_i|
+
+    found by enumerating breakpoint intervals: the piecewise-quadratic
+    objective is minimized either at a stationary point of one piece or at a
+    breakpoint, both of which the interval-clipped candidates cover.
+    """
+    n, m = values.shape
+    order = np.argsort(values, axis=0)
+    b = np.take_along_axis(values, order, axis=0)
+    r = np.take_along_axis(np.broadcast_to(rho[:, None], (n, m)), order, axis=0)
+    prefix = np.vstack([np.zeros((1, m)), np.cumsum(r, axis=0)])
+    sign_sums = 2.0 * prefix - prefix[-1]            # (n+1, m)
+    cand = anchor[None, :] - gamma * sign_sums
+    lo = np.vstack([np.full((1, m), -np.inf), b])
+    hi = np.vstack([b, np.full((1, m), np.inf)])
+    cand = np.clip(cand, lo, hi)
+    quad = (cand - anchor[None, :]) ** 2 / (2.0 * gamma)
+    pen = np.sum(rho[:, None, None] * np.abs(cand[None, :, :] - values[:, None, :]),
+                 axis=0)
+    best = np.argmin(quad + pen, axis=0)
+    return cand[best, np.arange(m)]
+
+
+def _oracle_prox_l1(psi, rho, mu_eta):
+    out = np.empty_like(psi)
+    for k in range(psi.shape[0]):
+        nbrs = np.flatnonzero(rho[k])
+        if nbrs.size == 0:
+            out[k] = psi[k]
+            continue
+        out[k] = _prox_weighted_l1(psi[k], psi[nbrs], rho[k, nbrs], mu_eta)
+    return out
+
+
+def _random_prox_case(rng, t):
+    """A random weighted graph, state and step for instance t.
+
+    Sparse draws leave isolated and degree-1 agents; every tenth instance
+    adds a hub joined to all other agents (degree > 16); odd instances use
+    one weight on every edge, as a scalar rho does; every third state is
+    rounded so that neighbor values tie.
+    """
+    hub = t % 10 == 0
+    n = int(rng.integers(18, 40) if hub else rng.integers(2, 30))
+    m = 1 + t % 3
+    adj = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.5), 1)
+    if hub:
+        adj[0, 1:] = True
+    if t % 2:
+        weights = adj * rng.uniform(0.01, 2.0)
+    else:
+        weights = adj * rng.uniform(0.01, 2.0, (n, n))
+    rho = weights + weights.T
+    psi = rng.normal(0.0, 2.0, (n, m))
+    if t % 3 == 0:
+        psi = np.round(psi, int(rng.integers(0, 2)))
+    gamma = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
+    return rho, psi, gamma
+
+
+def _has_tied_neighbors(rho, psi):
+    return any(np.unique(psi[np.flatnonzero(row)], axis=0).shape[0]
+               < np.count_nonzero(row) for row in rho)
+
+
+def _assert_matches_oracle(out, ref, x, rho, gamma):
+    """out equals the oracle's ref bit for bit, except for an agent with
+    neighbor values that differ, but by less than 1e-12 of their scale. The
+    minimizer is then only located to rounding, and the interval rule and
+    the candidate enumeration can return points that far apart; they must
+    agree to 1e-12. Returns the number of such coordinates."""
+    differ = np.argwhere(out != ref)
+    for k, j in differ:
+        values = np.sort(x[np.flatnonzero(rho[k]), j])
+        gaps = np.diff(values)
+        near = (gaps > 0.0) & (gaps <= 1e-12 * (1.0 + np.abs(values).max()))
+        assert np.any(near), (k, j)
+        assert abs(out[k, j] - ref[k, j]) <= 1e-12 * (1.0 + abs(ref[k, j]))
+    return len(differ)
+
+
 def test_prox_soft_threshold_single_neighbor():
     # argmin (x-3)^2/2 + |x| = 2: pull of one unit toward the neighbor
     g = path_graph(2)
@@ -277,6 +370,126 @@ def test_prox_input_not_mutated():
     before = psi.copy()
     social_prox_l1(psi, g, reg, 0.5)
     assert np.array_equal(psi, before)
+
+
+def test_neighbor_table_pads_ascending_rows():
+    rho = np.zeros((4, 4))
+    rho[0, [1, 3]] = rho[[1, 3], 0] = [0.5, 2.0]
+    index, weight = EdgeRegularizer(rho).neighbor_table
+    assert np.array_equal(index, [[1, 3], [0, 4], [4, 4], [0, 4]])
+    assert np.array_equal(weight, [[0.5, 2.0], [0.5, 0.0], [0.0, 0.0],
+                                   [2.0, 0.0]])
+
+
+def test_prox_matches_candidate_enumeration_bitwise():
+    rng = np.random.default_rng(31)
+    seen = {"ties": 0, "isolated": 0, "degree_1": 0, "hub": 0}
+    for t in range(600):
+        rho, psi, gamma = _random_prox_case(rng, t)
+        graph = Graph((rho > 0.0) * 1.0)
+        out = social_prox_l1(psi, graph, EdgeRegularizer(rho), gamma)
+        assert np.array_equal(out, _oracle_prox_l1(psi, rho, gamma)), t
+        degrees = np.count_nonzero(rho, axis=1)
+        seen["ties"] += _has_tied_neighbors(rho, psi)
+        seen["isolated"] += int(np.any(degrees == 0))
+        seen["degree_1"] += int(np.any(degrees == 1))
+        seen["hub"] += int(degrees.max() > 16)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_prox_near_ties_match_candidate_enumeration_to_rounding():
+    # neighbor values a few ulps apart: enumerating candidates can return a
+    # breakpoint beside the minimizer when their objective values round
+    # equal, and the interval rule can place it an interval off
+    rng = np.random.default_rng(33)
+    differ = 0
+    for t in range(300):
+        rho, psi, gamma = _random_prox_case(rng, t)
+        psi = np.round(psi, 1) + rng.integers(-3, 4, psi.shape) * np.spacing(psi)
+        out = social_prox_l1(psi, Graph((rho > 0.0) * 1.0), EdgeRegularizer(rho),
+                             gamma)
+        differ += _assert_matches_oracle(
+            out, _oracle_prox_l1(psi, rho, gamma), psi, rho, gamma)
+    assert differ > 0
+
+
+def test_social_clustered_l1_matches_candidate_enumeration():
+    # intra-cluster averaging can leave neighbor values a few ulps apart,
+    # which _assert_matches_oracle admits; everything else is bitwise
+    rng = np.random.default_rng(32)
+    for t in range(300):
+        n = int(rng.integers(6, 24))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, 3)),
+                                  replace=False))
+        part = ClusterPartition(tuple(np.diff(np.concatenate([[0], cuts, [n]]))))
+        assert max(part.sizes) > 1
+        chords = np.triu(rng.random((n, n)) < 0.2, 2)
+        graph = Graph(np.maximum(ring_graph(n).adjacency, chords + chords.T))
+        intra = cluster_metropolis(graph, part).matrix
+        assign = part.assignment
+        inter = np.triu((assign[:, None] != assign[None, :]) & (graph.adjacency > 0))
+        weights = inter * rng.uniform(0.01, 2.0, (n, n))
+        rho = weights + weights.T
+        psi = rng.normal(0.0, 2.0, (n, 1 + t % 3))
+        if t % 3 == 0:
+            psi = np.round(psi, 1)
+        gamma = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
+        out = social_clustered(psi, part, intra, EdgeRegularizer(rho), gamma)
+        phi = intra @ psi
+        _assert_matches_oracle(out, _oracle_prox_l1(phi, rho, gamma),
+                               phi, rho, gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchor=st.floats(-50.0, 50.0),
+       neighbors=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 10.0)),
+                          min_size=1, max_size=24),
+       gamma=st.floats(1e-3, 2.0))
+def test_prox_satisfies_subgradient_optimality(anchor, neighbors, gamma):
+    # 0 lies in the subdifferential of (x - a)^2 / (2 gamma) + sum rho_i |x - b_i|;
+    # neighbor values within rounding (delta) of x count as at x, since
+    # between values a few ulps apart the minimizer is located to rounding
+    values = np.array([v for v, _ in neighbors])
+    rho_row = np.array([r for _, r in neighbors])
+    rho = np.zeros((len(neighbors) + 1,) * 2)
+    rho[0, 1:] = rho[1:, 0] = rho_row
+    psi = np.concatenate([[anchor], values])[:, None]
+    x = social_prox_l1(psi, Graph((rho > 0.0) * 1.0), EdgeRegularizer(rho), gamma)[0, 0]
+    delta = 1e-12 * (abs(anchor) + abs(x) + gamma * rho_row.sum())
+    slope = ((x - anchor) / gamma + rho_row[values < x - delta].sum()
+             - rho_row[values > x + delta].sum())
+    at_x = rho_row[np.abs(values - x) <= delta].sum()
+    scale = (abs(anchor) + abs(x)) / gamma + rho_row.sum()
+    assert abs(slope) <= at_x + 1e-9 * scale
+
+
+def test_prox_nonfinite_agent_stays_nonfinite():
+    g = ring_graph(6)
+    reg = EdgeRegularizer((g.adjacency > 0) * 0.5)
+    psi = np.random.default_rng(17).standard_normal((6, 2))
+    psi[0, 0] = np.inf
+    psi[3, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = social_prox_l1(psi, g, reg, 0.3)
+    assert out[0, 0] == np.inf
+    assert np.isnan(out[3, 1])
+    # the infinite agent is a far breakpoint to its neighbors
+    assert np.all(np.isfinite(out[[1, 5], 0]))
+
+
+def test_prox_rejects_negative_strength():
+    g = ring_graph(6)
+    part = ClusterPartition((3, 3))
+    intra = cluster_metropolis(g, part).matrix
+    assign = part.assignment
+    inter = (assign[:, None] != assign[None, :]) & (g.adjacency > 0)
+    reg = EdgeRegularizer(inter * 0.5)
+    psi = np.random.default_rng(18).standard_normal((6, 2))
+    with pytest.raises(ValueError, match="mu_eta"):
+        social_prox_l1(psi, g, reg, -0.3)
+    with pytest.raises(ValueError, match="mu_eta"):
+        social_clustered(psi, part, intra, reg, -0.3)
 
 
 def test_edge_regularizer_validation():
