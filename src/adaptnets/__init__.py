@@ -63,7 +63,6 @@ from .strategies import (
     cluster_metropolis,
     overlap_metropolis,
     self_learn,
-    step,
 )
 from .theory import (
     BiasPrediction,

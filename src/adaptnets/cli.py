@@ -12,25 +12,15 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .config import (
     ConfigError,
     ExperimentConfig,
     load_config,
     resolve,
     resolve_pieces,
-    setup_stream,
-    _strategy_payload,
+    run_checks,
 )
-from .graphs import (
-    check_feasibility,
-    apply_spectral_kernel,
-    cluster_subspace,
-    consensus_subspace,
-    metropolis_weights,
-    save_graph,
-)
+from .graphs import save_graph
 from .harness import (
     DivergenceError,
     eta_sweep,
@@ -39,20 +29,6 @@ from .harness import (
     save_sweep,
 )
 from .streaming import save_tasks
-from .strategies import (
-    ClusterPartition,
-    InterestMap,
-    _edge_regularizer_from,
-    _resolve_combination,
-    cluster_metropolis,
-    overlap_metropolis,
-    social_clustered,
-    social_diffusion,
-    social_overlapping,
-    social_prox_l1,
-    social_smooth,
-    social_spectral,
-)
 
 __all__ = ["main"]
 
@@ -185,186 +161,9 @@ def _cmd_gen_tasks(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# check: structural invariants at tiny scale on the configured experiment
-# ---------------------------------------------------------------------------
-
-def _scalar_prox_oracle(anchor, neighbors, weights, gamma, lo, hi):
-    """Golden-section minimum of 0.5(x-a)^2 + gamma * sum w|x - v|."""
-
-    def objective(x):
-        return 0.5 * (x - anchor) ** 2 + gamma * float(
-            np.sum(weights * np.abs(x - neighbors))
-        )
-
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(200):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
-
-
-def _run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
-    graph, spectrum, model = resolve_pieces(config)
-    spec = config.strategy
-    kind = spec["kind"]
-    mu = float(spec["mu"])
-    eta = float(spec.get("eta", 0.0))
-    n = graph.n_agents
-    m = model.truth.uniform_size
-    rng = np.random.default_rng(0)
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, passed: bool, detail: str = ""):
-        checks.append((name, bool(passed), detail))
-
-    lam_max = float(spectrum.eigenvalues[-1])
-    residual = np.linalg.norm(
-        spectrum.laplacian @ spectrum.eigenvectors
-        - spectrum.eigenvectors * spectrum.eigenvalues
-    )
-    add("spectrum_residual", residual <= 1e-10 * max(1.0, lam_max) * n,
-        f"residual={residual:.2e}")
-
-    if m is None and kind != "overlapping":
-        add("uniform_blocks", False, "strategy needs uniform block sizes")
-        return checks
-    psi = rng.standard_normal((n, m)) if m is not None else None
-
-    if kind == "noncooperative":
-        add("identity_step", True, "no social coupling to check")
-    elif kind == "laplacian_reg":
-        dense = psi - mu * eta * (spectrum.laplacian @ psi)
-        got = social_smooth(psi, graph, mu * eta)
-        err = float(np.max(np.abs(got - dense)))
-        add("smooth_matches_dense", err <= 1e-12, f"max_err={err:.2e}")
-        add("stability", mu * eta <= 2.0 / lam_max + 1e-12,
-            f"mu*eta={mu * eta:g}, bound={2.0 / lam_max:g}")
-    elif kind == "spectral_reg":
-        payload = _strategy_payload(spec, graph, spectrum)
-        kernel = payload["kernel"]
-        values = kernel(spectrum.eigenvalues)
-        add("kernel_nonnegative", bool(np.all(values >= -1e-12)),
-            f"min={float(values.min()):.2e}")
-        dense = psi - mu * eta * (apply_spectral_kernel(kernel, spectrum) @ psi)
-        got = social_spectral(psi, graph, kernel.coefficients, mu * eta)
-        denom = max(float(np.max(np.abs(dense))), 1.0)
-        err = float(np.max(np.abs(got - dense))) / denom
-        add("recursion_matches_dense", err <= 1e-9, f"rel_err={err:.2e}")
-        linear = social_spectral(psi, graph, (0.0, 1.0), mu * eta)
-        smooth = social_smooth(psi, graph, mu * eta)
-        add("linear_kernel_reduces_to_smooth",
-            bool(np.array_equal(linear, smooth)), "bitwise")
-        r_max = float(np.max(values))
-        add("stability", mu * eta * r_max <= 2.0 + 1e-12,
-            f"mu*eta*max_r={mu * eta * r_max:g}")
-    elif kind == "prox_l1":
-        payload = _strategy_payload(spec, graph, spectrum)
-        regularizer = _edge_regularizer_from(payload.get("rho"), graph, "l1")
-        weights = regularizer.weights
-        got = social_prox_l1(psi, graph, regularizer, mu * eta)
-        worst = 0.0
-        for k in range(n):
-            nbrs = np.flatnonzero(weights[k])
-            if nbrs.size == 0:
-                continue
-            for j in range(m):
-                span = float(np.max(np.abs(
-                    np.append(psi[nbrs, j], psi[k, j])))) + 1.0
-                ref = _scalar_prox_oracle(psi[k, j], psi[nbrs, j],
-                                          weights[k, nbrs], mu * eta,
-                                          -span, span)
-                worst = max(worst, abs(ref - got[k, j]))
-        add("prox_matches_scalar_search", worst <= 1e-6,
-            f"max_err={worst:.2e}")
-        same = social_prox_l1(np.ones((n, m)), graph, regularizer, mu * eta)
-        add("prox_fixed_point_on_agreement",
-            float(np.max(np.abs(same - 1.0))) <= 1e-12, "all-equal input")
-    elif kind == "diffusion":
-        combo = _resolve_combination(spec.get("weights", "metropolis"), graph)
-        a = combo.matrix
-        col = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
-        row = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
-        add("doubly_stochastic", max(col, row) <= 1e-10,
-            f"max_dev={max(col, row):.2e}")
-        report = check_feasibility(combo, consensus_subspace(n, 1), graph)
-        add("semi_convergent", report.spectral and report.semi_convergence,
-            f"rho={report.rho:.6f}")
-        mean_before = psi.mean(axis=0)
-        mean_after = social_diffusion(psi, a).mean(axis=0)
-        drift = float(np.max(np.abs(mean_after - mean_before)))
-        add("mean_preserved", drift <= 1e-10, f"drift={drift:.2e}")
-    elif kind == "subspace_projection":
-        payload = _strategy_payload(spec, graph, spectrum)
-        sub_spec = payload.get("subspace", "consensus")
-        if sub_spec == "consensus":
-            subspace = consensus_subspace(n, m)
-            default_weights = metropolis_weights(graph)
-        else:
-            subspace = cluster_subspace(sub_spec, m)
-            default_weights = cluster_metropolis(graph, sub_spec)
-        combo = (_resolve_combination(payload["weights"], graph)
-                 if "weights" in payload else default_weights)
-        report = check_feasibility(combo, subspace, graph)
-        for name in ("right_fixed", "left_fixed", "spectral", "sparsity",
-                     "semi_convergence"):
-            add(f"feasibility_{name}", getattr(report, name),
-                f"rho={report.rho:.6f}" if name == "spectral" else "")
-    elif kind == "overlapping":
-        interest = InterestMap(
-            max(v for row in spec["interests"] for v in row) + 1,
-            tuple(tuple(v) for v in spec["interests"]),
-        )
-        var_weights = overlap_metropolis(graph, interest)
-        ok = True
-        detail = ""
-        for j, weights in var_weights.items():
-            dev = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
-            if dev > 1e-10:
-                ok = False
-                detail = f"variable {j}: row-sum dev {dev:.2e}"
-                break
-        add("per_variable_row_stochastic", ok, detail)
-        shared = rng.standard_normal(interest.n_variables)
-        agreed = interest.blocks_from_global(shared)
-        out = social_overlapping(agreed, interest, var_weights)
-        worst = max(float(np.max(np.abs(o - a)))
-                    for o, a in zip(out, agreed))
-        add("agreement_fixed_point", worst <= 1e-12, f"max_dev={worst:.2e}")
-    elif kind == "clustered":
-        partition = ClusterPartition(tuple(spec["clusters"]))
-        combo = (cluster_metropolis(graph, partition)
-                 if "weights" not in spec
-                 else _resolve_combination(spec["weights"], graph))
-        a = combo.matrix
-        mask = np.zeros((n, n), dtype=bool)
-        for start, stop in partition.slices:
-            mask[start:stop, start:stop] = True
-        leak = float(np.max(np.abs(a[~mask]))) if (~mask).any() else 0.0
-        add("block_diagonal_weights", leak <= 1e-14, f"leak={leak:.2e}")
-        col = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
-        row = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
-        add("doubly_stochastic", max(col, row) <= 1e-10,
-            f"max_dev={max(col, row):.2e}")
-        got = social_clustered(psi, partition, a, None, 0.0)
-        plain = social_diffusion(psi, a)
-        err = float(np.max(np.abs(got - plain)))
-        add("reduces_to_diffusion", err == 0.0, f"max_err={err:.2e}")
-    return checks
-
-
 def _cmd_check(args) -> int:
     config = _load_with_overrides(args)
-    checks = _run_checks(config)
+    checks = run_checks(config)
     all_pass = all(passed for _, passed, _ in checks)
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"

@@ -30,13 +30,9 @@ from . import theory as theory_mod
 from .graphs import (
     Graph,
     ClusterPartition,
-    SpectralKernel,
     Spectrum,
-    Subspace,
     build_laplacian,
     complete_graph,
-    cluster_subspace,
-    consensus_subspace,
     load_graph,
     projector,
     random_geometric_graph,
@@ -44,7 +40,13 @@ from .graphs import (
     star_graph,
 )
 from .streaming import StreamModel, TaskField, load_tasks, synth_smooth_tasks
-from .strategies import InterestMap, Strategy, StrategyConfig, build_strategy
+from .strategies import (
+    STRATEGY_KINDS,
+    InterestMap,
+    Strategy,
+    StrategyConfig,
+    build_strategy,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -55,6 +57,7 @@ __all__ = [
     "load_config",
     "resolve",
     "resolve_pieces",
+    "run_checks",
     "setup_stream",
     "data_stream",
 ]
@@ -200,17 +203,6 @@ _TRUTH_KEYS = {
     "global_random": {"n_variables", "scale"},
 }
 
-_STRATEGY_KEYS = {
-    "noncooperative": set(),
-    "diffusion": {"weights"},
-    "laplacian_reg": set(),
-    "spectral_reg": {"kernel"},
-    "prox_l1": {"rho"},
-    "subspace_projection": {"subspace", "weights"},
-    "overlapping": {"interests"},
-    "clustered": {"clusters", "penalty", "rho", "weights"},
-}
-
 _KERNEL_KEYS = {
     "polynomial": {"coefficients"},
     "power": {"exponent"},
@@ -261,22 +253,29 @@ def _validate_model_spec(doc: dict) -> None:
     _validate_truth_spec(doc["truth"])
 
 
+def _strategy_config(spec: dict) -> StrategyConfig:
+    """The StrategyConfig of a strategy object: its kind's keys are the
+    payload."""
+    return StrategyConfig(
+        kind=spec.get("kind"),
+        mu=float(spec["mu"]),
+        eta=float(spec.get("eta", 0.0)),
+        payload={k: v for k, v in spec.items() if k not in ("kind", "mu", "eta")},
+    )
+
+
 def _validate_strategy_spec(doc: dict) -> None:
-    allowed_all = set().union(*_STRATEGY_KEYS.values()) | {"kind", "mu", "eta"}
-    _require_keys(doc, allowed_all, {"kind", "mu"}, "strategy")
-    kind = doc.get("kind")
-    if kind not in _STRATEGY_KEYS:
-        raise ConfigError(f"unknown strategy kind {kind!r}")
-    _require_keys(doc, _STRATEGY_KEYS[kind] | {"kind", "mu", "eta"},
-                  {"kind", "mu"}, f"strategy ({kind})")
-    mu = _as_number(doc["mu"], "strategy.mu")
-    if mu <= 0.0:
-        raise ConfigError("strategy.mu must be positive")
-    eta = _as_number(doc.get("eta", 0.0), "strategy.eta")
-    if eta < 0.0:
-        raise ConfigError("strategy.eta must be >= 0")
-    if kind == "spectral_reg":
-        kernel = doc.get("kernel")
+    if not isinstance(doc, dict):
+        raise ConfigError("strategy must be an object")
+    _require_keys(doc, set(doc), {"kind", "mu"}, "strategy")
+    _as_number(doc["mu"], "strategy.mu")
+    _as_number(doc.get("eta", 0.0), "strategy.eta")
+    try:
+        _strategy_config(doc)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if "kernel" in doc:
+        kernel = doc["kernel"]
         if not isinstance(kernel, dict) or kernel.get("kind") not in _KERNEL_KEYS:
             raise ConfigError(
                 f"strategy.kernel must be an object with kind in "
@@ -285,6 +284,11 @@ def _validate_strategy_spec(doc: dict) -> None:
         _require_keys(kernel, _KERNEL_KEYS[kernel["kind"]] | {"kind"},
                       {"kind"} | _KERNEL_KEYS[kernel["kind"]],
                       f"strategy.kernel ({kernel['kind']})")
+        if kernel["kind"] == "power":
+            _as_int(kernel["exponent"], "kernel.exponent", minimum=1)
+        if kernel["kind"] == "heat":
+            _as_number(kernel["rate"], "kernel.rate")
+            _as_int(kernel["degree"], "kernel.degree", minimum=1)
 
 
 def parse_config(doc: dict, base_dir: str | None = None) -> ExperimentConfig:
@@ -482,71 +486,6 @@ def _build_model(model_spec: dict, truth: TaskField) -> StreamModel:
         raise ConfigError(f"model: {exc}")
 
 
-def _build_kernel(spec: dict, spectrum: Spectrum) -> SpectralKernel:
-    kind = spec["kind"]
-    if kind == "polynomial":
-        return SpectralKernel.polynomial(spec["coefficients"], spectrum)
-    if kind == "power":
-        exponent = _as_int(spec["exponent"], "kernel.exponent", minimum=1)
-        coeffs = np.zeros(exponent + 1)
-        coeffs[exponent] = 1.0
-        return SpectralKernel.polynomial(coeffs, spectrum)
-    if kind == "heat":
-        rate = _as_number(spec["rate"], "kernel.rate")
-        degree = _as_int(spec["degree"], "kernel.degree", minimum=1)
-        return SpectralKernel.from_function(
-            lambda lam: np.expm1(rate * lam), spectrum, degree=degree
-        )
-    raise ConfigError(f"unknown kernel kind {kind!r}")
-
-
-def _strategy_payload(strategy_spec: dict, graph: Graph,
-                      spectrum: Spectrum) -> dict:
-    kind = strategy_spec["kind"]
-    payload: dict[str, Any] = {}
-    if kind == "diffusion" and "weights" in strategy_spec:
-        payload["weights"] = strategy_spec["weights"]
-    if kind == "spectral_reg":
-        payload["kernel"] = _build_kernel(strategy_spec["kernel"], spectrum)
-    if kind == "prox_l1" and "rho" in strategy_spec:
-        rho = strategy_spec["rho"]
-        if not np.isscalar(rho):
-            rho = np.asarray(rho, dtype=float)
-        payload["rho"] = rho
-    if kind == "subspace_projection":
-        sub = strategy_spec.get("subspace", "consensus")
-        if isinstance(sub, dict):
-            _require_keys(sub, {"clusters"}, {"clusters"}, "strategy.subspace")
-            payload["subspace"] = ClusterPartition(tuple(sub["clusters"]))
-        else:
-            if sub != "consensus":
-                raise ConfigError(f"unknown subspace {sub!r}")
-            payload["subspace"] = "consensus"
-        if "weights" in strategy_spec:
-            payload["weights"] = strategy_spec["weights"]
-    if kind == "overlapping":
-        payload["interests"] = tuple(tuple(v) for v in strategy_spec["interests"])
-    if kind == "clustered":
-        payload["partition"] = ClusterPartition(tuple(strategy_spec["clusters"]))
-        if "penalty" in strategy_spec:
-            payload["penalty"] = strategy_spec["penalty"]
-        if "rho" in strategy_spec:
-            payload["rho"] = strategy_spec["rho"]
-        if "weights" in strategy_spec:
-            payload["weights"] = strategy_spec["weights"]
-    return payload
-
-
-def _subspace_for_theory(strategy: Strategy, n: int, m: int) -> Subspace | None:
-    if strategy.kind == "diffusion":
-        return consensus_subspace(n, m)
-    if strategy.kind == "subspace_projection":
-        return strategy.subspace
-    if strategy.kind == "clustered" and strategy.eta == 0.0:
-        return cluster_subspace(strategy.partition, m)
-    return None
-
-
 def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
                    model: StreamModel,
                    strategy: Strategy) -> tuple[dict | None, np.ndarray | None]:
@@ -567,11 +506,11 @@ def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
         "msd_nc_per_agent": noncoop.per_agent.tolist(),
     }
     w_star: np.ndarray | None = None
-    kind = strategy.kind
-    if kind == "noncooperative":
+    closed_form = STRATEGY_KINDS[strategy.kind].theory
+    if closed_form == "noncooperative":
         theory["msd"] = noncoop.network
         w_star = truth_mat
-    elif kind in ("laplacian_reg", "spectral_reg"):
+    elif closed_form == "smoothness":
         inputs = theory_mod.TheoryInputs(**base, kernel=strategy.kernel)
         var = theory_mod.variance_smoothness(inputs)
         bias = theory_mod.bias_smoothness(inputs)
@@ -581,22 +520,21 @@ def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
                           "modes": bias.per_mode.tolist()}
         theory["msd"] = var.total + bias.total / graph.n_agents
         w_star = bias.w_star
-        if kind == "spectral_reg":
+        if strategy.kernel is not None:
             try:
                 bound = theory_mod.filter_bound(inputs)
                 theory["filter_ratios"] = bound.ratios.tolist()
             except ValueError:
                 pass
-    else:
-        sub = _subspace_for_theory(strategy, graph.n_agents, m)
-        if sub is not None:
-            flat = truth_mat.reshape(-1)
-            residual = np.linalg.norm(flat - projector(sub) @ flat)
-            if residual <= 1e-8 * max(1.0, np.linalg.norm(flat)):
-                inputs = theory_mod.TheoryInputs(**base, subspace=sub)
-                theory["msd"] = theory_mod.msd_projection(inputs)
-                theory["msd_projection"] = theory["msd"]
-                w_star = truth_mat
+    elif closed_form == "projection" and strategy.subspace is not None:
+        sub = strategy.subspace
+        flat = truth_mat.reshape(-1)
+        residual = np.linalg.norm(flat - projector(sub) @ flat)
+        if residual <= 1e-8 * max(1.0, np.linalg.norm(flat)):
+            inputs = theory_mod.TheoryInputs(**base, subspace=sub)
+            theory["msd"] = theory_mod.msd_projection(inputs)
+            theory["msd_projection"] = theory["msd"]
+            w_star = truth_mat
     return theory, w_star
 
 
@@ -629,22 +567,39 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
     inconsistency the schema-level validation cannot see.
     """
     graph, spectrum, model = resolve_pieces(config)
-    strategy_spec = config.strategy
     try:
-        strategy_config = StrategyConfig(
-            kind=strategy_spec["kind"],
-            mu=float(strategy_spec["mu"]),
-            eta=float(strategy_spec.get("eta", 0.0)),
-            payload=_strategy_payload(strategy_spec, graph, spectrum),
-        )
-        strategy = build_strategy(strategy_config, graph, model,
-                                  spectrum=spectrum)
+        strategy = build_strategy(_strategy_config(config.strategy), graph,
+                                  model, spectrum=spectrum)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"strategy: {exc}")
     theory, w_star = _attach_theory(config, graph, spectrum, model, strategy)
     return ResolvedExperiment(
         config=config, graph=graph, spectrum=spectrum, model=model,
         strategy=strategy, theory=theory, w_star=w_star,
     )
+
+
+def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
+    """The self-tests of `adaptnets check`, as (name, passed, detail).
+
+    Checks the Laplacian eigendecomposition, then runs the strategy kind's
+    own checks on the pieces its builder assembles. Unlike resolve, it does
+    not refuse an unstable or infeasible step: the kind's checks report it.
+    """
+    graph, spectrum, model = resolve_pieces(config)
+    residual = np.linalg.norm(
+        spectrum.laplacian @ spectrum.eigenvectors
+        - spectrum.eigenvectors * spectrum.eigenvalues
+    )
+    checks = [("spectrum_residual",
+               residual <= 1e-10 * max(1.0, spectrum.lam_max) * graph.n_agents,
+               f"residual={residual:.2e}")]
+    entry = STRATEGY_KINDS[config.strategy["kind"]]
+    if model.truth.uniform_size is None and not entry.blockwise:
+        checks.append(("uniform_blocks", False,
+                       "strategy needs uniform block sizes"))
+    else:
+        strategy = entry.build(_strategy_config(config.strategy), graph, model,
+                               spectrum)
+        checks += entry.checks(strategy, spectrum, np.random.default_rng(0))
+    return [(name, bool(passed), detail) for name, passed, detail in checks]

@@ -14,17 +14,19 @@ strategies and the steady-state theory:
 and the operations
 
     build_laplacian, smoothness, graph_fourier, inverse_graph_fourier,
-    metropolis_weights, laplacian_weights, apply_spectral_kernel,
-    chebyshev_fit, consensus_subspace, cluster_subspace, projector,
-    check_feasibility
+    metropolis_block, metropolis_weights, laplacian_weights,
+    apply_spectral_kernel, chebyshev_fit, consensus_subspace,
+    cluster_subspace, projector, check_feasibility
 
 plus generators (ring, star, complete, random geometric) and JSON I/O.
+
+The classes holding arrays compare and hash by identity (eq=False): an
+element-wise comparison of their arrays has no single truth value.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -46,6 +48,7 @@ __all__ = [
     "smoothness",
     "graph_fourier",
     "inverse_graph_fourier",
+    "metropolis_block",
     "metropolis_weights",
     "laplacian_weights",
     "apply_spectral_kernel",
@@ -79,7 +82,7 @@ class EigensolverError(RuntimeError):
 # Graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph on agents 0..N-1.
 
@@ -128,19 +131,7 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        n = self.n_agents
-        if n == 0:
-            return True
-        seen = np.zeros(n, dtype=bool)
-        queue = deque([0])
-        seen[0] = True
-        while queue:
-            k = queue.popleft()
-            for l in self.neighbor_lists[k]:
-                if not seen[l]:
-                    seen[l] = True
-                    queue.append(l)
-        return bool(seen.all())
+        return _connected(self.neighbor_lists)
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[Sequence]) -> "Graph":
@@ -266,7 +257,7 @@ def random_geometric_graph(
 # Laplacian spectrum and graph Fourier transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition L = V diag(eigenvalues) V^T of a graph Laplacian.
 
@@ -368,7 +359,7 @@ def inverse_graph_fourier(coeffs, spectrum: Spectrum) -> np.ndarray:
 # Combination matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CombinationMatrix:
     """Combination weights, either scalar (N x N) or block (M_t x M_t).
 
@@ -425,6 +416,47 @@ class CombinationMatrix:
         return np.kron(self.matrix, np.eye(sizes[0]))
 
 
+def _connected(neighbors: Sequence[Sequence[int]]) -> bool:
+    """Whether every node is reachable from node 0 along the adjacency lists."""
+    if not neighbors:
+        return True
+    seen = [False] * len(neighbors)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for l in neighbors[stack.pop()]:
+            if not seen[l]:
+                seen[l] = True
+                stack.append(l)
+    return all(seen)
+
+
+def metropolis_block(graph: Graph, members: Sequence[int], name: str) -> np.ndarray:
+    """Off-diagonal Metropolis weights among a group of agents.
+
+    For members k != l (ascending agent indices) adjacent in the graph, entry
+    (i, j) of the returned |members| x |members| block, i and j their
+    positions in members, is 1 / max(n_k, n_l), where n_k counts k and its
+    neighbors inside the group. The diagonal is left 0: the caller places the
+    block and sets each diagonal entry to one minus the sum of its whole row,
+    so that a row sums over the same width whether or not the block fills
+    it. Raises ValueError "<name> is not connected" when the members are not
+    connected among themselves.
+    """
+    members = [int(k) for k in members]
+    position = {k: i for i, k in enumerate(members)}
+    inside = [[position[l] for l in graph.neighbor_lists[k].tolist() if l in position]
+              for k in members]
+    if not _connected(inside):
+        raise ValueError(f"{name} is not connected")
+    counts = [len(nbrs) + 1 for nbrs in inside]
+    block = np.zeros((len(members), len(members)))
+    for i, nbrs in enumerate(inside):
+        for j in nbrs:
+            block[i, j] = 1.0 / max(counts[i], counts[j])
+    return block
+
+
 def metropolis_weights(graph: Graph) -> CombinationMatrix:
     """Metropolis combination rule from self-inclusive neighborhood sizes.
 
@@ -432,14 +464,7 @@ def metropolis_weights(graph: Graph) -> CombinationMatrix:
     and a_{kk} absorbing the remainder. The result is symmetric and doubly
     stochastic. Requires a connected graph.
     """
-    if not graph.is_connected:
-        raise ValueError("metropolis weights require a connected graph")
-    n = graph.n_agents
-    sizes = np.array([len(graph.neighbors(k)) + 1 for k in range(n)], dtype=float)
-    weights = np.zeros((n, n))
-    for k in range(n):
-        for l in graph.neighbors(k):
-            weights[k, l] = 1.0 / max(sizes[k], sizes[l])
+    weights = metropolis_block(graph, range(graph.n_agents), "the graph")
     np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
     return CombinationMatrix(weights)
 
@@ -468,7 +493,7 @@ def laplacian_weights(graph: Graph, scale: float | None = None) -> CombinationMa
 # Spectral kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralKernel:
     """Spectral weighting r(lambda) >= 0, polynomial or fitted.
 
@@ -571,7 +596,7 @@ def apply_spectral_kernel(kernel: SpectralKernel, spectrum: Spectrum) -> np.ndar
 # Subspaces and projections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Full-column-rank basis U (M_t x P) of a constraint subspace."""
 
@@ -677,7 +702,7 @@ class ClusterPartition:
 # Feasibility of combination matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityReport:
     """Outcome of the combination-matrix feasibility checks.
 

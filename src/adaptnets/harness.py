@@ -26,6 +26,7 @@ from .config import (
     parse_config,
     resolve,
 )
+from .strategies import STRATEGY_KINDS
 from .streaming import draw_horizon
 
 __all__ = [
@@ -325,9 +326,6 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
 # Regularization sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEP_KINDS = ("laplacian_reg", "spectral_reg", "prox_l1", "clustered")
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     eta: float
@@ -349,10 +347,11 @@ def eta_sweep(config: ExperimentConfig | dict,
     """
     if isinstance(config, dict):
         config = parse_config(config)
-    if config.strategy["kind"] not in _SWEEP_KINDS:
+    kind = config.strategy["kind"]
+    if not STRATEGY_KINDS[kind].uses_eta:
+        coupling = [k for k, entry in STRATEGY_KINDS.items() if entry.uses_eta]
         raise ConfigError(
-            f"eta sweep needs a coupling strategy {_SWEEP_KINDS}, got "
-            f"{config.strategy['kind']!r}"
+            f"eta sweep needs a strategy that uses eta {coupling}, got {kind!r}"
         )
     if config.model["kind"] != "mse":
         raise ConfigError("eta sweep compares against mse steady-state theory")

@@ -19,6 +19,14 @@ followed by a social-learning step that maps the intermediate network state
 All social steps read psi and write a fresh state; aggregation within an
 iteration always uses the pre-step values.
 
+Each kind is declared once, as a StrategyKind entry in STRATEGY_KINDS, and
+everything that needs to know a kind reads that entry: StrategyConfig and
+the config schema (its keys, whether it uses eta), build_strategy (its
+builder and validation), the eta sweep (eta), the closed forms resolve
+attaches (theory) and `adaptnets check` (its self-tests). A kind's keys are
+the same names in a config document's "strategy" object and in
+StrategyConfig.payload.
+
 Reductions (special cases that must agree bit-identically under a shared
 RNG stream, or to 1e-12 where the float path differs):
 
@@ -33,7 +41,7 @@ RNG stream, or to 1e-12 where the float path differs):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import KW_ONLY, dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -42,21 +50,25 @@ import numpy as np
 from .graphs import (
     CombinationMatrix,
     ClusterPartition,
+    FeasibilityReport,
     Graph,
     SpectralKernel,
     Spectrum,
     Subspace,
+    apply_spectral_kernel,
     build_laplacian,
     check_feasibility,
     cluster_subspace,
     consensus_subspace,
-    metropolis_weights,
     laplacian_weights,
+    metropolis_block,
+    metropolis_weights,
 )
 from .streaming import NetworkSample, StreamModel, instantaneous_gradient
 
 __all__ = [
     "STRATEGY_KINDS",
+    "StrategyKind",
     "StrategyConfig",
     "StrategyState",
     "EdgeRegularizer",
@@ -64,7 +76,6 @@ __all__ = [
     "Strategy",
     "build_strategy",
     "self_learn",
-    "step",
     "social_noncooperative",
     "social_smooth",
     "social_spectral",
@@ -77,32 +88,8 @@ __all__ = [
     "cluster_metropolis",
 ]
 
-STRATEGY_KINDS = (
-    "noncooperative",
-    "diffusion",
-    "laplacian_reg",
-    "spectral_reg",
-    "prox_l1",
-    "subspace_projection",
-    "overlapping",
-    "clustered",
-)
-
-_ETA_FREE_KINDS = ("noncooperative", "diffusion", "subspace_projection", "overlapping")
-
 _STABILITY_SLACK = 1e-12
 _STOCHASTIC_ATOL = 1e-10
-
-_ALLOWED_PAYLOAD_KEYS = {
-    "noncooperative": set(),
-    "diffusion": {"weights", "rule"},
-    "laplacian_reg": set(),
-    "spectral_reg": {"kernel"},
-    "prox_l1": {"rho", "regularizer"},
-    "subspace_projection": {"subspace", "weights", "clusters"},
-    "overlapping": {"interests", "weights"},
-    "clustered": {"partition", "penalty", "rho", "weights", "regularizer"},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +101,8 @@ class StrategyConfig:
     """Declarative description of a strategy.
 
     mu > 0 is the gradient step-size, eta >= 0 the regularization strength
-    (must be 0 for kinds that have no regularizer). payload carries
-    kind-specific pieces, see build_strategy.
+    (must be 0 for kinds that have no regularizer). payload carries the
+    kind's keys (StrategyKind.required and .optional), see build_strategy.
     """
 
     kind: str
@@ -126,19 +113,23 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(
-                f"unknown strategy kind {self.kind!r}; expected one of {STRATEGY_KINDS}"
+                f"unknown strategy kind {self.kind!r}; expected one of "
+                f"{tuple(STRATEGY_KINDS)}"
             )
+        entry = STRATEGY_KINDS[self.kind]
         if not (self.mu > 0.0 and np.isfinite(self.mu)):
             raise ValueError("mu must be positive and finite")
         if not (self.eta >= 0.0 and np.isfinite(self.eta)):
             raise ValueError("eta must be >= 0 and finite")
-        if self.kind in _ETA_FREE_KINDS and self.eta != 0.0:
+        if not entry.uses_eta and self.eta != 0.0:
             raise ValueError(f"kind {self.kind!r} does not use eta; set it to 0")
-        unknown = set(self.payload) - _ALLOWED_PAYLOAD_KEYS[self.kind]
+        where = f"strategy ({self.kind})"
+        unknown = set(self.payload) - set(entry.required) - set(entry.optional)
         if unknown:
-            raise ValueError(
-                f"unknown payload keys for {self.kind!r}: {sorted(unknown)}"
-            )
+            raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+        missing = set(entry.required) - set(self.payload)
+        if missing:
+            raise ValueError(f"missing keys in {where}: {sorted(missing)}")
 
 
 @dataclass
@@ -154,9 +145,13 @@ class StrategyState:
     iteration: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeRegularizer:
-    """Symmetric nonnegative edge weights rho_{kl} with a penalty kind."""
+    """Symmetric nonnegative edge weights rho_{kl} with a penalty kind.
+
+    Compared and hashed by identity: equality of weight arrays has no single
+    truth value.
+    """
 
     weights: np.ndarray
     kind: str = "l1"
@@ -451,28 +446,8 @@ def overlap_metropolis(graph: Graph, interest: InterestMap) -> dict[int, np.ndar
         raise ValueError("interest map and graph disagree on the agent count")
     weights: dict[int, np.ndarray] = {}
     for n, agents in enumerate(interest.by_variable):
-        idx = {k: j for j, k in enumerate(agents)}
-        size = len(agents)
-        nbrs = [
-            [l for l in graph.neighbors(k) if l in idx]
-            for k in agents
-        ]
-        # Connectivity of the interest subgraph.
-        seen = {agents[0]}
-        stack = [agents[0]]
-        while stack:
-            k = stack.pop()
-            for l in nbrs[idx[k]]:
-                if l not in seen:
-                    seen.add(l)
-                    stack.append(l)
-        if len(seen) != size:
-            raise ValueError(f"agents interested in variable {n} are not connected")
-        counts = np.array([len(nb) + 1 for nb in nbrs], dtype=float)
-        mat = np.zeros((size, size))
-        for k in agents:
-            for l in nbrs[idx[k]]:
-                mat[idx[k], idx[l]] = 1.0 / max(counts[idx[k]], counts[idx[l]])
+        mat = metropolis_block(graph, agents,
+                               f"the agents interested in variable {n}")
         np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
         weights[n] = mat
     return weights
@@ -498,31 +473,11 @@ def cluster_metropolis(graph: Graph, partition: ClusterPartition) -> Combination
     if partition.n_agents != graph.n_agents:
         raise ValueError("partition and graph disagree on the agent count")
     n = graph.n_agents
-    assign = partition.assignment
     weights = np.zeros((n, n))
-    for start, stop in partition.slices:
-        members = range(start, stop)
-        nbrs = {
-            k: [l for l in graph.neighbors(k) if start <= l < stop]
-            for k in members
-        }
-        seen = {start}
-        stack = [start]
-        while stack:
-            k = stack.pop()
-            for l in nbrs[k]:
-                if l not in seen:
-                    seen.add(l)
-                    stack.append(l)
-        if len(seen) != stop - start:
-            raise ValueError(
-                f"cluster {assign[start]} is not connected inside the graph"
-            )
-        counts = {k: len(nbrs[k]) + 1 for k in members}
-        for k in members:
-            for l in nbrs[k]:
-                weights[k, l] = 1.0 / max(counts[k], counts[l])
-            weights[k, k] = 1.0 - weights[k].sum()
+    for q, (start, stop) in enumerate(partition.slices):
+        weights[start:stop, start:stop] = metropolis_block(
+            graph, range(start, stop), f"cluster {q} inside the graph")
+    np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
     return CombinationMatrix(weights)
 
 
@@ -535,8 +490,10 @@ def social_clustered(psi, partition: ClusterPartition, intra_weights: np.ndarray
     neighbor-difference correction, both restricted to inter-cluster edges.
     The l1 step is the same exact, vectorised prox as social_prox_l1
     (_prox_l1) applied to phi, so singleton clusters reproduce prox_l1 bit
-    for bit; it rejects mu_eta < 0 with ValueError.
+    for bit. mu_eta < 0 raises ValueError.
     """
+    if mu_eta < 0.0:
+        raise ValueError("mu_eta must be >= 0")
     psi = np.asarray(psi, dtype=float)
     phi = intra_weights @ psi
     if mu_eta == 0.0 or regularizer is None:
@@ -552,26 +509,31 @@ def social_clustered(psi, partition: ClusterPartition, intra_weights: np.ndarray
 # Strategy assembly
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class Strategy:
-    """A configured adaptation rule: self-learning plus one social step."""
+    """A configured adaptation rule: self-learning plus one social step.
 
-    def __init__(self, config: StrategyConfig, graph: Graph, social: Callable,
-                 block_sizes: tuple[int, ...], blockwise: bool,
-                 kernel: SpectralKernel | None = None,
-                 subspace: Subspace | None = None,
-                 combination: CombinationMatrix | None = None,
-                 partition: ClusterPartition | None = None,
-                 interest: InterestMap | None = None):
-        self.config = config
-        self.graph = graph
-        self.social = social
-        self.block_sizes = block_sizes
-        self.blockwise = blockwise
-        self.kernel = kernel
-        self.subspace = subspace
-        self.combination = combination
-        self.partition = partition
-        self.interest = interest
+    The keyword pieces are what the kind's builder assembled the social
+    step from (None where the kind has no such piece). subspace is the
+    subspace the social step projects onto, where it has one: the
+    consensus subspace for diffusion, the cluster subspace for clustered
+    with eta = 0 and the constraint of subspace_projection. feasibility is
+    subspace_projection's check of its combination against that subspace.
+    """
+
+    config: StrategyConfig
+    graph: Graph
+    social: Callable
+    block_sizes: tuple[int, ...]
+    _: KW_ONLY
+    kernel: SpectralKernel | None = None
+    subspace: Subspace | None = None
+    combination: CombinationMatrix | None = None
+    regularizer: EdgeRegularizer | None = None
+    partition: ClusterPartition | None = None
+    interest: InterestMap | None = None
+    var_weights: Mapping[int, np.ndarray] | None = None
+    feasibility: FeasibilityReport | None = None
 
     @property
     def kind(self) -> str:
@@ -584,6 +546,10 @@ class Strategy:
     @property
     def eta(self) -> float:
         return self.config.eta
+
+    @property
+    def blockwise(self) -> bool:
+        return STRATEGY_KINDS[self.config.kind].blockwise
 
     def init_state(self, initial=None) -> StrategyState:
         """Fresh state; the default initializer is all zeros."""
@@ -604,12 +570,6 @@ class Strategy:
         psi = self_learn(state.w, model, samples, self.config.mu)
         w = self.social(psi)
         return StrategyState(w=w, iteration=state.iteration + 1)
-
-
-def step(state: StrategyState, model: StreamModel, samples: NetworkSample,
-         strategy: Strategy) -> StrategyState:
-    """Functional form of one full iteration."""
-    return strategy.step(state, model, samples)
 
 
 def _validate_doubly_stochastic(weights: np.ndarray, graph: Graph) -> None:
@@ -648,19 +608,15 @@ def _resolve_combination(payload_weights, graph: Graph) -> CombinationMatrix:
 def _edge_regularizer_from(value, graph: Graph, kind: str,
                            mask: np.ndarray | None = None) -> EdgeRegularizer:
     """Uniform rho on (masked) graph edges, or a user matrix, as a regularizer."""
-    if isinstance(value, EdgeRegularizer):
-        reg = value
-    else:
-        if value is None:
-            value = 1.0
-        if np.isscalar(value):
-            support = (graph.adjacency > 0.0).astype(float)
-            weights = float(value) * support
-        else:
-            weights = np.asarray(value, dtype=float)
-        if mask is not None and np.isscalar(value):
+    if value is None:
+        value = 1.0
+    if np.isscalar(value):
+        weights = float(value) * (graph.adjacency > 0.0)
+        if mask is not None:
             weights = weights * mask
-        reg = EdgeRegularizer(weights=weights, kind=kind)
+    else:
+        weights = np.asarray(value, dtype=float)
+    reg = EdgeRegularizer(weights=weights, kind=kind)
     support_ok = (reg.weights == 0.0) | (graph.adjacency > 0.0)
     if not np.all(support_ok):
         raise ValueError("regularizer weights on non-edges")
@@ -669,174 +625,435 @@ def _edge_regularizer_from(value, graph: Graph, kind: str,
     return reg
 
 
-def build_strategy(config: StrategyConfig, graph: Graph, model: StreamModel,
-                   spectrum: Spectrum | None = None) -> Strategy:
-    """Assemble a Strategy, validating the configuration against the graph
-    and model (stability bounds, feasibility, sparsity, block sizes)."""
-    n = graph.n_agents
-    if model.n_agents != n:
-        raise ValueError("model and graph disagree on the number of agents")
-    sizes = model.truth.block_sizes
-    uniform = model.truth.uniform_size
-    payload = config.payload
-    kind = config.kind
-    mu_eta = config.mu * config.eta
+def _spectral_kernel(value, spectrum: Spectrum) -> SpectralKernel:
+    """A SpectralKernel, ascending polynomial coefficients, or a config
+    document's kernel object ({"kind": "polynomial" | "power" | "heat", ...}),
+    as a kernel validated on the spectrum."""
+    if isinstance(value, SpectralKernel):
+        kernel = value
+    elif not isinstance(value, Mapping):
+        kernel = SpectralKernel.polynomial(value)
+    elif value["kind"] == "polynomial":
+        kernel = SpectralKernel.polynomial(value["coefficients"])
+    elif value["kind"] == "power":
+        coeffs = np.zeros(value["exponent"] + 1)
+        coeffs[value["exponent"]] = 1.0
+        kernel = SpectralKernel.polynomial(coeffs)
+    elif value["kind"] == "heat":
+        rate = float(value["rate"])
+        kernel = SpectralKernel.from_function(
+            lambda lam: np.expm1(rate * lam), spectrum, degree=value["degree"])
+    else:
+        raise ValueError(f"unknown kernel kind {value['kind']!r}")
+    kernel.validate_on(spectrum)
+    return kernel
 
-    def need_spectrum() -> Spectrum:
-        nonlocal spectrum
-        if spectrum is None:
-            spectrum = build_laplacian(graph)
-        return spectrum
 
-    if kind != "overlapping" and uniform is None:
-        raise ValueError(f"kind {kind!r} requires uniform block sizes")
+def _probe(strategy: Strategy, rng: np.random.Generator) -> np.ndarray:
+    """A random network state to run a social step on in the self-tests."""
+    return rng.standard_normal((strategy.graph.n_agents, strategy.block_sizes[0]))
 
-    if kind == "noncooperative":
-        return Strategy(config, graph, social_noncooperative, sizes, False)
 
-    if kind == "diffusion":
-        combo = _resolve_combination(payload.get("weights", payload.get("rule")),
-                                     graph)
-        if not combo.is_scalar:
-            raise ValueError("diffusion expects scalar combination weights")
-        _validate_doubly_stochastic(combo.matrix, graph)
-        weights = combo.matrix
-        return Strategy(config, graph, lambda psi: social_diffusion(psi, weights),
-                        sizes, False, combination=combo)
+def _scalar_prox_oracle(anchor, neighbors, weights, gamma, lo, hi):
+    """Golden-section minimum of 0.5(x-a)^2 + gamma * sum w|x - v|."""
 
-    if kind == "laplacian_reg":
-        spec = need_spectrum()
-        bound = 2.0 / spec.lam_max if spec.lam_max > 0.0 else np.inf
-        if mu_eta > bound + _STABILITY_SLACK:
-            raise ValueError(
-                f"unstable social step: mu*eta = {mu_eta:.6g} exceeds "
-                f"2/lambda_max = {bound:.6g}"
-            )
-        return Strategy(config, graph,
-                        lambda psi: social_smooth(psi, graph, mu_eta),
-                        sizes, False)
-
-    if kind == "spectral_reg":
-        spec = need_spectrum()
-        kernel = payload.get("kernel")
-        if kernel is None:
-            raise ValueError("spectral_reg needs payload['kernel']")
-        if not isinstance(kernel, SpectralKernel):
-            kernel = SpectralKernel.polynomial(kernel)
-        kernel.validate_on(spec)
-        peak = float(np.max(kernel(spec.eigenvalues)))
-        if peak > 0.0 and mu_eta > 2.0 / peak + _STABILITY_SLACK:
-            raise ValueError(
-                f"unstable social step: mu*eta = {mu_eta:.6g} exceeds "
-                f"2/max r(lambda) = {2.0 / peak:.6g}"
-            )
-        coeffs = kernel.coefficients
-        return Strategy(config, graph,
-                        lambda psi: social_spectral(psi, graph, coeffs, mu_eta),
-                        sizes, False, kernel=kernel)
-
-    if kind == "prox_l1":
-        reg = _edge_regularizer_from(payload.get("regularizer", payload.get("rho")),
-                                     graph, "l1")
-        if reg.kind != "l1":
-            raise ValueError("prox_l1 requires an l1 regularizer")
-        return Strategy(config, graph,
-                        lambda psi: social_prox_l1(psi, graph, reg, mu_eta),
-                        sizes, False)
-
-    if kind == "subspace_projection":
-        sub = payload.get("subspace")
-        if sub is None and "clusters" in payload:
-            sub = ClusterPartition(tuple(payload["clusters"]))
-        if sub is None or (isinstance(sub, str) and sub == "consensus"):
-            sub = consensus_subspace(n, uniform)
-            combo = _resolve_combination(payload.get("weights"), graph)
-        elif isinstance(sub, ClusterPartition):
-            part = sub
-            sub = cluster_subspace(part, uniform)
-            weights = payload.get("weights")
-            combo = (cluster_metropolis(graph, part) if weights is None
-                     else _resolve_combination(weights, graph))
-        elif isinstance(sub, Subspace):
-            combo = _resolve_combination(payload.get("weights"), graph)
-        else:
-            raise ValueError(f"unrecognized subspace payload {sub!r}")
-        if tuple(sub.block_sizes) != tuple(sizes):
-            raise ValueError("subspace block sizes do not match the task field")
-        report = check_feasibility(combo, sub, graph)
-        if not report.passed:
-            raise ValueError(
-                "infeasible combination matrix: violated "
-                + ", ".join(report.failed_constraints())
-                + f" (rho(A - P_U) = {report.rho:.6g})"
-            )
-        block = combo.block_matrix(sizes)
-        return Strategy(config, graph,
-                        lambda psi: social_subspace(psi, block, sizes),
-                        sizes, False, subspace=sub, combination=combo)
-
-    if kind == "overlapping":
-        interest = payload.get("interests")
-        if not isinstance(interest, InterestMap):
-            ints = tuple(tuple(v) for v in interest)
-            n_vars = 1 + max(max(row) for row in ints)
-            interest = InterestMap(n_vars, ints)
-        if interest.block_sizes != tuple(sizes):
-            raise ValueError("interest map block sizes do not match the task field")
-        var_weights = payload.get("weights")
-        if var_weights is None:
-            var_weights = overlap_metropolis(graph, interest)
-        else:
-            _validate_overlap_weights(var_weights, interest)
-        return Strategy(
-            config, graph,
-            lambda psi: social_overlapping(psi, interest, var_weights),
-            sizes, True, interest=interest,
+    def objective(x):
+        return 0.5 * (x - anchor) ** 2 + gamma * float(
+            np.sum(weights * np.abs(x - neighbors))
         )
 
-    if kind == "clustered":
-        part = payload.get("partition")
-        if not isinstance(part, ClusterPartition):
-            part = ClusterPartition(tuple(part))
-        if part.n_agents != n:
-            raise ValueError("partition does not cover all agents")
-        weights = payload.get("weights")
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(200):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = objective(d)
+    return 0.5 * (a + b)
+
+
+def _doubly_stochastic_check(a: np.ndarray) -> tuple[str, bool, str]:
+    col = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
+    row = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
+    return ("doubly_stochastic", max(col, row) <= 1e-10,
+            f"max_dev={max(col, row):.2e}")
+
+
+# -- noncooperative ---------------------------------------------------------
+
+def _build_noncooperative(config, graph, model, spectrum) -> Strategy:
+    return Strategy(config, graph, social_noncooperative, model.truth.block_sizes)
+
+
+def _check_noncooperative(strategy, spectrum, rng) -> list:
+    return [("identity_step", True, "no social coupling to check")]
+
+
+# -- diffusion --------------------------------------------------------------
+
+def _build_diffusion(config, graph, model, spectrum) -> Strategy:
+    combo = _resolve_combination(config.payload.get("weights"), graph)
+    if not combo.is_scalar:
+        raise ValueError("diffusion expects scalar combination weights")
+    weights = combo.matrix
+    return Strategy(
+        config, graph, lambda psi: social_diffusion(psi, weights),
+        model.truth.block_sizes, combination=combo,
+        subspace=consensus_subspace(graph.n_agents, model.truth.uniform_size),
+    )
+
+
+def _validate_diffusion(strategy, spectrum) -> None:
+    _validate_doubly_stochastic(strategy.combination.matrix, strategy.graph)
+
+
+def _check_diffusion(strategy, spectrum, rng) -> list:
+    psi = _probe(strategy, rng)
+    graph = strategy.graph
+    report = check_feasibility(strategy.combination,
+                               consensus_subspace(graph.n_agents, 1), graph)
+    mean_before = psi.mean(axis=0)
+    mean_after = strategy.social(psi).mean(axis=0)
+    drift = float(np.max(np.abs(mean_after - mean_before)))
+    return [
+        _doubly_stochastic_check(strategy.combination.matrix),
+        ("semi_convergent", report.spectral and report.semi_convergence,
+         f"rho={report.rho:.6f}"),
+        ("mean_preserved", drift <= 1e-10, f"drift={drift:.2e}"),
+    ]
+
+
+# -- laplacian_reg and spectral_reg -----------------------------------------
+
+def _build_laplacian(config, graph, model, spectrum) -> Strategy:
+    mu_eta = config.mu * config.eta
+    return Strategy(config, graph, lambda psi: social_smooth(psi, graph, mu_eta),
+                    model.truth.block_sizes)
+
+
+def _build_spectral(config, graph, model, spectrum) -> Strategy:
+    mu_eta = config.mu * config.eta
+    kernel = _spectral_kernel(config.payload["kernel"], spectrum)
+    coeffs = kernel.coefficients
+    return Strategy(config, graph,
+                    lambda psi: social_spectral(psi, graph, coeffs, mu_eta),
+                    model.truth.block_sizes, kernel=kernel)
+
+
+def _validate_stable(strategy, spectrum) -> None:
+    """mu*eta * max r(lambda) <= 2, with r(lambda) = lambda without a kernel."""
+    mu_eta = strategy.mu * strategy.eta
+    if strategy.kernel is None:
+        peak, name = spectrum.lam_max, "lambda_max"
+    else:
+        peak = float(np.max(strategy.kernel(spectrum.eigenvalues)))
+        name = "max r(lambda)"
+    if peak > 0.0 and mu_eta > 2.0 / peak + _STABILITY_SLACK:
+        raise ValueError(
+            f"unstable social step: mu*eta = {mu_eta:.6g} exceeds "
+            f"2/{name} = {2.0 / peak:.6g}"
+        )
+
+
+def _check_laplacian(strategy, spectrum, rng) -> list:
+    psi = _probe(strategy, rng)
+    mu_eta = strategy.mu * strategy.eta
+    lam_max = spectrum.lam_max
+    dense = psi - mu_eta * (spectrum.laplacian @ psi)
+    err = float(np.max(np.abs(strategy.social(psi) - dense)))
+    return [
+        ("smooth_matches_dense", err <= 1e-12, f"max_err={err:.2e}"),
+        ("stability", mu_eta <= 2.0 / lam_max + 1e-12,
+         f"mu*eta={mu_eta:g}, bound={2.0 / lam_max:g}"),
+    ]
+
+
+def _check_spectral(strategy, spectrum, rng) -> list:
+    psi = _probe(strategy, rng)
+    mu_eta = strategy.mu * strategy.eta
+    kernel = strategy.kernel
+    values = kernel(spectrum.eigenvalues)
+    dense = psi - mu_eta * (apply_spectral_kernel(kernel, spectrum) @ psi)
+    denom = max(float(np.max(np.abs(dense))), 1.0)
+    err = float(np.max(np.abs(strategy.social(psi) - dense))) / denom
+    linear = social_spectral(psi, strategy.graph, (0.0, 1.0), mu_eta)
+    smooth = social_smooth(psi, strategy.graph, mu_eta)
+    r_max = float(np.max(values))
+    return [
+        ("kernel_nonnegative", bool(np.all(values >= -1e-12)),
+         f"min={float(values.min()):.2e}"),
+        ("recursion_matches_dense", err <= 1e-9, f"rel_err={err:.2e}"),
+        ("linear_kernel_reduces_to_smooth",
+         bool(np.array_equal(linear, smooth)), "bitwise"),
+        ("stability", mu_eta * r_max <= 2.0 + 1e-12,
+         f"mu*eta*max_r={mu_eta * r_max:g}"),
+    ]
+
+
+# -- prox_l1 ----------------------------------------------------------------
+
+def _build_prox_l1(config, graph, model, spectrum) -> Strategy:
+    mu_eta = config.mu * config.eta
+    reg = _edge_regularizer_from(config.payload.get("rho"), graph, "l1")
+    return Strategy(config, graph,
+                    lambda psi: social_prox_l1(psi, graph, reg, mu_eta),
+                    model.truth.block_sizes, regularizer=reg)
+
+
+def _check_prox_l1(strategy, spectrum, rng) -> list:
+    psi = _probe(strategy, rng)
+    n, m = psi.shape
+    gamma = strategy.mu * strategy.eta
+    weights = strategy.regularizer.weights
+    got = strategy.social(psi)
+    worst = 0.0
+    for k in range(n):
+        nbrs = np.flatnonzero(weights[k])
+        if nbrs.size == 0:
+            continue
+        for j in range(m):
+            span = float(np.max(np.abs(
+                np.append(psi[nbrs, j], psi[k, j])))) + 1.0
+            ref = _scalar_prox_oracle(psi[k, j], psi[nbrs, j],
+                                      weights[k, nbrs], gamma, -span, span)
+            worst = max(worst, abs(ref - got[k, j]))
+    same = strategy.social(np.ones((n, m)))
+    return [
+        ("prox_matches_scalar_search", worst <= 1e-6, f"max_err={worst:.2e}"),
+        ("prox_fixed_point_on_agreement",
+         float(np.max(np.abs(same - 1.0))) <= 1e-12, "all-equal input"),
+    ]
+
+
+# -- subspace_projection ----------------------------------------------------
+
+def _build_subspace(config, graph, model, spectrum) -> Strategy:
+    sizes = model.truth.block_sizes
+    m = model.truth.uniform_size
+    sub = config.payload.get("subspace", "consensus")
+    weights = config.payload.get("weights")
+    if isinstance(sub, Subspace):
+        subspace = sub
+        combo = _resolve_combination(weights, graph)
+    elif sub == "consensus":
+        subspace = consensus_subspace(graph.n_agents, m)
+        combo = _resolve_combination(weights, graph)
+    elif isinstance(sub, Mapping) and set(sub) == {"clusters"}:
+        part = ClusterPartition(tuple(sub["clusters"]))
+        subspace = cluster_subspace(part, m)
         combo = (cluster_metropolis(graph, part) if weights is None
                  else _resolve_combination(weights, graph))
-        if not combo.is_scalar:
-            raise ValueError("clustered expects scalar intra-cluster weights")
-        _validate_doubly_stochastic(combo.matrix, graph)
-        assign = part.assignment
-        inter = (assign[:, None] != assign[None, :])
-        if np.any(combo.matrix[inter] != 0.0):
-            raise ValueError("intra-cluster weights leak across clusters")
-        reg = None
-        if config.eta > 0.0:
-            penalty = payload.get("penalty", "l1")
-            reg = _edge_regularizer_from(
-                payload.get("regularizer", payload.get("rho")), graph, penalty,
-                mask=inter.astype(float),
-            )
-        intra = combo.matrix
-        return Strategy(
-            config, graph,
-            lambda psi: social_clustered(psi, part, intra, reg, mu_eta),
-            sizes, False, combination=combo, partition=part,
+    else:
+        raise ValueError(
+            f"unknown subspace {sub!r}; expected \"consensus\" or "
+            f"{{\"clusters\": [sizes]}}")
+    if tuple(subspace.block_sizes) != tuple(sizes):
+        raise ValueError("subspace block sizes do not match the task field")
+    # checked before the block matrix exists, which would otherwise sit in
+    # memory beside the check's own dense copies of it
+    report = check_feasibility(combo, subspace, graph)
+    block = combo.block_matrix(sizes)
+    return Strategy(config, graph,
+                    lambda psi: social_subspace(psi, block, sizes),
+                    sizes, subspace=subspace, combination=combo,
+                    feasibility=report)
+
+
+def _validate_feasible(strategy, spectrum) -> None:
+    report = strategy.feasibility
+    if not report.passed:
+        raise ValueError(
+            "infeasible combination matrix: violated "
+            + ", ".join(report.failed_constraints())
+            + f" (rho(A - P_U) = {report.rho:.6g})"
         )
 
-    raise AssertionError(f"unhandled kind {kind!r}")
+
+def _check_subspace(strategy, spectrum, rng) -> list:
+    report = strategy.feasibility
+    return [(f"feasibility_{name}", getattr(report, name),
+             f"rho={report.rho:.6f}" if name == "spectral" else "")
+            for name in ("right_fixed", "left_fixed", "spectral", "sparsity",
+                         "semi_convergence")]
 
 
-def _validate_overlap_weights(var_weights: Mapping[int, np.ndarray],
-                              interest: InterestMap) -> None:
-    for n, agents in enumerate(interest.by_variable):
-        mat = np.asarray(var_weights[n], dtype=float)
-        size = len(agents)
-        if mat.shape != (size, size):
-            raise ValueError(f"variable {n} weights must be ({size}, {size})")
-        if np.any(mat < -_STOCHASTIC_ATOL):
-            raise ValueError(f"variable {n} weights must be nonnegative")
-        if not np.allclose(mat.sum(axis=1), 1.0, atol=_STOCHASTIC_ATOL):
-            raise ValueError(f"variable {n} weight rows must sum to 1")
-        if not np.allclose(mat.sum(axis=0), 1.0, atol=_STOCHASTIC_ATOL):
-            raise ValueError(f"variable {n} weight columns must sum to 1")
+# -- overlapping ------------------------------------------------------------
+
+def _build_overlapping(config, graph, model, spectrum) -> Strategy:
+    interest = config.payload["interests"]
+    if not isinstance(interest, InterestMap):
+        ints = tuple(tuple(v) for v in interest)
+        interest = InterestMap(1 + max(max(row) for row in ints), ints)
+    sizes = model.truth.block_sizes
+    if interest.block_sizes != tuple(sizes):
+        raise ValueError("interest map block sizes do not match the task field")
+    var_weights = overlap_metropolis(graph, interest)
+    return Strategy(
+        config, graph,
+        lambda psi: social_overlapping(psi, interest, var_weights),
+        sizes, interest=interest, var_weights=var_weights,
+    )
+
+
+def _check_overlapping(strategy, spectrum, rng) -> list:
+    interest = strategy.interest
+    ok, detail = True, ""
+    for j, weights in strategy.var_weights.items():
+        dev = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
+        if dev > 1e-10:
+            ok, detail = False, f"variable {j}: row-sum dev {dev:.2e}"
+            break
+    agreed = interest.blocks_from_global(
+        rng.standard_normal(interest.n_variables))
+    out = strategy.social(agreed)
+    worst = max(float(np.max(np.abs(o - a))) for o, a in zip(out, agreed))
+    return [
+        ("per_variable_row_stochastic", ok, detail),
+        ("agreement_fixed_point", worst <= 1e-12, f"max_dev={worst:.2e}"),
+    ]
+
+
+# -- clustered --------------------------------------------------------------
+
+def _build_clustered(config, graph, model, spectrum) -> Strategy:
+    part = ClusterPartition(tuple(config.payload["clusters"]))
+    if part.n_agents != graph.n_agents:
+        raise ValueError("partition does not cover all agents")
+    weights = config.payload.get("weights")
+    combo = (cluster_metropolis(graph, part) if weights is None
+             else _resolve_combination(weights, graph))
+    if not combo.is_scalar:
+        raise ValueError("clustered expects scalar intra-cluster weights")
+    reg = subspace = None
+    if config.eta > 0.0:
+        assign = part.assignment
+        reg = _edge_regularizer_from(
+            config.payload.get("rho"), graph, config.payload.get("penalty", "l1"),
+            mask=(assign[:, None] != assign[None, :]).astype(float),
+        )
+    else:
+        subspace = cluster_subspace(part, model.truth.uniform_size)
+    intra = combo.matrix
+    mu_eta = config.mu * config.eta
+    return Strategy(
+        config, graph,
+        lambda psi: social_clustered(psi, part, intra, reg, mu_eta),
+        model.truth.block_sizes, combination=combo, regularizer=reg,
+        partition=part, subspace=subspace,
+    )
+
+
+def _validate_clustered(strategy, spectrum) -> None:
+    a = strategy.combination.matrix
+    _validate_doubly_stochastic(a, strategy.graph)
+    assign = strategy.partition.assignment
+    if np.any(a[assign[:, None] != assign[None, :]] != 0.0):
+        raise ValueError("intra-cluster weights leak across clusters")
+
+
+def _check_clustered(strategy, spectrum, rng) -> list:
+    psi = _probe(strategy, rng)
+    a = strategy.combination.matrix
+    assign = strategy.partition.assignment
+    inter = assign[:, None] != assign[None, :]
+    leak = float(np.max(np.abs(a[inter]))) if inter.any() else 0.0
+    got = social_clustered(psi, strategy.partition, a, None, 0.0)
+    err = float(np.max(np.abs(got - social_diffusion(psi, a))))
+    return [
+        ("block_diagonal_weights", leak <= 1e-14, f"leak={leak:.2e}"),
+        _doubly_stochastic_check(a),
+        ("reduces_to_diffusion", err == 0.0, f"max_err={err:.2e}"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The table of kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StrategyKind:
+    """One cooperation rule, declared once.
+
+    build               (config, graph, model, spectrum) -> Strategy: the
+                        pieces and the social step
+    checks              (strategy, spectrum, rng) -> [(name, passed, detail)]:
+                        the self-tests of `adaptnets check`
+    required, optional  its strategy keys besides kind, mu and eta
+    uses_eta            whether eta weighs a regularizer (else eta must be 0;
+                        the eta sweep takes exactly these kinds)
+    blockwise           whether agents may estimate blocks of different sizes
+                        (the state is then a tuple of per-agent vectors)
+    validate            (strategy, spectrum) -> None: raises ValueError where
+                        build_strategy must refuse the step (unstable,
+                        infeasible); `adaptnets check` reports these
+                        conditions instead
+    theory              the closed form resolve attaches: "noncooperative",
+                        "smoothness", "projection" (onto Strategy.subspace)
+                        or None
+    """
+
+    build: Callable[..., Strategy]
+    checks: Callable[..., list]
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    uses_eta: bool = False
+    blockwise: bool = False
+    validate: Callable[[Strategy, Spectrum], None] | None = None
+    theory: str | None = None
+
+
+STRATEGY_KINDS: dict[str, StrategyKind] = {
+    "noncooperative": StrategyKind(
+        _build_noncooperative, _check_noncooperative, theory="noncooperative"),
+    "diffusion": StrategyKind(
+        _build_diffusion, _check_diffusion, optional=("weights",),
+        validate=_validate_diffusion, theory="projection"),
+    "laplacian_reg": StrategyKind(
+        _build_laplacian, _check_laplacian, uses_eta=True,
+        validate=_validate_stable, theory="smoothness"),
+    "spectral_reg": StrategyKind(
+        _build_spectral, _check_spectral, required=("kernel",), uses_eta=True,
+        validate=_validate_stable, theory="smoothness"),
+    "prox_l1": StrategyKind(
+        _build_prox_l1, _check_prox_l1, optional=("rho",), uses_eta=True),
+    "subspace_projection": StrategyKind(
+        _build_subspace, _check_subspace, optional=("subspace", "weights"),
+        validate=_validate_feasible, theory="projection"),
+    "overlapping": StrategyKind(
+        _build_overlapping, _check_overlapping, required=("interests",),
+        blockwise=True),
+    "clustered": StrategyKind(
+        _build_clustered, _check_clustered, required=("clusters",),
+        optional=("penalty", "rho", "weights"), uses_eta=True,
+        validate=_validate_clustered, theory="projection"),
+}
+
+
+def build_strategy(config: StrategyConfig, graph: Graph, model: StreamModel,
+                   spectrum: Spectrum | None = None) -> Strategy:
+    """Assemble a Strategy with its kind's builder, then validate it against
+    the graph and model (stability bounds, feasibility, sparsity, block
+    sizes).
+
+    payload holds the kind's keys with the values a config document gives
+    them; besides, a matrix may be a numpy array, weights a
+    CombinationMatrix, a kernel a SpectralKernel or ascending polynomial
+    coefficients, a subspace a Subspace and interests an InterestMap.
+    """
+    if model.n_agents != graph.n_agents:
+        raise ValueError("model and graph disagree on the number of agents")
+    entry = STRATEGY_KINDS[config.kind]
+    if not entry.blockwise and model.truth.uniform_size is None:
+        raise ValueError(f"kind {config.kind!r} requires uniform block sizes")
+    if spectrum is None:
+        spectrum = build_laplacian(graph)
+    strategy = entry.build(config, graph, model, spectrum)
+    if entry.validate is not None:
+        entry.validate(strategy, spectrum)
+    return strategy

@@ -257,20 +257,39 @@ def test_generated_pieces_match_run_resolution(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_check_passes_for_valid_setups(tmp_path, capsys):
+    shared = {"kind": "mse", "noise_var": 0.1,
+              "truth": {"kind": "global_random", "n_variables": 8}}
     for strategy in (
+        {"kind": "noncooperative", "mu": 0.01},
         {"kind": "laplacian_reg", "mu": 0.01, "eta": 1.0},
         {"kind": "spectral_reg", "mu": 0.005, "eta": 0.5,
          "kernel": {"kind": "power", "exponent": 3}},
         {"kind": "prox_l1", "mu": 0.01, "eta": 0.2, "rho": 0.5},
         {"kind": "diffusion", "mu": 0.01},
+        {"kind": "subspace_projection", "mu": 0.01},
+        {"kind": "subspace_projection", "mu": 0.01,
+         "subspace": {"clusters": [3, 5]}},
+        {"kind": "overlapping", "mu": 0.01,
+         "interests": [[k, (k + 1) % 8] for k in range(8)]},
         {"kind": "clustered", "mu": 0.01, "eta": 0.2, "clusters": [4, 4],
          "penalty": "l1", "rho": 0.2},
     ):
-        cfg = write_config(tmp_path, name="chk.json", strategy=strategy)
+        model = {"model": shared} if strategy["kind"] == "overlapping" else {}
+        cfg = write_config(tmp_path, name="chk.json", strategy=strategy,
+                           **model)
         rc = main(["check", "--config", cfg])
         err = capsys.readouterr().err
         assert rc == EXIT_OK, f"{strategy['kind']} failed:\n{err}"
         assert "FAIL" not in err
+
+
+def test_missing_strategy_keys_exit_2(tmp_path, capsys):
+    for strategy in ({"kind": "clustered", "mu": 0.01},
+                     {"kind": "overlapping", "mu": 0.01}):
+        cfg = write_config(tmp_path, name="missing.json", strategy=strategy)
+        for command in ("theory", "check"):
+            assert main([command, "--config", cfg]) == EXIT_CONFIG
+            assert "missing keys in strategy" in capsys.readouterr().err
 
 
 def test_check_json_document(tmp_path, capsys):

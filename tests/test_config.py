@@ -95,6 +95,23 @@ def test_parse_rejects_misplaced_keys():
                                    "rho": 1.0}))
 
 
+def test_parse_rejects_missing_strategy_keys():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc(strategy={"kind": "clustered", "mu": 0.01}))
+    assert str(exc.value) == "missing keys in strategy (clustered): ['clusters']"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc(strategy={"kind": "overlapping", "mu": 0.01}))
+    assert str(exc.value) == \
+        "missing keys in strategy (overlapping): ['interests']"
+
+
+def test_parse_rejects_eta_on_kinds_without_regularizer():
+    for kind in ("noncooperative", "diffusion", "subspace_projection"):
+        with pytest.raises(ConfigError, match="does not use eta"):
+            parse_config(doc(strategy={"kind": kind, "mu": 0.01, "eta": 0.5}))
+    parse_config(doc(strategy={"kind": "diffusion", "mu": 0.01, "eta": 0.0}))
+
+
 def test_parse_smooth_truth_rejects_modes_and_bandwidth():
     bad = doc()
     bad["model"]["truth"] = {"kind": "smooth", "modes": 3, "bandwidth": 1.0}

@@ -30,6 +30,7 @@ from adaptnets.graphs import (
     star_graph,
     Subspace,
 )
+from adaptnets.strategies import EdgeRegularizer
 
 EIG_RTOL = 1e-10
 SMOOTH_TOL = 1e-9
@@ -386,3 +387,26 @@ def test_feasibility_sparsity_violation():
     report = check_feasibility(combo, consensus_subspace(n, 1), g)
     assert not report.sparsity
     assert "sparsity" in report.failed_constraints()
+
+
+# ---------------------------------------------------------------------------
+# Value classes holding arrays
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: ring_graph(4),
+    lambda: build_laplacian(ring_graph(4)),
+    lambda: metropolis_weights(ring_graph(4)),
+    lambda: consensus_subspace(4, 2),
+    lambda: SpectralKernel.polynomial([0.0, 1.0]),
+    lambda: EdgeRegularizer(ring_graph(4).adjacency),
+    lambda: check_feasibility(metropolis_weights(ring_graph(4)),
+                              consensus_subspace(4, 1), ring_graph(4)),
+], ids=["Graph", "Spectrum", "CombinationMatrix", "Subspace",
+        "SpectralKernel", "EdgeRegularizer", "FeasibilityReport"])
+def test_value_classes_compare_and_hash_by_identity(make):
+    # element-wise equality of their arrays has no single truth value
+    a, b = make(), make()
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2

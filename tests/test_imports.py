@@ -1,0 +1,64 @@
+"""Module boundaries: no module uses another adaptnets module's private names."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptnets"
+
+
+def _private_uses(path: Path) -> list[str]:
+    """`from .x import _name`, and `mod._name` where mod names an adaptnets
+    module, in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "adaptnets":
+                    modules.add(alias.asname or "adaptnets")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "adaptnets":
+                continue
+            # `from . import x` and `from adaptnets import x` can bind modules
+            binds_modules = node.module in (None, "adaptnets")
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                elif binds_modules:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                found.append(f"{path.name}:{node.lineno} uses "
+                             f"{ast.unparse(node)}")
+    return found
+
+
+def test_no_private_names_cross_module_boundaries():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) >= 8
+    found = [use for path in files for use in _private_uses(path)]
+    assert found == [], "private names used across modules:\n" + "\n".join(found)
+
+
+def test_private_use_detection(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from .config import resolve, _strategy_payload\n"
+        "from . import theory as theory_mod\n"
+        "import adaptnets.graphs\n"
+        "theory_mod._helper(1)\n"
+        "theory_mod.msd_projection\n"
+        "adaptnets.graphs._connected([])\n"
+        "self._own = 1\n"
+    )
+    assert _private_uses(source) == [
+        "sample.py:1 imports _strategy_payload",
+        "sample.py:4 uses theory_mod._helper",
+        "sample.py:6 uses adaptnets.graphs._connected",
+    ]

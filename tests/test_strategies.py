@@ -43,7 +43,6 @@ from adaptnets.strategies import (
     social_smooth,
     social_spectral,
     social_subspace,
-    step,
 )
 
 EXACT_TOL = 1e-12
@@ -488,8 +487,9 @@ def test_prox_rejects_negative_strength():
     psi = np.random.default_rng(18).standard_normal((6, 2))
     with pytest.raises(ValueError, match="mu_eta"):
         social_prox_l1(psi, g, reg, -0.3)
-    with pytest.raises(ValueError, match="mu_eta"):
-        social_clustered(psi, part, intra, reg, -0.3)
+    for reg in (reg, EdgeRegularizer(inter * 0.5, kind="quadratic")):
+        with pytest.raises(ValueError, match="mu_eta"):
+            social_clustered(psi, part, intra, reg, -0.3)
 
 
 def test_edge_regularizer_validation():
@@ -611,6 +611,121 @@ def test_cluster_metropolis_rejects_disconnected_cluster():
         cluster_metropolis(g, ClusterPartition((3, 1)))
 
 
+# The three Metropolis rules as they were written before they shared one core
+# (adaptnets.graphs.metropolis_block), kept verbatim as oracles: the core
+# must reproduce them bit for bit, diagonal included.
+
+def _oracle_metropolis_weights(graph):
+    if not graph.is_connected:
+        raise ValueError("metropolis weights require a connected graph")
+    n = graph.n_agents
+    sizes = np.array([len(graph.neighbors(k)) + 1 for k in range(n)], dtype=float)
+    weights = np.zeros((n, n))
+    for k in range(n):
+        for l in graph.neighbors(k):
+            weights[k, l] = 1.0 / max(sizes[k], sizes[l])
+    np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
+    return CombinationMatrix(weights)
+
+
+def _oracle_cluster_metropolis(graph, partition):
+    if partition.n_agents != graph.n_agents:
+        raise ValueError("partition and graph disagree on the agent count")
+    n = graph.n_agents
+    assign = partition.assignment
+    weights = np.zeros((n, n))
+    for start, stop in partition.slices:
+        members = range(start, stop)
+        nbrs = {
+            k: [l for l in graph.neighbors(k) if start <= l < stop]
+            for k in members
+        }
+        seen = {start}
+        stack = [start]
+        while stack:
+            k = stack.pop()
+            for l in nbrs[k]:
+                if l not in seen:
+                    seen.add(l)
+                    stack.append(l)
+        if len(seen) != stop - start:
+            raise ValueError(
+                f"cluster {assign[start]} is not connected inside the graph"
+            )
+        counts = {k: len(nbrs[k]) + 1 for k in members}
+        for k in members:
+            for l in nbrs[k]:
+                weights[k, l] = 1.0 / max(counts[k], counts[l])
+            weights[k, k] = 1.0 - weights[k].sum()
+    return CombinationMatrix(weights)
+
+
+def _oracle_overlap_metropolis(graph, interest):
+    if interest.n_agents != graph.n_agents:
+        raise ValueError("interest map and graph disagree on the agent count")
+    weights = {}
+    for n, agents in enumerate(interest.by_variable):
+        idx = {k: j for j, k in enumerate(agents)}
+        size = len(agents)
+        nbrs = [
+            [l for l in graph.neighbors(k) if l in idx]
+            for k in agents
+        ]
+        # Connectivity of the interest subgraph.
+        seen = {agents[0]}
+        stack = [agents[0]]
+        while stack:
+            k = stack.pop()
+            for l in nbrs[idx[k]]:
+                if l not in seen:
+                    seen.add(l)
+                    stack.append(l)
+        if len(seen) != size:
+            raise ValueError(f"agents interested in variable {n} are not connected")
+        counts = np.array([len(nb) + 1 for nb in nbrs], dtype=float)
+        mat = np.zeros((size, size))
+        for k in agents:
+            for l in nbrs[idx[k]]:
+                mat[idx[k], idx[l]] = 1.0 / max(counts[idx[k]], counts[idx[l]])
+        np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
+        weights[n] = mat
+    return weights
+
+
+def test_metropolis_rules_match_their_oracles_bitwise():
+    rng = np.random.default_rng(40)
+    connected = 0
+    for t in range(180):
+        n = int(rng.integers(9, 80))
+        graph = random_geometric_graph(n, float(rng.uniform(0.3, 0.6)), rng)
+        assert np.array_equal(metropolis_weights(graph).matrix,
+                              _oracle_metropolis_weights(graph).matrix)
+        # cluster boundaries off the multiples of 8, where a row sum over a
+        # cluster's block and over the whole row could round alike by chance
+        inner = [c for c in range(1, n) if c % 8]
+        cuts = np.sort(rng.choice(inner, size=int(rng.integers(1, 4)),
+                                  replace=False))
+        part = ClusterPartition(tuple(np.diff(np.concatenate([[0], cuts, [n]]))))
+        try:
+            expected = _oracle_cluster_metropolis(graph, part).matrix
+        except ValueError:
+            with pytest.raises(ValueError, match="not connected"):
+                cluster_metropolis(graph, part)
+            continue
+        assert np.array_equal(cluster_metropolis(graph, part).matrix, expected)
+        connected += 1
+    assert connected >= 60
+    for n in range(4, 41):
+        ring = ring_graph(n)
+        interest = InterestMap(n, tuple(
+            tuple((k + j) % n for j in range(3 if k % 2 else 2))
+            for k in range(n)))
+        got = overlap_metropolis(ring, interest)
+        expected = _oracle_overlap_metropolis(ring, interest)
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[v], expected[v]) for v in expected)
+
+
 def test_social_clustered_single_cluster_is_diffusion():
     g = ring_graph(6)
     part = ClusterPartition((6,))
@@ -730,7 +845,7 @@ def test_build_strategy_rejects_cross_cluster_leak():
     model = mse_model(6, 2)
     a = metropolis_weights(g).matrix  # mixes across the cluster boundary
     cfg = StrategyConfig(kind="clustered", mu=0.01,
-                         payload={"partition": (3, 3), "weights": a})
+                         payload={"clusters": (3, 3), "weights": a})
     with pytest.raises(ValueError, match="leak"):
         build_strategy(cfg, g, model)
 
@@ -756,19 +871,6 @@ def test_step_increments_and_preserves_input():
     assert nxt.iteration == 1
     assert np.array_equal(state.w, before)
     assert nxt.w is not state.w
-
-
-def test_functional_step_matches_method():
-    g = ring_graph(5)
-    model = mse_model(5, 2)
-    strat = build_strategy(
-        StrategyConfig(kind="laplacian_reg", mu=0.05, eta=0.5), g, model)
-    samples = one_sample(model)
-    state = strat.init_state(np.ones((5, 2)))
-    a = strat.step(state, model, samples)
-    b = step(state, model, samples, strat)
-    assert np.array_equal(a.w, b.w)
-    assert a.iteration == b.iteration
 
 
 def test_init_state_copies_initial():
