@@ -100,6 +100,15 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _kind(doc: dict, kinds, where: str) -> str:
+    """doc's "kind", which must be a string naming one of kinds."""
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(
+            f"unknown {where} kind {kind!r}; expected one of {sorted(kinds)}")
+    return kind
+
+
 def _as_int(value, where: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer")
@@ -213,9 +222,7 @@ _KERNEL_KEYS = {
 def _validate_graph_spec(doc: dict) -> None:
     _require_keys(doc, set().union(*_GRAPH_KEYS.values()) | {"kind"}, {"kind"},
                   "graph")
-    kind = doc.get("kind")
-    if kind not in _GRAPH_KEYS:
-        raise ConfigError(f"unknown graph kind {kind!r}")
+    kind = _kind(doc, _GRAPH_KEYS, "graph")
     _require_keys(doc, _GRAPH_KEYS[kind] | {"kind"},
                   {"kind"} | ({"path"} if kind == "file" else
                               {"n", "edges"} if kind == "edges" else
@@ -226,9 +233,7 @@ def _validate_graph_spec(doc: dict) -> None:
 def _validate_truth_spec(doc: dict) -> None:
     _require_keys(doc, set().union(*_TRUTH_KEYS.values()) | {"kind"}, {"kind"},
                   "model.truth")
-    kind = doc.get("kind")
-    if kind not in _TRUTH_KEYS:
-        raise ConfigError(f"unknown truth kind {kind!r}")
+    kind = _kind(doc, _TRUTH_KEYS, "truth")
     required = {
         "smooth": set(), "constant": set(), "piecewise": {"sizes"},
         "explicit": {"blocks"}, "file": {"path"},
@@ -243,9 +248,7 @@ def _validate_truth_spec(doc: dict) -> None:
 def _validate_model_spec(doc: dict) -> None:
     _require_keys(doc, {"kind", "m", "r_u", "noise_var", "reg", "truth"},
                   {"kind", "truth"}, "model")
-    kind = doc.get("kind")
-    if kind not in ("mse", "logistic"):
-        raise ConfigError(f"unknown model kind {kind!r}")
+    kind = _kind(doc, ("mse", "logistic"), "model")
     if kind == "mse" and "noise_var" not in doc:
         raise ConfigError("mse model requires noise_var")
     if kind == "logistic" and "noise_var" in doc:
@@ -276,17 +279,15 @@ def _validate_strategy_spec(doc: dict) -> None:
         raise ConfigError(str(exc))
     if "kernel" in doc:
         kernel = doc["kernel"]
-        if not isinstance(kernel, dict) or kernel.get("kind") not in _KERNEL_KEYS:
-            raise ConfigError(
-                f"strategy.kernel must be an object with kind in "
-                f"{sorted(_KERNEL_KEYS)}"
-            )
-        _require_keys(kernel, _KERNEL_KEYS[kernel["kind"]] | {"kind"},
-                      {"kind"} | _KERNEL_KEYS[kernel["kind"]],
-                      f"strategy.kernel ({kernel['kind']})")
-        if kernel["kind"] == "power":
+        if not isinstance(kernel, dict):
+            raise ConfigError("strategy.kernel must be an object")
+        kind = _kind(kernel, _KERNEL_KEYS, "strategy.kernel")
+        _require_keys(kernel, _KERNEL_KEYS[kind] | {"kind"},
+                      {"kind"} | _KERNEL_KEYS[kind],
+                      f"strategy.kernel ({kind})")
+        if kind == "power":
             _as_int(kernel["exponent"], "kernel.exponent", minimum=1)
-        if kernel["kind"] == "heat":
+        if kind == "heat":
             _as_number(kernel["rate"], "kernel.rate")
             _as_int(kernel["degree"], "kernel.degree", minimum=1)
 

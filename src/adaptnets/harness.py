@@ -2,8 +2,14 @@
 
 Runs are independent by construction (per-(run, agent) random streams), so
 serial and parallel execution produce bit-identical aggregates: workers are
-handed the run index and the canonical config JSON, rebuild the experiment
-deterministically, and results are combined in run order.
+handed the run index and the canonical config JSON, and results are
+combined in run order.
+
+An experiment is resolved once per process, through a cache keyed by the
+canonical config JSON: run_experiment resolves it before any run starts
+(so a bad config fails fast) and the serial runs reuse it. Forked workers
+inherit the resolved experiment; under spawn or forkserver each worker
+resolves it once, deterministically, from the JSON.
 """
 
 from __future__ import annotations
@@ -143,7 +149,7 @@ def steady_state(trajectory, fraction: float = 0.1) -> SteadyState:
                        n_points=int(window.shape[1]), drift_ratio=drift)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Aggregated Monte Carlo output of one experiment."""
 
@@ -265,8 +271,8 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         config = load_config(config)
     elif isinstance(config, dict):
         config = parse_config(config)
-    resolved = resolve(config)  # fail fast on inconsistent configs
     config_json = config.canonical_json()
+    resolved = _resolved_from_json(config_json, config.base_dir)
     n_workers = _effective_parallel(config, parallel)
     t0 = time.perf_counter()
     if n_workers > 1 and config.runs > 1:

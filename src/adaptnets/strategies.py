@@ -12,7 +12,7 @@ followed by a social-learning step that maps the intermediate network state
     laplacian_reg         w = (I - mu*eta * L x I) psi
     spectral_reg          w = (I - mu*eta * r(L) x I) psi, distributed S-hop
     prox_l1               w_k = prox of weighted l1 neighbor differences
-    subspace_projection   w = A_block psi (feasible combination matrix)
+    subspace_projection   w = A psi or A_block psi (feasible combination matrix)
     overlapping           per-variable combination over interested agents
     clustered             intra-cluster diffusion + inter-cluster penalty
 
@@ -28,7 +28,7 @@ the same names in a config document's "strategy" object and in
 StrategyConfig.payload.
 
 Reductions (special cases that must agree bit-identically under a shared
-RNG stream, or to 1e-12 where the float path differs):
+RNG stream):
 
     spectral_reg, r(lambda)=lambda      == laplacian_reg
     laplacian_reg, eta=0                == noncooperative
@@ -111,7 +111,7 @@ class StrategyConfig:
     payload: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in STRATEGY_KINDS:
             raise ValueError(
                 f"unknown strategy kind {self.kind!r}; expected one of "
                 f"{tuple(STRATEGY_KINDS)}"
@@ -855,14 +855,16 @@ def _build_subspace(config, graph, model, spectrum) -> Strategy:
             f"{{\"clusters\": [sizes]}}")
     if tuple(subspace.block_sizes) != tuple(sizes):
         raise ValueError("subspace block sizes do not match the task field")
-    # checked before the block matrix exists, which would otherwise sit in
-    # memory beside the check's own dense copies of it
-    report = check_feasibility(combo, subspace, graph)
-    block = combo.block_matrix(sizes)
-    return Strategy(config, graph,
-                    lambda psi: social_subspace(psi, block, sizes),
-                    sizes, subspace=subspace, combination=combo,
-                    feasibility=report)
+    if combo.is_scalar:
+        # A x I_M applied as A @ psi on the (N, M) state
+        weights = combo.matrix
+        social = lambda psi: social_diffusion(psi, weights)
+    else:
+        block = combo.block_matrix(sizes)
+        social = lambda psi: social_subspace(psi, block, sizes)
+    return Strategy(config, graph, social, sizes, subspace=subspace,
+                    combination=combo,
+                    feasibility=check_feasibility(combo, subspace, graph))
 
 
 def _validate_feasible(strategy, spectrum) -> None:

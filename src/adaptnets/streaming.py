@@ -48,7 +48,7 @@ def sigmoid(x):
 # Task fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskField:
     """One parameter vector per agent.
 
@@ -169,7 +169,7 @@ def synth_smooth_tasks(
 # Stream models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamModel:
     """Data-generating model shared by the network.
 
@@ -241,7 +241,7 @@ class StreamModel:
 # Samples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """One agent's observation: (u, d) for mse, (h, gamma) for logistic."""
 
@@ -249,7 +249,7 @@ class Sample:
     response: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSample:
     """One observation per agent at a single instant.
 
@@ -264,7 +264,7 @@ class NetworkSample:
         return Sample(np.asarray(self.regressors[k]), float(self.responses[k]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBlock:
     """A whole horizon of network samples.
 

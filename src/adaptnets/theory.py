@@ -41,7 +41,7 @@ _MONOTONE_ATOL = 1e-12
 _BOUND_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoryInputs:
     """Everything the closed-form predictors consume.
 
@@ -106,26 +106,26 @@ class TheoryInputs:
         return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoncoopPrediction:
     per_agent: np.ndarray   # MSD_k = (mu * M / 2) * sigma_{v,k}^2
     network: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariancePrediction:
     total: float
     per_mode: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasPrediction:
     total: float             # ||W^o - W*||^2 (not averaged over agents)
     per_mode: np.ndarray
     w_star: np.ndarray       # (N, M) regularized optimum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterBoundReport:
     ratios: np.ndarray       # lam_u_max / (lam_u_max + eta * r(lambda_m))
     coeff_norms: np.ndarray  # ||spectral coefficient of W*||, per mode

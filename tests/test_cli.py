@@ -98,6 +98,15 @@ def test_run_invalid_config_exits_2(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_run_non_string_kind_exits_2(tmp_path, capsys):
+    for overrides in ({"strategy": {"kind": ["diffusion"], "mu": 0.01}},
+                      {"graph": {"kind": {"ring": 8}, "n": 8}}):
+        cfg = write_config(tmp_path, name="kind.json", **overrides)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "kind" in capsys.readouterr().err
+
+
 def test_run_unstable_coupling_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, strategy={"kind": "laplacian_reg",
                                            "mu": 0.5, "eta": 100.0})

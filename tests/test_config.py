@@ -14,7 +14,7 @@ from adaptnets.config import (
     resolve,
     setup_stream,
 )
-from adaptnets.graphs import save_graph, ring_graph
+from adaptnets.graphs import CombinationMatrix, save_graph, ring_graph
 from adaptnets.streaming import TaskField, save_tasks
 
 
@@ -85,6 +85,26 @@ def test_parse_rejects_unknown_kinds():
         parse_config(bad_truth)
     with pytest.raises(ConfigError, match="strategy kind"):
         parse_config(doc(strategy={"kind": "flooding", "mu": 0.1}))
+
+
+def test_parse_rejects_non_string_kinds():
+    # a JSON list or object as a kind is an unknown kind, not a TypeError
+    for bad in (["diffusion"], {"kind": "ring"}):
+        with pytest.raises(ConfigError, match="graph kind"):
+            parse_config(doc(graph={"kind": bad, "n": 8}))
+        truth = doc()
+        truth["model"]["truth"] = {"kind": bad}
+        with pytest.raises(ConfigError, match="truth kind"):
+            parse_config(truth)
+        model = doc()
+        model["model"]["kind"] = bad
+        with pytest.raises(ConfigError, match="model kind"):
+            parse_config(model)
+        with pytest.raises(ConfigError, match="strategy kind"):
+            parse_config(doc(strategy={"kind": bad, "mu": 0.01}))
+        with pytest.raises(ConfigError, match="kernel kind"):
+            parse_config(doc(strategy={"kind": "spectral_reg", "mu": 0.01,
+                                       "eta": 1.0, "kernel": {"kind": bad}}))
 
 
 def test_parse_rejects_misplaced_keys():
@@ -357,6 +377,22 @@ def test_resolve_consensus_projection_theory():
     ))
     th = resolve(cfg).theory
     assert th["msd_projection"] == pytest.approx(th["msd_nc"] / 8.0, rel=1e-12)
+
+
+def test_scalar_subspace_resolve_builds_no_block_matrix(monkeypatch):
+    # scalar weights are checked and applied as the N x N matrix A
+    def refuse(self, block_sizes):
+        raise AssertionError("built the (NM x NM) block form of A")
+
+    monkeypatch.setattr(CombinationMatrix, "block_matrix", refuse)
+    psi = np.random.default_rng(0).standard_normal((8, 2))
+    for subspace in ("consensus", {"clusters": [3, 5]}):
+        res = resolve(parse_config(doc(strategy={
+            "kind": "subspace_projection", "mu": 0.01, "subspace": subspace})))
+        strategy = res.strategy
+        assert strategy.feasibility.passed
+        assert np.array_equal(strategy.social(psi),
+                              strategy.combination.matrix @ psi)
 
 
 def test_resolve_spectral_filter_ratios():

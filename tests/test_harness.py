@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from adaptnets import harness
 from adaptnets.config import ConfigError, parse_config
 from adaptnets.harness import (
     DivergenceError,
@@ -98,6 +99,35 @@ def test_serial_matches_parallel():
     parallel = run_experiment(cfg, parallel=3)
     assert np.array_equal(serial.msd_wo, parallel.msd_wo)
     assert np.array_equal(serial.stderr, parallel.stderr)
+
+
+def test_serial_run_resolves_once(monkeypatch):
+    calls = []
+    real = harness.resolve
+
+    def counted(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(harness, "resolve", counted)
+    harness._resolved_from_json.cache_clear()
+    result = run_experiment(base_config(iters=50, runs=3), parallel=1)
+    assert result.n_runs == 3
+    assert len(calls) == 1
+
+
+def test_infeasible_config_fails_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_simulate_run", no_run)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+    cfg = base_config(runs=2, strategy={
+        "kind": "subspace_projection", "mu": 0.01,
+        "weights": np.eye(10).tolist()})
+    for parallel in (1, 2):
+        with pytest.raises(ConfigError, match="infeasible"):
+            run_experiment(cfg, parallel=parallel)
 
 
 def test_result_shapes_and_metadata():
