@@ -44,10 +44,11 @@ from .streaming import (
     StreamModel,
     TaskField,
     draw_horizon,
-    instantaneous_gradient,
     load_tasks,
     logistic_sample,
     mse_sample,
+    network_gradient,
+    pad_blocks,
     save_tasks,
     sigmoid,
     synth_smooth_tasks,

@@ -790,7 +790,8 @@ def check_feasibility(
     # are reported for closer inspection.
     if norms[0] == 0.0:
         semi = True
-    elif rho >= 1.0:
+    elif rho >= 1.0 - SPECTRAL_RADIUS_SLACK:
+        # spectral's margin: rho = 1 in exact arithmetic is not a rounded bit
         semi = False
     else:
         semi = bool(norms[-1] <= 10.0 * norms[0] * rho ** (power - 1) + 1e-14)

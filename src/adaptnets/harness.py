@@ -63,17 +63,28 @@ _ENV_PARALLEL = "ADAPTNETS_PARALLEL"
 
 
 class DivergenceError(RuntimeError):
-    """The recursion blew up; step sizes are too aggressive."""
+    """The recursion blew up; step sizes are too aggressive. agent_errors
+    holds every agent's squared error at the failing record, and the
+    message names the three worst (nan first, then the largest)."""
 
     def __init__(self, iteration: int, value: float, threshold: float,
-                 mu: float, eta: float):
+                 mu: float, eta: float, agent_errors: np.ndarray):
+        # rebuilt from these when a worker process hands it to the parent
+        self._init_args = (iteration, value, threshold, mu, eta, agent_errors)
         self.iteration = iteration
         self.value = value
         self.threshold = threshold
+        self.agent_errors = agent_errors
+        worst = ", ".join(f"{k} ({agent_errors[k]:.3e})"
+                          for k in np.argsort(agent_errors)[::-1][:3])
         super().__init__(
             f"divergence at iteration {iteration}: network error {value:.3e} "
-            f"exceeds {threshold:.3e} (mu={mu:g}, eta={eta:g})"
+            f"exceeds {threshold:.3e} (mu={mu:g}, eta={eta:g}); "
+            f"worst agents: {worst}"
         )
+
+    def __reduce__(self):
+        return type(self), self._init_args
 
 
 @dataclass(frozen=True)
@@ -170,14 +181,6 @@ class ExperimentResult:
     warnings: tuple[str, ...]
 
 
-def _agent_sq_errors(w, reference, blockwise: bool) -> np.ndarray:
-    if blockwise:
-        return np.array([float(np.dot(b - r, b - r))
-                         for b, r in zip(w, reference)])
-    diff = w - reference
-    return np.einsum("km,km->k", diff, diff)
-
-
 def _simulate_run(config_json: str, base_dir: str | None, run: int) -> dict:
     """One Monte Carlo run. Module-level so worker processes can call it.
 
@@ -190,20 +193,14 @@ def _simulate_run(config_json: str, base_dir: str | None, run: int) -> dict:
     strategy, model = res.strategy, res.model
     n = res.graph.n_agents
     horizon, every = cfg.iters, cfg.record_every
-    blockwise = strategy.blockwise
 
     streams = [data_stream(cfg.seed, run, k) for k in range(n)]
     block = draw_horizon(model, streams, horizon)
 
-    if blockwise:
-        truth_ref = model.truth.blocks
-        wstar_ref = None
-    else:
-        truth_ref = model.truth.as_matrix()
-        wstar_ref = res.w_star
-
+    # the state starts at 0; pad entries are 0 on both sides and add nothing
+    truth, wstar_ref = model.truth.padded, res.w_star
     state = strategy.init_state()
-    start_err = _agent_sq_errors(state.w, truth_ref, blockwise)
+    start_err = np.einsum("km,km->k", truth, truth)
     threshold = DIVERGENCE_FACTOR * max(float(start_err.mean()), 1.0)
 
     n_rec = horizon // every
@@ -220,7 +217,8 @@ def _simulate_run(config_json: str, base_dir: str | None, run: int) -> dict:
         record = (i + 1) % every == 0
         if not (in_window or record):
             continue
-        sq = _agent_sq_errors(state.w, truth_ref, blockwise)
+        diff = state.w - truth
+        sq = np.einsum("km,km->k", diff, diff)
         if in_window:
             agent_acc += sq
             agent_count += 1
@@ -233,7 +231,7 @@ def _simulate_run(config_json: str, base_dir: str | None, run: int) -> dict:
             rec += 1
             if not np.isfinite(msd) or msd > threshold:
                 raise DivergenceError(i + 1, msd, threshold,
-                                      strategy.mu, strategy.eta)
+                                      strategy.mu, strategy.eta, sq)
     return {
         "msd_wo": traj_wo,
         "msd_wstar": traj_ws,

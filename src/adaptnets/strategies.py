@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from .graphs import (
     metropolis_block,
     metropolis_weights,
 )
-from .streaming import NetworkSample, StreamModel, instantaneous_gradient
+from .streaming import NetworkSample, StreamModel, network_gradient, pad_blocks
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -85,6 +85,7 @@ __all__ = [
     "social_overlapping",
     "social_clustered",
     "overlap_metropolis",
+    "overlap_table",
     "cluster_metropolis",
 ]
 
@@ -136,12 +137,12 @@ class StrategyConfig:
 class StrategyState:
     """Iterate {w_k} plus the iteration counter.
 
-    w is an (N, M) array for uniform block sizes, otherwise a tuple of
-    per-agent vectors. The intermediates psi produced during a step are
-    transient and never aliased into the state.
+    w is an (N, M_max) array; agents may estimate blocks of different
+    sizes, and each row is zero-padded to the largest. The intermediates psi
+    produced during a step are transient and never aliased into the state.
     """
 
-    w: np.ndarray | tuple[np.ndarray, ...]
+    w: np.ndarray
     iteration: int = 0
 
 
@@ -256,22 +257,8 @@ class InterestMap:
 
 def self_learn(w, model: StreamModel, samples: NetworkSample, mu: float):
     """Apply one stochastic-gradient step per agent: psi = w - mu * grad."""
-    regs = samples.regressors
-    if isinstance(w, tuple) or isinstance(regs, tuple):
-        return tuple(
-            w[k] - mu * instantaneous_gradient(model, k, w[k], samples.agent(k))
-            for k in range(len(w))
-        )
     w = np.asarray(w, dtype=float)
-    resp = samples.responses
-    if model.kind == "mse":
-        err = resp - np.einsum("km,km->k", regs, w)
-        grad = -regs * err[:, None]
-    else:
-        t = resp * np.einsum("km,km->k", regs, w)
-        sig = 0.5 * (1.0 + np.tanh(-0.5 * t))
-        grad = model.reg * w - (resp * sig)[:, None] * regs
-    return w - mu * grad
+    return w - mu * network_gradient(model, w, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +404,8 @@ def social_diffusion(psi, weights: np.ndarray):
     return np.asarray(weights) @ np.asarray(psi, dtype=float)
 
 
-def social_subspace(psi, block_matrix: np.ndarray,
-                    block_sizes: Sequence[int] | None = None):
-    """Block combination w = A psi on the stacked network vector.
-
-    psi may be an (N, M) array (uniform blocks) or a tuple of per-agent
-    vectors with block_sizes giving the split.
-    """
-    if isinstance(psi, tuple):
-        stacked = np.concatenate(psi)
-        mixed = block_matrix @ stacked
-        sizes = [len(b) for b in psi] if block_sizes is None else list(block_sizes)
-        bounds = np.cumsum(sizes)[:-1]
-        return tuple(np.split(mixed, bounds))
+def social_subspace(psi, block_matrix: np.ndarray):
+    """Block combination w = A psi on the stacked (N, M) network state."""
     psi = np.asarray(psi, dtype=float)
     n, m = psi.shape
     return (block_matrix @ psi.reshape(-1)).reshape(n, m)
@@ -453,19 +429,43 @@ def overlap_metropolis(graph: Graph, interest: InterestMap) -> dict[int, np.ndar
     return weights
 
 
-def social_overlapping(psi: tuple[np.ndarray, ...], interest: InterestMap,
-                       var_weights: Mapping[int, np.ndarray]):
+def overlap_table(interest: InterestMap, var_weights: Mapping[int, np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The per-variable combination as (N, M_max, D) index and weight arrays.
+
+    Slots of (k, position of v) hold the flat indices (l * M_max + position
+    of v at l) and weights of row k of var_weights[v]'s nonzero entries.
+    The other slots, all of a pad entry's among them, hold index N * M_max
+    (the 0.0 social_overlapping appends) and weight 0.
+    """
+    sizes = interest.block_sizes
+    n, width = len(sizes), max(sizes)
+    depth = max(int(np.count_nonzero(w, axis=1).max())
+                for w in var_weights.values())
+    index = np.full((n, width, depth), n * width, dtype=np.intp)
+    weight = np.zeros((n, width, depth))
+    positions = interest.positions
+    for v, agents in enumerate(interest.by_variable):
+        flat = np.array([l * width + positions[l][v] for l in agents])
+        for i, k in enumerate(agents):
+            keep = np.flatnonzero(var_weights[v][i])
+            index[k, positions[k][v], :keep.size] = flat[keep]
+            weight[k, positions[k][v], :keep.size] = var_weights[v][i, keep]
+    return index, weight
+
+
+def social_overlapping(psi, table: tuple[np.ndarray, np.ndarray]):
     """Per-variable combination: for every global variable, the interested
     agents average their copies with that variable's weights; variables with
-    a single interested agent pass through unchanged."""
-    out = [np.empty_like(b) for b in psi]
-    positions = interest.positions
-    for n, agents in enumerate(interest.by_variable):
-        vals = np.array([psi[k][positions[k][n]] for k in agents])
-        mixed = var_weights[n] @ vals
-        for j, k in enumerate(agents):
-            out[k][positions[k][n]] = mixed[j]
-    return tuple(out)
+    a single interested agent pass through unchanged.
+
+    One gather, weight and sum over overlap_table(interest, var_weights):
+    pad entries come out exactly 0 whatever psi holds. It agrees with
+    W_v @ psi_v per variable to rounding, as the sums run in another order.
+    """
+    index, weight = table
+    flat = np.append(psi, 0.0)
+    return (flat.take(index) * weight).sum(axis=-1)
 
 
 def cluster_metropolis(graph: Graph, partition: ClusterPartition) -> CombinationMatrix:
@@ -547,23 +547,16 @@ class Strategy:
     def eta(self) -> float:
         return self.config.eta
 
-    @property
-    def blockwise(self) -> bool:
-        return STRATEGY_KINDS[self.config.kind].blockwise
-
     def init_state(self, initial=None) -> StrategyState:
-        """Fresh state; the default initializer is all zeros."""
-        if initial is not None:
-            if self.blockwise:
-                w = tuple(np.array(b, dtype=float) for b in initial)
-            else:
-                w = np.array(initial, dtype=float)
-            return StrategyState(w=w, iteration=0)
-        if self.blockwise:
-            w = tuple(np.zeros(m) for m in self.block_sizes)
-        else:
-            w = np.zeros((len(self.block_sizes), self.block_sizes[0]))
-        return StrategyState(w=w, iteration=0)
+        """Fresh (N, M_max) state: zeros, or initial's per-agent blocks
+        (vectors, or the rows of an (N, M) array) copied and zero-padded."""
+        sizes = self.block_sizes
+        if initial is None:
+            return StrategyState(w=np.zeros((len(sizes), max(sizes))))
+        blocks = [np.asarray(b, dtype=float).ravel() for b in initial]
+        if tuple(b.size for b in blocks) != tuple(sizes):
+            raise ValueError(f"initial blocks must have sizes {tuple(sizes)}")
+        return StrategyState(w=pad_blocks(blocks))
 
     def step(self, state: StrategyState, model: StreamModel,
              samples: NetworkSample) -> StrategyState:
@@ -861,7 +854,7 @@ def _build_subspace(config, graph, model, spectrum) -> Strategy:
         social = lambda psi: social_diffusion(psi, weights)
     else:
         block = combo.block_matrix(sizes)
-        social = lambda psi: social_subspace(psi, block, sizes)
+        social = lambda psi: social_subspace(psi, block)
     return Strategy(config, graph, social, sizes, subspace=subspace,
                     combination=combo,
                     feasibility=check_feasibility(combo, subspace, graph))
@@ -896,9 +889,9 @@ def _build_overlapping(config, graph, model, spectrum) -> Strategy:
     if interest.block_sizes != tuple(sizes):
         raise ValueError("interest map block sizes do not match the task field")
     var_weights = overlap_metropolis(graph, interest)
+    table = overlap_table(interest, var_weights)
     return Strategy(
-        config, graph,
-        lambda psi: social_overlapping(psi, interest, var_weights),
+        config, graph, lambda psi: social_overlapping(psi, table),
         sizes, interest=interest, var_weights=var_weights,
     )
 
@@ -911,10 +904,9 @@ def _check_overlapping(strategy, spectrum, rng) -> list:
         if dev > 1e-10:
             ok, detail = False, f"variable {j}: row-sum dev {dev:.2e}"
             break
-    agreed = interest.blocks_from_global(
-        rng.standard_normal(interest.n_variables))
-    out = strategy.social(agreed)
-    worst = max(float(np.max(np.abs(o - a))) for o, a in zip(out, agreed))
+    agreed = pad_blocks(interest.blocks_from_global(
+        rng.standard_normal(interest.n_variables)))
+    worst = float(np.max(np.abs(strategy.social(agreed) - agreed)))
     return [
         ("per_variable_row_stochastic", ok, detail),
         ("agreement_fixed_point", worst <= 1e-12, f"max_dev={worst:.2e}"),
@@ -989,8 +981,8 @@ class StrategyKind:
     required, optional  its strategy keys besides kind, mu and eta
     uses_eta            whether eta weighs a regularizer (else eta must be 0;
                         the eta sweep takes exactly these kinds)
-    blockwise           whether agents may estimate blocks of different sizes
-                        (the state is then a tuple of per-agent vectors)
+    blockwise           whether agents may estimate blocks of different
+                        sizes; the state is zero-padded to the largest
     validate            (strategy, spectrum) -> None: raises ValueError where
                         build_strategy must refuse the step (unstable,
                         infeasible); `adaptnets check` reports these

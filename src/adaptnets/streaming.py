@@ -30,7 +30,8 @@ __all__ = [
     "mse_sample",
     "logistic_sample",
     "draw_horizon",
-    "instantaneous_gradient",
+    "network_gradient",
+    "pad_blocks",
     "sigmoid",
     "save_tasks",
     "load_tasks",
@@ -48,12 +49,22 @@ def sigmoid(x):
 # Task fields
 # ---------------------------------------------------------------------------
 
+def pad_blocks(blocks) -> np.ndarray:
+    """Per-agent vectors as one (N, M_max) array, each row zero-padded."""
+    blocks = [np.asarray(b, dtype=float).ravel() for b in blocks]
+    out = np.zeros((len(blocks), max(b.size for b in blocks)))
+    for k, b in enumerate(blocks):
+        out[k, :b.size] = b
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class TaskField:
     """One parameter vector per agent.
 
-    Blocks may differ in length (overlapping-variable scenarios); uniform
-    fields expose an (N, M) matrix view.
+    Blocks may differ in length (overlapping-variable scenarios). Every
+    field has a zero-padded (N, M_max) view, `padded`; uniform fields also
+    expose it as an (N, M) matrix through as_matrix.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -90,6 +101,13 @@ class TaskField:
         if self.uniform_size is None:
             raise ValueError("blocks have unequal lengths; no matrix view")
         return np.vstack(self.blocks)
+
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """The blocks as a read-only (N, M_max) array, each row zero-padded."""
+        mat = pad_blocks(self.blocks)
+        mat.flags.writeable = False
+        return mat
 
     def stacked(self) -> np.ndarray:
         """Concatenate all blocks into one vector of length sum(M_k)."""
@@ -253,26 +271,23 @@ class Sample:
 class NetworkSample:
     """One observation per agent at a single instant.
 
-    regressors is (N, M) for uniform fields, otherwise a tuple of per-agent
-    vectors; responses is (N,).
+    regressors is (N, M_max), agent k's regressor zero-padded in row k;
+    responses is (N,).
     """
 
-    regressors: np.ndarray | tuple[np.ndarray, ...]
+    regressors: np.ndarray
     responses: np.ndarray
-
-    def agent(self, k: int) -> Sample:
-        return Sample(np.asarray(self.regressors[k]), float(self.responses[k]))
 
 
 @dataclass(frozen=True, eq=False)
 class SampleBlock:
     """A whole horizon of network samples.
 
-    regressors is (T, N, M) for uniform fields, else a tuple of per-agent
-    (T, M_k) arrays; responses is (T, N).
+    regressors is (T, N, M_max), zero-padded like NetworkSample;
+    responses is (T, N).
     """
 
-    regressors: np.ndarray | tuple[np.ndarray, ...]
+    regressors: np.ndarray
     responses: np.ndarray
 
     @property
@@ -280,11 +295,7 @@ class SampleBlock:
         return self.responses.shape[0]
 
     def at(self, i: int) -> NetworkSample:
-        if isinstance(self.regressors, tuple):
-            regs = tuple(r[i] for r in self.regressors)
-        else:
-            regs = self.regressors[i]
-        return NetworkSample(regs, self.responses[i])
+        return NetworkSample(self.regressors[i], self.responses[i])
 
 
 def _draw_agent_block(
@@ -330,30 +341,26 @@ def draw_horizon(
     if len(streams) != n:
         raise ValueError(f"need {n} streams, got {len(streams)}")
     resp = np.empty((count, n))
-    if model.truth.uniform_size is not None:
-        m = model.truth.uniform_size
-        regs = np.empty((count, n, m))
-        for k in range(n):
-            regs[:, k, :], resp[:, k] = _draw_agent_block(model, k, streams[k], count)
-        return SampleBlock(regs, resp)
-    regs_blocks = []
-    for k in range(n):
-        r_k, resp[:, k] = _draw_agent_block(model, k, streams[k], count)
-        regs_blocks.append(r_k)
-    return SampleBlock(tuple(regs_blocks), resp)
+    regs = np.zeros((count, n, model.truth.padded.shape[1]))
+    for k, m_k in enumerate(model.truth.block_sizes):
+        regs[:, k, :m_k], resp[:, k] = _draw_agent_block(model, k, streams[k], count)
+    return SampleBlock(regs, resp)
 
 
-def instantaneous_gradient(
-    model: StreamModel, k: int, w_k: np.ndarray, sample: Sample
-) -> np.ndarray:
-    """Stochastic gradient of agent k's risk at w_k given one sample.
+def network_gradient(model: StreamModel, w: np.ndarray,
+                     samples: NetworkSample) -> np.ndarray:
+    """Stochastic gradient of every agent's risk at its row of w, (N, M_max).
 
-    mse:      -u (d - u^T w)
-    logistic: reg * w - gamma * h * sigmoid(-gamma * h^T w)
+    mse:      -u_k (d_k - u_k^T w_k)
+    logistic: reg * w_k - gamma_k h_k sigmoid(-gamma_k h_k^T w_k)
+
+    Zero pad entries in w and the regressors give zero gradient entries.
     """
-    w_k = np.asarray(w_k, dtype=float)
-    reg_vec = np.asarray(sample.regressor, dtype=float)
+    regs = samples.regressors
+    resp = samples.responses
     if model.kind == "mse":
-        return -reg_vec * (sample.response - reg_vec @ w_k)
-    gamma = sample.response
-    return model.reg * w_k - gamma * reg_vec * sigmoid(-gamma * (reg_vec @ w_k))
+        err = resp - np.einsum("km,km->k", regs, w)
+        return -regs * err[:, None]
+    t = resp * np.einsum("km,km->k", regs, w)
+    sig = 0.5 * (1.0 + np.tanh(-0.5 * t))
+    return model.reg * w - (resp * sig)[:, None] * regs

@@ -25,7 +25,7 @@ from adaptnets import (
 )
 from adaptnets.cli import main as cli_main
 from adaptnets.config import parse_config, resolve
-from adaptnets.streaming import instantaneous_gradient, logistic_sample, mse_sample
+from adaptnets.streaming import draw_horizon, network_gradient, pad_blocks
 from adaptnets.strategies import social_prox_l1, social_spectral
 
 NC_RTOL = 0.10          # long-run noncooperative network MSD
@@ -320,7 +320,7 @@ def test_08_reduction_lattice():
 
 
 # ---------------------------------------------------------------------------
-# 9. instantaneous gradients vs central finite differences
+# 9. network gradients vs central finite differences
 # ---------------------------------------------------------------------------
 
 def _fd_gradient(loss, w):
@@ -333,44 +333,65 @@ def _fd_gradient(loss, w):
     return grad
 
 
-def test_09_gradients_match_finite_differences():
-    rng = np.random.default_rng(2718)
-    worst = 0.0
+def _network_fd_gaps(model, samples, w, sizes):
+    """Relative gap between network_gradient and central finite differences
+    of each agent's loss on its own entries, plus the largest |gradient| at
+    a pad entry."""
+    grad = network_gradient(model, w, samples)
+    gaps = []
+    for k, m in enumerate(sizes):
+        u, d = samples.regressors[k, :m], samples.responses[k]
+        if model.kind == "mse":
+            def loss(x):
+                return 0.5 * (d - u @ x) ** 2
+        else:
+            def loss(x, reg=model.reg):
+                return 0.5 * reg * (x @ x) + np.logaddexp(0.0, -d * (u @ x))
+        fd = _fd_gradient(loss, w[k, :m])
+        gaps.append(np.linalg.norm(grad[k, :m] - fd) / np.linalg.norm(fd))
+    pad = np.arange(w.shape[1]) >= np.array(sizes)[:, None]
+    return gaps, float(np.max(np.abs(grad[pad]), initial=0.0))
 
-    doc = {
+
+def test_09_gradients_match_finite_differences():
+    # the network gradient inside self_learn, on a uniform (N, M) state and
+    # on a ragged one zero-padded to (N, M_max), for both models
+    rng = np.random.default_rng(2718)
+    uniform = {
         "schema": 1, "seed": 4, "iters": 100, "runs": 1,
         "graph": {"kind": "ring", "n": 3},
         "model": {"kind": "mse", "m": 3, "noise_var": 0.2,
                   "truth": {"kind": "smooth", "modes": 2, "scale": 1.0}},
         "strategy": {"kind": "noncooperative", "mu": 0.01},
     }
-    mse_model = resolve(parse_config(doc)).model
-    for _ in range(20):
-        sample = mse_sample(mse_model, 0, rng)
-        w = rng.standard_normal(3)
+    ragged = {
+        **uniform, "graph": {"kind": "ring", "n": 4},
+        "model": {"kind": "mse", "noise_var": 0.2,
+                  "truth": {"kind": "global_random", "n_variables": 4}},
+        "strategy": {"kind": "overlapping", "mu": 0.01,
+                     "interests": [[0, 1], [1, 2, 3], [3], [3, 0]]},
+    }
+    logistic = {"kind": "logistic", "reg": 0.05}
+    docs = [uniform, ragged,
+            {**uniform, "model": {**logistic, "m": 3,
+                                  "truth": uniform["model"]["truth"]}},
+            {**ragged, "model": {**logistic,
+                                 "truth": ragged["model"]["truth"]}}]
+    gaps, pad_grad = [], 0.0
+    for doc in docs:
+        res = resolve(parse_config(doc))
+        model, sizes = res.model, res.strategy.block_sizes
+        for _ in range(10):
+            samples = draw_horizon(model, [rng] * model.n_agents, 1).at(0)
+            w = pad_blocks([rng.standard_normal(m) for m in sizes])
+            point_gaps, point_pad = _network_fd_gaps(model, samples, w, sizes)
+            gaps += point_gaps
+            pad_grad = max(pad_grad, point_pad)
 
-        def loss(x, s=sample):
-            return 0.5 * (s.response - s.regressor @ x) ** 2
-        grad = instantaneous_gradient(mse_model, 0, w, sample)
-        fd = _fd_gradient(loss, w)
-        worst = max(worst, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
-
-    doc["model"] = {"kind": "logistic", "m": 3, "reg": 0.05,
-                    "truth": {"kind": "smooth", "modes": 2, "scale": 1.0}}
-    logit_model = resolve(parse_config(doc)).model
-    for _ in range(20):
-        sample = logistic_sample(logit_model, 1, rng)
-        w = rng.standard_normal(3)
-
-        def loss(x, s=sample, reg=logit_model.reg):
-            return (0.5 * reg * (x @ x)
-                    + np.logaddexp(0.0, -s.response * (s.regressor @ x)))
-        grad = instantaneous_gradient(logit_model, 1, w, sample)
-        fd = _fd_gradient(loss, w)
-        worst = max(worst, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
-
-    ok = worst <= 1e-6
-    assert _report(9, ok, f"worst relative gap {worst:.2e} at 40 points")
+    worst = max(gaps)
+    ok = worst <= 1e-6 and pad_grad == 0.0
+    assert _report(9, ok, f"worst relative gap {worst:.2e} at {len(gaps)} "
+                          f"agent points, pad gradient {pad_grad:g}")
 
 
 # ---------------------------------------------------------------------------

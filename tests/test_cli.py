@@ -118,9 +118,12 @@ def test_run_unstable_coupling_exits_2(tmp_path, capsys):
 def test_run_divergence_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, strategy={"kind": "noncooperative",
                                            "mu": 5.0})
-    rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == EXIT_DIVERGENCE
-    assert "divergence" in capsys.readouterr().err
+    # a divergence inside a worker process exits 3 as well
+    for parallel in ([], ["--parallel", "2"]):
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")]
+                  + parallel)
+        assert rc == EXIT_DIVERGENCE
+        assert "worst agents" in capsys.readouterr().err
 
 
 def test_run_missing_required_flag_exits_2(tmp_path):

@@ -1,14 +1,17 @@
 """Monte Carlo harness: windows, aggregation, determinism, persistence."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from adaptnets import harness
-from adaptnets.config import ConfigError, parse_config
+from adaptnets.config import ConfigError, data_stream, parse_config, resolve
+from adaptnets.graphs import random_geometric_graph, ring_graph
 from adaptnets.harness import (
+    DIVERGENCE_FACTOR,
     DivergenceError,
     compare_theory,
     eta_sweep,
@@ -17,6 +20,7 @@ from adaptnets.harness import (
     save_sweep,
     steady_state,
 )
+from adaptnets.streaming import _draw_agent_block, sigmoid
 
 MC_RTOL = 0.3
 
@@ -154,6 +158,16 @@ def test_stderr_zero_single_run():
     assert np.all(res.stderr == 0.0)
 
 
+def _assert_names_worst_agents(err, n_agents):
+    errors = err.agent_errors
+    assert errors.shape == (n_agents,)
+    assert err.value == float(errors.mean())
+    worst = np.argsort(errors)[::-1][:3]
+    named = str(err).split("worst agents: ")[1]
+    assert named == ", ".join(f"{k} ({errors[k]:.3e})" for k in worst)
+    assert errors[worst[0]] == np.max(errors)
+
+
 def test_divergence_raises_with_context():
     cfg = base_config(iters=500, runs=1,
                       strategy={"kind": "noncooperative", "mu": 5.0})
@@ -163,6 +177,30 @@ def test_divergence_raises_with_context():
     assert err.iteration > 0
     assert err.value > err.threshold
     assert "mu=5" in str(err)
+    _assert_names_worst_agents(err, 10)
+
+
+def test_parallel_divergence_reaches_the_caller():
+    # a worker's DivergenceError crosses the process boundary whole
+    cfg = base_config(iters=500, runs=2,
+                      strategy={"kind": "noncooperative", "mu": 5.0})
+    with pytest.raises(DivergenceError) as info:
+        run_experiment(cfg, parallel=2)
+    _assert_names_worst_agents(info.value, 10)
+
+
+def test_overlapping_divergence_names_worst_agents():
+    cfg = base_config(iters=500, runs=1, model={
+        "kind": "mse", "noise_var": 0.1,
+        "truth": {"kind": "global_random", "n_variables": 10}},
+        strategy={"kind": "overlapping", "mu": 2.0,
+                  "interests": [[k, (k + 1) % 10] if k % 2 else [k]
+                                for k in range(10)]})
+    with pytest.raises(DivergenceError) as info:
+        run_experiment(cfg)
+    err = info.value
+    assert err.value > err.threshold
+    _assert_names_worst_agents(err, 10)
 
 
 def test_prox_divergence_is_pinned():
@@ -349,3 +387,175 @@ def test_run_accepts_parsed_config():
     cfg = parse_config(base_config(iters=100, runs=1))
     res = run_experiment(cfg)
     assert res.msd_wo.shape == (100,)
+
+
+# ---------------------------------------------------------------------------
+# The zero-padded overlapping state against the tuple-of-blocks run loop
+# ---------------------------------------------------------------------------
+
+def _agent_gradient(model, w_k, u, d):
+    """One agent's stochastic gradient, written out per agent."""
+    if model.kind == "mse":
+        return -u * (d - u @ w_k)
+    return model.reg * w_k - d * u * sigmoid(-d * (u @ w_k))
+
+
+def _tuple_of_blocks_run(res, run):
+    """One Monte Carlo run with the state kept as a tuple of per-agent
+    vectors, as the harness ran overlapping strategies before the network
+    state became one zero-padded (N, M_max) array: per-agent draws,
+    gradients and errors, and the per-variable combination W_v @ psi_v.
+    The oracle of the padded path."""
+    cfg = res.config
+    strategy, model = res.strategy, res.model
+    interest, var_weights = strategy.interest, strategy.var_weights
+    n = res.graph.n_agents
+    horizon, every = cfg.iters, cfg.record_every
+    mu = strategy.mu
+
+    streams = [data_stream(cfg.seed, run, k) for k in range(n)]
+    resp = np.empty((horizon, n))
+    regs_blocks = []
+    for k in range(n):
+        r_k, resp[:, k] = _draw_agent_block(model, k, streams[k], horizon)
+        regs_blocks.append(r_k)
+
+    def social(psi):
+        out = [np.empty_like(b) for b in psi]
+        positions = interest.positions
+        for v, agents in enumerate(interest.by_variable):
+            vals = np.array([psi[k][positions[k][v]] for k in agents])
+            mixed = var_weights[v] @ vals
+            for j, k in enumerate(agents):
+                out[k][positions[k][v]] = mixed[j]
+        return tuple(out)
+
+    def sq_errors(w, reference):
+        return np.array([float(np.dot(b - r, b - r))
+                         for b, r in zip(w, reference)])
+
+    truth_ref = model.truth.blocks
+    w = tuple(np.zeros(m) for m in strategy.block_sizes)
+    start_err = sq_errors(w, truth_ref)
+    threshold = DIVERGENCE_FACTOR * max(float(start_err.mean()), 1.0)
+
+    traj_wo = np.empty(horizon // every)
+    window_start = horizon - math.ceil(cfg.steady_window * horizon)
+    agent_acc = np.zeros(n)
+    agent_count = 0
+    rec = 0
+    for i in range(horizon):
+        psi = tuple(w[k] - mu * _agent_gradient(model, w[k], regs_blocks[k][i],
+                                                float(resp[i, k]))
+                    for k in range(n))
+        w = social(psi)
+        in_window = i >= window_start
+        record = (i + 1) % every == 0
+        if not (in_window or record):
+            continue
+        sq = sq_errors(w, truth_ref)
+        if in_window:
+            agent_acc += sq
+            agent_count += 1
+        if record:
+            msd = float(sq.mean())
+            traj_wo[rec] = msd
+            rec += 1
+            assert np.isfinite(msd) and msd <= threshold
+    return {"msd_wo": traj_wo, "per_agent": agent_acc / max(agent_count, 1)}
+
+
+def _random_interests(adjacency, rng, max_block=4):
+    """Interests in which every variable's agents are connected in the
+    graph, 1 to max_block variables per agent, and the first shared variable
+    grown towards 5 agents."""
+    n = adjacency.shape[0]
+    groups = [[k] for k in range(n) if rng.random() < 0.5]
+    load = np.zeros(n, dtype=int)
+    for g in groups:
+        load[g] += 1
+    for s in range(int(rng.integers(n // 2, n + 1))):
+        room = np.flatnonzero(load < max_block)
+        if room.size == 0:
+            break
+        group = [int(rng.choice(room))]
+        target = 5 if s == 0 else int(rng.integers(2, 5))
+        while len(group) < target:
+            frontier = sorted({int(l) for k in group
+                               for l in np.flatnonzero(adjacency[k])
+                               if l not in group and load[l] < max_block})
+            if not frontier:
+                break
+            group.append(int(rng.choice(frontier)))
+        load[group] += 1
+        groups.append(group)
+    groups += [[k] for k in np.flatnonzero(load == 0)]
+    interests = [[] for _ in range(n)]
+    for v, group in enumerate(groups):
+        for k in group:
+            interests[k].append(v)
+    for row in interests:
+        rng.shuffle(row)
+    return [[int(v) for v in row] for row in interests], len(groups)
+
+
+def _ragged_case(seed):
+    rng = np.random.default_rng((2024, seed))
+    n = int(rng.integers(5, 13))
+    if seed % 2:
+        graph = random_geometric_graph(n, 0.5, rng)
+    else:
+        graph = ring_graph(n)
+    adj = graph.adjacency
+    edges = [[int(k), int(l), float(adj[k, l])]
+             for k, l in zip(*np.nonzero(np.triu(adj)))]
+    interests, n_vars = _random_interests(adj, rng)
+    truth = {"kind": "global_random", "n_variables": n_vars}
+    model = ({"kind": "mse", "noise_var": 0.1, "truth": truth}
+             if seed % 4 < 2 else
+             {"kind": "logistic", "reg": 0.05, "truth": truth})
+    return parse_config({
+        "schema": 1, "seed": seed, "iters": 120, "runs": 1,
+        "record_every": int(rng.integers(1, 4)), "steady_window": 0.25,
+        "graph": {"kind": "edges", "n": n, "edges": edges},
+        "model": model,
+        "strategy": {"kind": "overlapping", "mu": 0.05,
+                     "interests": interests}})
+
+
+RAGGED_CASES = 56
+RAGGED_RTOL = 1e-12
+
+
+def test_padded_overlapping_matches_tuple_of_blocks_oracle():
+    sizes_seen, kinds_seen, graphs_seen, widest = set(), set(), set(), 0
+    for seed in range(RAGGED_CASES):
+        cfg = _ragged_case(seed)
+        res = resolve(cfg)
+        strategy, model = res.strategy, res.model
+        sizes_seen.update(strategy.block_sizes)
+        kinds_seen.add(model.kind)
+        graphs_seen.add(seed % 2)
+        widest = max(widest, max(map(len, strategy.interest.by_variable)))
+
+        got = harness._simulate_run(cfg.canonical_json(), None, 0)
+        ref = _tuple_of_blocks_run(res, 0)
+        assert got["msd_wstar"] is None
+        for key in ("msd_wo", "per_agent"):
+            np.testing.assert_allclose(got[key], ref[key], rtol=RAGGED_RTOL,
+                                       atol=0.0, err_msg=f"seed {seed} {key}")
+
+        # pad entries stay exactly 0 after every step
+        pad = np.arange(model.truth.padded.shape[1]) >= \
+            np.array(strategy.block_sizes)[:, None]
+        streams = [data_stream(cfg.seed, 0, k) for k in range(res.graph.n_agents)]
+        block = harness.draw_horizon(model, streams, cfg.iters)
+        assert np.all(block.regressors[:, pad] == 0.0)
+        state = strategy.init_state()
+        for i in range(cfg.iters):
+            state = strategy.step(state, model, block.at(i))
+            assert np.all(state.w[pad] == 0.0), f"seed {seed} step {i}"
+    assert sizes_seen == {1, 2, 3, 4}
+    assert kinds_seen == {"mse", "logistic"}
+    assert graphs_seen == {0, 1}
+    assert widest > 3

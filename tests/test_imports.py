@@ -1,4 +1,5 @@
-"""Module boundaries: no module uses another adaptnets module's private names."""
+"""Module boundaries: no module uses another adaptnets module's private
+names, and no module branches on a tuple-shaped network state."""
 
 import ast
 from pathlib import Path
@@ -61,4 +62,44 @@ def test_private_use_detection(tmp_path):
         "sample.py:1 imports _strategy_payload",
         "sample.py:4 uses theory_mod._helper",
         "sample.py:6 uses adaptnets.graphs._connected",
+    ]
+
+
+def _tuple_checks(path: Path) -> list[str]:
+    """`isinstance(x, tuple)` and `isinstance(x, (..., tuple, ...))` in one
+    source file: the network state is one (N, M_max) array, so no code
+    should need to tell a tuple of per-agent blocks apart from it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        kinds = node.args[1]
+        names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        if any(isinstance(k, ast.Name) and k.id == "tuple" for k in names):
+            found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_tuple_state_checks():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) >= 8
+    found = [use for path in files for use in _tuple_checks(path)]
+    assert found == [], "isinstance(..., tuple) in src:\n" + "\n".join(found)
+
+
+def test_tuple_check_detection(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "if isinstance(w, tuple):\n"
+        "    pass\n"
+        "ok = isinstance(w, (list, tuple))\n"
+        "fine = isinstance(w, np.ndarray)\n"
+        "also_fine = isinstance(w, (str, Mapping))\n"
+        "tuple(w)\n"
+    )
+    assert _tuple_checks(source) == [
+        "sample.py:1 isinstance(w, tuple)",
+        "sample.py:3 isinstance(w, (list, tuple))",
     ]

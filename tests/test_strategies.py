@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adaptnets.graphs import (
     ClusterPartition,
@@ -24,7 +24,8 @@ from adaptnets.streaming import (
     StreamModel,
     TaskField,
     draw_horizon,
-    instantaneous_gradient,
+    pad_blocks,
+    sigmoid,
 )
 from adaptnets.strategies import (
     EdgeRegularizer,
@@ -34,6 +35,7 @@ from adaptnets.strategies import (
     build_strategy,
     cluster_metropolis,
     overlap_metropolis,
+    overlap_table,
     self_learn,
     social_clustered,
     social_diffusion,
@@ -98,15 +100,28 @@ def test_config_rejects_unknown_payload_keys():
 # Self-learning
 # ---------------------------------------------------------------------------
 
+def agent_gradient(model, w_k, u, d):
+    """One agent's stochastic gradient, written out per agent: the oracle
+    for the network-wide gradient inside self_learn."""
+    if model.kind == "mse":
+        return -u * (d - u @ w_k)
+    return model.reg * w_k - d * u * sigmoid(-d * (u @ w_k))
+
+
+def gradient_loop(w, model, samples, mu, sizes):
+    """self_learn agent by agent on each agent's first sizes[k] entries."""
+    return [w[k, :m] - mu * agent_gradient(model, w[k, :m],
+                                           samples.regressors[k, :m],
+                                           samples.responses[k])
+            for k, m in enumerate(sizes)]
+
+
 def test_self_learn_matches_gradient_loop_mse():
     model = mse_model(6, 3)
     samples = one_sample(model)
     w = np.random.default_rng(2).standard_normal((6, 3))
     fast = self_learn(w, model, samples, 0.05)
-    slow = np.vstack([
-        w[k] - 0.05 * instantaneous_gradient(model, k, w[k], samples.agent(k))
-        for k in range(6)
-    ])
+    slow = np.vstack(gradient_loop(w, model, samples, 0.05, [3] * 6))
     assert np.max(np.abs(fast - slow)) < 1e-14
 
 
@@ -117,21 +132,25 @@ def test_self_learn_matches_gradient_loop_logistic():
     samples = one_sample(model, seed=4)
     w = np.random.default_rng(5).standard_normal((5, 2))
     fast = self_learn(w, model, samples, 0.1)
-    slow = np.vstack([
-        w[k] - 0.1 * instantaneous_gradient(model, k, w[k], samples.agent(k))
-        for k in range(5)
-    ])
+    slow = np.vstack(gradient_loop(w, model, samples, 0.1, [2] * 5))
     assert np.max(np.abs(fast - slow)) < 1e-14
 
 
 def test_self_learn_blockwise_path():
-    model = mse_model(4, 2)
-    samples = one_sample(model)
-    w = np.random.default_rng(6).standard_normal((4, 2))
-    arr = self_learn(w, model, samples, 0.05)
-    blk = self_learn(tuple(w), model, samples, 0.05)
-    assert isinstance(blk, tuple)
-    assert np.max(np.abs(np.vstack(blk) - arr)) < 1e-14
+    # ragged blocks in the zero-padded (N, M_max) layout, both models
+    rng = np.random.default_rng(6)
+    sizes = (2, 4, 1, 3)
+    truth = TaskField(tuple(rng.standard_normal(m) for m in sizes))
+    for model in (StreamModel(kind="mse", truth=truth, noise_var=0.1),
+                  StreamModel(kind="logistic", truth=truth, reg=0.2)):
+        samples = one_sample(model)
+        assert samples.regressors.shape == (4, 4)
+        w = pad_blocks([rng.standard_normal(m) for m in sizes])
+        fast = self_learn(w, model, samples, 0.05)
+        slow = gradient_loop(w, model, samples, 0.05, sizes)
+        for k, m in enumerate(sizes):
+            assert np.max(np.abs(fast[k, :m] - slow[k])) < 1e-14
+            assert np.all(fast[k, m:] == 0.0)
 
 
 def test_self_learn_does_not_mutate_input():
@@ -526,16 +545,6 @@ def test_social_subspace_matches_scalar_diffusion():
     assert np.max(np.abs(out - ref)) < EXACT_TOL
 
 
-def test_social_subspace_tuple_path():
-    g = ring_graph(4)
-    a = metropolis_weights(g)
-    psi = np.random.default_rng(18).standard_normal((4, 3))
-    block = a.block_matrix([3] * 4)
-    out_mat = social_subspace(psi, block)
-    out_tup = social_subspace(tuple(psi), block, block_sizes=[3] * 4)
-    assert np.max(np.abs(np.vstack(out_tup) - out_mat)) < EXACT_TOL
-
-
 def test_overlap_metropolis_small_chain():
     """Two agents share each variable on a 3-chain: every weight is 1/2."""
     g = path_graph(3)
@@ -559,10 +568,9 @@ def test_social_overlapping_agreement_fixed_point():
     interest = InterestMap(3, ((0,), (0, 1), (1,), (1, 2), (2,)))
     weights = overlap_metropolis(g, interest)
     shared = np.array([0.7, -0.2, 1.1])
-    psi = interest.blocks_from_global(shared)
-    out = social_overlapping(psi, interest, weights)
-    for blk, ref in zip(out, psi):
-        assert np.max(np.abs(blk - ref)) < EXACT_TOL
+    psi = pad_blocks(interest.blocks_from_global(shared))
+    out = social_overlapping(psi, overlap_table(interest, weights))
+    assert np.max(np.abs(out - psi)) < EXACT_TOL
 
 
 def test_social_overlapping_all_interested_is_diffusion():
@@ -570,9 +578,107 @@ def test_social_overlapping_all_interested_is_diffusion():
     interest = InterestMap(2, tuple((0, 1) for _ in range(6)))
     weights = overlap_metropolis(g, interest)
     psi_mat = np.random.default_rng(19).standard_normal((6, 2))
-    out = social_overlapping(tuple(psi_mat), interest, weights)
+    out = social_overlapping(psi_mat, overlap_table(interest, weights))
     ref = social_diffusion(psi_mat, metropolis_weights(g).matrix)
-    assert np.max(np.abs(np.vstack(out) - ref)) < EXACT_TOL
+    assert np.max(np.abs(out - ref)) < EXACT_TOL
+
+
+def social_overlapping_oracle(psi, interest, var_weights):
+    """The per-variable combination on a tuple of per-agent blocks, as
+    social_overlapping ran before the zero-padded state: the oracle of the
+    gather table."""
+    out = [np.empty_like(b) for b in psi]
+    positions = interest.positions
+    for n, agents in enumerate(interest.by_variable):
+        vals = np.array([psi[k][positions[k][n]] for k in agents])
+        mixed = var_weights[n] @ vals
+        for j, k in enumerate(agents):
+            out[k][positions[k][n]] = mixed[j]
+    return tuple(out)
+
+
+def ring_interests(n, arcs, rng):
+    """An interest map on ring_graph(n): one variable per (start, length)
+    arc of consecutive agents, a private variable for every agent no arc
+    covers, and each agent's variables in a random order."""
+    groups = [[(start + i) % n for i in range(min(length, n))]
+              for start, length in arcs]
+    covered = {k for g in groups for k in g}
+    groups += [[k] for k in range(n) if k not in covered]
+    interests = [[] for _ in range(n)]
+    for v, group in enumerate(groups):
+        for k in group:
+            interests[k].append(v)
+    for row in interests:
+        rng.shuffle(row)
+    return InterestMap(len(groups), tuple(tuple(row) for row in interests))
+
+
+def test_social_overlapping_matches_per_variable_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(3, 16))
+        arcs = [(int(rng.integers(n)), int(rng.integers(1, n + 1)))
+                for _ in range(int(rng.integers(1, 2 * n)))]
+        interest = ring_interests(n, arcs, rng)
+        weights = overlap_metropolis(ring_graph(n), interest)
+        blocks = [rng.standard_normal(m) for m in interest.block_sizes]
+        out = social_overlapping(pad_blocks(blocks),
+                                 overlap_table(interest, weights))
+        ref = social_overlapping_oracle(tuple(blocks), interest, weights)
+        assert np.max(np.abs(out - pad_blocks(ref))) <= 1e-14
+        pad = np.arange(out.shape[1]) >= np.array(interest.block_sizes)[:, None]
+        assert np.all(out[pad] == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 16),
+       arcs=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 16)),
+                     min_size=1, max_size=24),
+       seed=st.integers(0, 2**32 - 1))
+def test_padded_overlapping_preserves_variable_means(n, arcs, seed):
+    # every variable's Metropolis weights are doubly stochastic, so the mean
+    # over its interested agents is kept; pad entries come out exactly 0
+    # and the values in them reach no real entry
+    rng = np.random.default_rng(seed)
+    interest = ring_interests(n, [(start % n, length) for start, length in arcs],
+                              rng)
+    table = overlap_table(interest, overlap_metropolis(ring_graph(n), interest))
+    sizes = np.array(interest.block_sizes)
+    pad = np.arange(sizes.max()) >= sizes[:, None]
+    psi = pad_blocks([rng.standard_normal(m) for m in sizes])
+    out = social_overlapping(psi, table)
+    noisy = psi.copy()
+    noisy[pad] = rng.standard_normal(int(pad.sum()))
+    assert np.array_equal(social_overlapping(noisy, table), out)
+    assert np.all(out[pad] == 0.0)
+    positions = interest.positions
+    for v, agents in enumerate(interest.by_variable):
+        before = np.mean([psi[k, positions[k][v]] for k in agents])
+        after = np.mean([out[k, positions[k][v]] for k in agents])
+        assert abs(after - before) <= 1e-12 * (1.0 + np.max(np.abs(psi)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
+       radius=st.floats(0.2, 0.8), m=st.integers(1, 3),
+       fraction=st.floats(0.0, 1.0))
+def test_diffusion_and_laplacian_preserve_network_mean(seed, n, radius, m,
+                                                       fraction):
+    rng = np.random.default_rng(seed)
+    g = random_geometric_graph(n, radius, rng, require_connected=False)
+    assume(g.is_connected)
+    model = mse_model(n, m)
+    lam_max = build_laplacian(g).lam_max
+    configs = [StrategyConfig(kind="diffusion", mu=0.01),
+               StrategyConfig(kind="laplacian_reg", mu=0.01,
+                              eta=fraction * 2.0 / (0.01 * lam_max))]
+    psi = rng.normal(0.0, 3.0, (n, m))
+    for cfg in configs:
+        out = build_strategy(cfg, g, model).social(psi)
+        scale = 1.0 + np.max(np.abs(psi)) * (1.0 + 2.0 * fraction)
+        assert np.max(np.abs(out.mean(axis=0) - psi.mean(axis=0))) \
+            <= 1e-12 * scale
 
 
 def test_interest_map_validation():
@@ -882,3 +988,17 @@ def test_init_state_copies_initial():
     state = strat.init_state(init)
     init[0, 0] = 99.0
     assert state.w[0, 0] == 1.0
+
+
+def test_init_state_pads_ragged_blocks():
+    g = path_graph(3)
+    truth = TaskField((np.ones(1), np.ones(2), np.ones(1)))
+    model = StreamModel(kind="mse", truth=truth, noise_var=0.1)
+    strat = build_strategy(
+        StrategyConfig(kind="overlapping", mu=0.05,
+                       payload={"interests": [[0], [0, 1], [1]]}), g, model)
+    assert np.array_equal(strat.init_state().w, np.zeros((3, 2)))
+    state = strat.init_state([[1.0], [2.0, 3.0], [4.0]])
+    assert np.array_equal(state.w, [[1.0, 0.0], [2.0, 3.0], [4.0, 0.0]])
+    with pytest.raises(ValueError, match="sizes"):
+        strat.init_state(np.ones((3, 2)))

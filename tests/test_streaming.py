@@ -7,14 +7,14 @@ from scipy.special import expit
 from adaptnets.graphs import build_laplacian, graph_fourier, ring_graph, smoothness
 from adaptnets.streaming import (
     NetworkSample,
-    Sample,
     StreamModel,
     TaskField,
     draw_horizon,
-    instantaneous_gradient,
     load_tasks,
     logistic_sample,
     mse_sample,
+    network_gradient,
+    pad_blocks,
     save_tasks,
     sigmoid,
     synth_smooth_tasks,
@@ -73,6 +73,15 @@ def test_taskfield_unequal_blocks():
     with pytest.raises(ValueError):
         field.as_matrix()
     assert field.stacked().size == 5
+    assert np.array_equal(field.padded, [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    assert not field.padded.flags.writeable
+
+
+def test_padded_view_of_uniform_field_is_the_matrix():
+    mat = np.arange(12, dtype=float).reshape(4, 3)
+    field = TaskField.from_matrix(mat)
+    assert np.array_equal(field.padded, field.as_matrix())
+    assert np.array_equal(pad_blocks(mat), mat)
 
 
 def test_taskfield_rejects_bad_blocks():
@@ -228,10 +237,9 @@ def test_horizon_indexing():
     block = draw_horizon(model, streams, 5)
     assert block.horizon == 5
     net = block.at(2)
-    agent = net.agent(1)
-    assert agent.regressor.shape == (2,)
-    assert np.array_equal(agent.regressor, block.regressors[2, 1])
-    assert agent.response == block.responses[2, 1]
+    assert net.regressors.shape == (3, 2)
+    assert np.array_equal(net.regressors[1], block.regressors[2, 1])
+    assert net.responses[1] == block.responses[2, 1]
 
 
 def test_horizon_requires_one_stream_per_agent():
@@ -246,10 +254,16 @@ def test_unequal_blocks_draw():
     model = mse_model(truth, noise=0.1)
     streams = [np.random.default_rng(s) for s in range(2)]
     block = draw_horizon(model, streams, 6)
-    assert isinstance(block.regressors, tuple)
-    assert block.regressors[0].shape == (6, 2)
-    assert block.regressors[1].shape == (6, 4)
-    assert block.at(3).agent(1).regressor.shape == (4,)
+    assert block.regressors.shape == (6, 2, 4)
+    assert np.all(block.regressors[:, 0, 2:] == 0.0)
+    assert block.at(3).regressors.shape == (2, 4)
+    # each agent's draw is its own stream's, whatever the padding
+    for k, m in enumerate((2, 4)):
+        rng = np.random.default_rng(k)
+        regs = rng.standard_normal((6, m))
+        noise = rng.standard_normal(6) * np.sqrt(0.1)
+        assert np.array_equal(block.regressors[:, k, :m], regs)
+        assert np.array_equal(block.responses[:, k], regs @ np.ones(m) + noise)
 
 
 def test_regressor_covariance_moment():
@@ -286,9 +300,9 @@ def test_mse_gradient_formula():
     model = mse_model(truth)
     u = np.array([1.0, -2.0, 0.5])
     w = np.array([0.2, 0.1, -0.3])
-    sample = Sample(u, 1.7)
-    grad = instantaneous_gradient(model, 0, w, sample)
-    assert np.array_equal(grad, -u * (1.7 - u @ w))
+    grad = network_gradient(model, w[None, :],
+                            NetworkSample(u[None, :], np.array([1.7])))
+    assert np.array_equal(grad[0], -u * (1.7 - u @ w))
 
 
 def test_logistic_gradient_formula():
@@ -296,10 +310,10 @@ def test_logistic_gradient_formula():
     model = StreamModel(kind="logistic", truth=truth, reg=0.3)
     h = np.array([0.4, -1.1])
     w = np.array([0.6, 0.2])
-    sample = Sample(h, -1.0)
-    grad = instantaneous_gradient(model, 0, w, sample)
+    grad = network_gradient(model, w[None, :],
+                            NetworkSample(h[None, :], np.array([-1.0])))
     expected = 0.3 * w + h * sigmoid(h @ w)
-    assert np.max(np.abs(grad - expected)) < EXACT_TOL
+    assert np.max(np.abs(grad[0] - expected)) < EXACT_TOL
 
 
 def test_mse_gradient_mean():
