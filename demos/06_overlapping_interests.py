@@ -54,7 +54,7 @@ for k, ints in enumerate(interest.interests):
     print(f"  agent {k}: variables {list(ints)}")
 
 streams = [data_stream(doc["seed"], 0, k) for k in range(4)]
-block = draw_horizon(model, streams, doc["iters"])
+block = draw_horizon(model, [streams], doc["iters"]).run(0)
 state = strategy.init_state()
 for i in range(doc["iters"]):
     state = strategy.step(state, model, block.at(i))

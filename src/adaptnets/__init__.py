@@ -39,14 +39,11 @@ from .graphs import (
 )
 from .streaming import (
     NetworkSample,
-    Sample,
     SampleBlock,
     StreamModel,
     TaskField,
     draw_horizon,
     load_tasks,
-    logistic_sample,
-    mse_sample,
     network_gradient,
     pad_blocks,
     save_tasks,

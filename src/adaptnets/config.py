@@ -169,6 +169,10 @@ class ExperimentConfig:
         return json.dumps(self.canonical(), sort_keys=True,
                           separators=(",", ":"))
 
+    def __hash__(self) -> int:
+        # the dict fields are unhashable; equal configs share a canonical form
+        return hash(self.canonical_json())
+
     def config_hash(self) -> str:
         # worker count and artifact location never change the numbers, so
         # they are not part of the experiment's identity

@@ -694,9 +694,6 @@ class ClusterPartition:
         out.flags.writeable = False
         return out
 
-    def cluster_of(self, k: int) -> int:
-        return int(self.assignment[k])
-
 
 # ---------------------------------------------------------------------------
 # Feasibility of combination matrices

@@ -1,9 +1,12 @@
 """Monte Carlo harness: run experiments, aggregate, and persist results.
 
-Runs are independent by construction (per-(run, agent) random streams), so
-serial and parallel execution produce bit-identical aggregates: workers are
-handed the run index and the canonical config JSON, and results are
-combined in run order.
+Runs are independent by construction (per-(run, agent) random streams).
+The engine steps a chunk of R runs as one (R, N, M_max) state: every
+social step takes the run axis and mixes each run as it would mix it
+alone, so a run's numbers do not depend on which chunk or worker steps it.
+Serial and parallel execution produce bit-identical aggregates: each
+worker is handed a contiguous group of run indices and the canonical
+config JSON, and results are combined in run order.
 
 An experiment is resolved once per process, through a cache keyed by the
 canonical config JSON: run_experiment resolves it before any run starts
@@ -18,15 +21,16 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import strategies
 from .config import (
     ConfigError,
     ExperimentConfig,
+    ResolvedExperiment,
     data_stream,
     load_config,
     parse_config,
@@ -36,6 +40,7 @@ from .strategies import STRATEGY_KINDS
 from .streaming import draw_horizon
 
 __all__ = [
+    "CHUNK_BYTES",
     "DIVERGENCE_FACTOR",
     "SETTLED_DRIFT",
     "DivergenceError",
@@ -59,27 +64,43 @@ DIVERGENCE_FACTOR = 1e6
 # Largest |slope| * window-span / |mean| ratio still reported as settled.
 SETTLED_DRIFT = 0.1
 
+# Bytes of sample data one chunk of runs may hold: iters * N * (M_max + 1)
+# float64s per run (regressors and responses), drawn whole because a stream
+# cut into time tiles would give other values. The chunk holds
+# max(1, CHUNK_BYTES // that) runs, and a process holds one chunk at a time,
+# so memory is about workers x CHUNK_BYTES. 64 MiB gives 6 runs per chunk at
+# 9.6 MB per run (20 agents, M = 2, 20000 iterations), enough to spread the
+# per-step Python cost, while 4 workers stay near 256 MiB.
+CHUNK_BYTES = 64 * 2**20
+
+# The post-step states are kept and their errors computed this many steps
+# at a time, for all runs of a chunk at once.
+_RECORD_BLOCK = 64
+
 _ENV_PARALLEL = "ADAPTNETS_PARALLEL"
 
 
 class DivergenceError(RuntimeError):
-    """The recursion blew up; step sizes are too aggressive. agent_errors
-    holds every agent's squared error at the failing record, and the
-    message names the three worst (nan first, then the largest)."""
+    """The recursion blew up; step sizes are too aggressive. run is the
+    Monte Carlo run that crossed the threshold, agent_errors every agent's
+    squared error at that record, and the message names the three worst
+    agents (nan first, then the largest)."""
 
     def __init__(self, iteration: int, value: float, threshold: float,
-                 mu: float, eta: float, agent_errors: np.ndarray):
+                 mu: float, eta: float, agent_errors: np.ndarray, run: int):
         # rebuilt from these when a worker process hands it to the parent
-        self._init_args = (iteration, value, threshold, mu, eta, agent_errors)
+        self._init_args = (iteration, value, threshold, mu, eta, agent_errors,
+                           run)
         self.iteration = iteration
         self.value = value
         self.threshold = threshold
         self.agent_errors = agent_errors
+        self.run = run
         worst = ", ".join(f"{k} ({agent_errors[k]:.3e})"
                           for k in np.argsort(agent_errors)[::-1][:3])
         super().__init__(
-            f"divergence at iteration {iteration}: network error {value:.3e} "
-            f"exceeds {threshold:.3e} (mu={mu:g}, eta={eta:g}); "
+            f"divergence in run {run} at iteration {iteration}: network error "
+            f"{value:.3e} exceeds {threshold:.3e} (mu={mu:g}, eta={eta:g}); "
             f"worst agents: {worst}"
         )
 
@@ -181,61 +202,135 @@ class ExperimentResult:
     warnings: tuple[str, ...]
 
 
-def _simulate_run(config_json: str, base_dir: str | None, run: int) -> dict:
-    """One Monte Carlo run. Module-level so worker processes can call it.
+def _simulate_runs(config_json: str, base_dir: str | None, first: int,
+                   stop: int) -> dict:
+    """Runs first .. stop - 1, stepped a chunk at a time. Module-level so
+    worker processes can call it.
 
     base_dir travels separately because the canonical form excludes it (the
     hash must not depend on where the config file lives), yet file-backed
-    graphs and tasks still need it to resolve relative paths.
+    graphs and tasks still need it to resolve relative paths. Returns the
+    per-run trajectories (R, T / record_every) and window means (R, N). A
+    divergence raises the error of the lowest-index diverging run.
     """
     res = _resolved_from_json(config_json, base_dir)
     cfg = res.config
+    n, m_max = res.model.truth.padded.shape
+    size = max(1, CHUNK_BYTES // (cfg.iters * n * (m_max + 1) * 8))
+    parts = [_simulate_chunk(res, range(start, min(start + size, stop)))
+             for start in range(first, stop, size)]
+    return {key: None if parts[0][key] is None
+            else np.concatenate([part[key] for part in parts])
+            for key in parts[0]}
+
+
+def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
+    """Step `runs` together as one (R, N, M_max) state.
+
+    Every number equals what stepping each run alone gives, bit for bit:
+    each (run, agent) stream is drawn whole, as for one run, and the steps
+    and error sums act on each run's slice as they act on one run. Runs
+    keep stepping after one of them diverges, because a lower-index run may
+    still diverge later, and its error is the one to raise. Floating-point
+    warnings (or errors, as np.seterr sets them) show for every step up to
+    the chunk's first crossing, as a lone run would give them; past it the
+    chunk is bound to raise, and what its runs meet there stays silent.
+    """
+    cfg = res.config
     strategy, model = res.strategy, res.model
+    self_learn, social = strategies.self_learn, strategy.social
+    mu = strategy.mu
     n = res.graph.n_agents
     horizon, every = cfg.iters, cfg.record_every
 
-    streams = [data_stream(cfg.seed, run, k) for k in range(n)]
+    streams = [[data_stream(cfg.seed, r, k) for k in range(n)] for r in runs]
     block = draw_horizon(model, streams, horizon)
+    regs, resp = block.regressors, block.responses
 
     # the state starts at 0; pad entries are 0 on both sides and add nothing
     truth, wstar_ref = model.truth.padded, res.w_star
-    state = strategy.init_state()
+    w = np.zeros(regs.shape[1:])
     start_err = np.einsum("km,km->k", truth, truth)
     threshold = DIVERGENCE_FACTOR * max(float(start_err.mean()), 1.0)
 
     n_rec = horizon // every
-    traj_wo = np.empty(n_rec)
-    traj_ws = np.empty(n_rec) if wstar_ref is not None else None
+    traj_wo = np.empty((len(runs), n_rec))
+    traj_ws = np.empty((len(runs), n_rec)) if wstar_ref is not None else None
     window_start = horizon - math.ceil(cfg.steady_window * horizon)
-    agent_acc = np.zeros(n)
-    agent_count = 0
+    agent_acc = np.zeros((len(runs), n))
+    states = np.empty((_RECORD_BLOCK,) + w.shape)
+    diverged = {}   # run position -> (iteration, value, agent errors)
+
+    def advance(w, acc, t0, t1):
+        """Step t0 .. t1 - 1 and measure the steps that are in the window
+        or recorded: the last state, the window sum, and the recorded
+        iterations with their per-agent errors (B, R, N), MSDs (B, R) and
+        w* MSDs."""
+        for i in range(t0, t1):
+            w = social(self_learn(w, model, regs[i], resp[i], mu))
+            states[i - t0] = w
+        iteration = np.arange(t0 + 1, t1 + 1)
+        in_window = iteration > window_start
+        recorded = iteration % every == 0
+        needed = in_window | recorded
+        kept = states[:t1 - t0]
+        if not needed.all():
+            kept = kept[needed]
+        diff = kept - truth
+        sq = np.einsum("...km,...km->...k", diff, diff)
+        if in_window.any():
+            # added one step after another, as a running sum must be
+            acc = np.add.accumulate(
+                np.concatenate([acc[None], sq[in_window[needed]]]), axis=0)[-1]
+        sq = sq[recorded[needed]]
+        ws = None
+        if wstar_ref is not None:
+            d2 = kept[recorded[needed]] - wstar_ref
+            ws = np.einsum("...km,...km->...", d2, d2) / n
+        return w, acc, iteration[recorded], sq, sq.mean(axis=-1), ws
+
+    # floating-point events are noted, not shown, until the block is
+    # measured and the chunk's first crossing known
+    watch = {kind: "call" for kind, mode in np.geterr().items()
+             if mode != "ignore"}
+    events = []
+
+    def noted(kind, flag):
+        events.append(kind)
 
     rec = 0
-    for i in range(horizon):
-        state = strategy.step(state, model, block.at(i))
-        in_window = i >= window_start
-        record = (i + 1) % every == 0
-        if not (in_window or record):
-            continue
-        diff = state.w - truth
-        sq = np.einsum("km,km->k", diff, diff)
-        if in_window:
-            agent_acc += sq
-            agent_count += 1
-        if record:
-            msd = float(sq.mean())
-            traj_wo[rec] = msd
-            if traj_ws is not None:
-                d2 = state.w - wstar_ref
-                traj_ws[rec] = float(np.einsum("km,km->", d2, d2) / n)
-            rec += 1
-            if not np.isfinite(msd) or msd > threshold:
-                raise DivergenceError(i + 1, msd, threshold,
-                                      strategy.mu, strategy.eta, sq)
+    for t0 in range(0, horizon, _RECORD_BLOCK):
+        t1 = min(t0 + _RECORD_BLOCK, horizon)
+        start, start_acc = w, agent_acc
+        events.clear()
+        with (np.errstate(all="ignore") if diverged
+              else np.errstate(**watch, call=noted)):
+            w, agent_acc, at, sq, msd, ws = advance(w, agent_acc, t0, t1)
+        traj_wo[:, rec:rec + len(msd)] = msd.T
+        if ws is not None:
+            traj_ws[:, rec:rec + len(msd)] = ws.T
+        rec += len(msd)
+        bad = ~np.isfinite(msd) | (msd > threshold)
+        for r in np.flatnonzero(bad.any(axis=0)):
+            if r not in diverged:
+                b = int(np.argmax(bad[:, r]))
+                diverged[r] = (int(at[b]), float(msd[b, r]), sq[b, r].copy())
+        if events:
+            # step and measure the block again, up to the first crossing,
+            # under the caller's settings: the same numbers, now shown
+            stop = min([t1] + [it for it, _, _ in diverged.values()])
+            advance(start, start_acc, t0, stop)
+        if 0 in diverged:
+            break
+    if diverged:
+        r = min(diverged)
+        at, value, errors = diverged[r]
+        raise DivergenceError(at, value, threshold, strategy.mu, strategy.eta,
+                              errors, runs[r])
     return {
         "msd_wo": traj_wo,
         "msd_wstar": traj_ws,
-        "per_agent": agent_acc / max(agent_count, 1),
+        "per_agent": agent_acc / max(horizon - window_start, 1),
     }
 
 
@@ -271,19 +366,24 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         config = parse_config(config)
     config_json = config.canonical_json()
     resolved = _resolved_from_json(config_json, config.base_dir)
-    n_workers = _effective_parallel(config, parallel)
+    workers = min(_effective_parallel(config, parallel), config.runs)
+    # contiguous groups of runs, one per worker
+    bounds = [config.runs * g // workers for g in range(workers + 1)]
+    if workers > 1:
+        # loaded here, untimed, so that serial runs never load it
+        from concurrent.futures import ProcessPoolExecutor
     t0 = time.perf_counter()
-    if n_workers > 1 and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=min(n_workers, config.runs)) as ex:
-            futures = [ex.submit(_simulate_run, config_json, config.base_dir, r)
-                       for r in range(config.runs)]
-            per_run = [f.result() for f in futures]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            futures = [ex.submit(_simulate_runs, config_json, config.base_dir,
+                                 first, stop)
+                       for first, stop in zip(bounds, bounds[1:])]
+            parts = [f.result() for f in futures]
     else:
-        per_run = [_simulate_run(config_json, config.base_dir, r)
-                   for r in range(config.runs)]
+        parts = [_simulate_runs(config_json, config.base_dir, 0, config.runs)]
     wall = time.perf_counter() - t0
 
-    runs_wo = np.stack([r["msd_wo"] for r in per_run])
+    runs_wo = np.concatenate([part["msd_wo"] for part in parts])
     mean_wo = runs_wo.mean(axis=0)
     if config.runs > 1:
         stderr = runs_wo.std(axis=0, ddof=1) / math.sqrt(config.runs)
@@ -293,12 +393,13 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
 
     msd_wstar = None
     steady_ws = None
-    if per_run[0]["msd_wstar"] is not None:
-        runs_ws = np.stack([r["msd_wstar"] for r in per_run])
+    if parts[0]["msd_wstar"] is not None:
+        runs_ws = np.concatenate([part["msd_wstar"] for part in parts])
         msd_wstar = runs_ws.mean(axis=0)
         steady_ws = steady_state(runs_ws, config.steady_window)
 
-    per_agent = np.stack([r["per_agent"] for r in per_run]).mean(axis=0)
+    runs_agent = np.concatenate([part["per_agent"] for part in parts])
+    per_agent = runs_agent.mean(axis=0)
     iterations = np.arange(1, len(mean_wo) + 1) * config.record_every
 
     warnings = []

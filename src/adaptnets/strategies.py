@@ -17,7 +17,9 @@ followed by a social-learning step that maps the intermediate network state
     clustered             intra-cluster diffusion + inter-cluster penalty
 
 All social steps read psi and write a fresh state; aggregation within an
-iteration always uses the pre-step values.
+iteration always uses the pre-step values. Every step takes a network state
+of shape (..., N, M_max): one run's (N, M_max), or a stack of runs along
+leading axes, each run mixed exactly as it would be alone.
 
 Each kind is declared once, as a StrategyKind entry in STRATEGY_KINDS, and
 everything that needs to know a kind reads that entry: StrategyConfig and
@@ -97,13 +99,14 @@ _STOCHASTIC_ATOL = 1e-10
 # Configuration and state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyConfig:
     """Declarative description of a strategy.
 
     mu > 0 is the gradient step-size, eta >= 0 the regularization strength
     (must be 0 for kinds that have no regularizer). payload carries the
     kind's keys (StrategyKind.required and .optional), see build_strategy.
+    Compared and hashed by identity: payload values may be arrays.
     """
 
     kind: str
@@ -255,10 +258,15 @@ class InterestMap:
 # Self-learning step
 # ---------------------------------------------------------------------------
 
-def self_learn(w, model: StreamModel, samples: NetworkSample, mu: float):
-    """Apply one stochastic-gradient step per agent: psi = w - mu * grad."""
+def self_learn(w, model: StreamModel, regressors: np.ndarray,
+               responses: np.ndarray, mu: float):
+    """Apply one stochastic-gradient step per agent: psi = w - mu * grad.
+
+    w and regressors are (..., N, M_max) and responses (..., N), as in
+    network_gradient.
+    """
     w = np.asarray(w, dtype=float)
-    return w - mu * network_gradient(model, w, samples)
+    return w - mu * network_gradient(model, w, regressors, responses)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +313,7 @@ def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.nd
 
         w_k = argmin_w  (w - x_k)^2 / (2 gamma) + sum_l rho_{kl} |w - x_l|
 
-    for x of shape (N, M). Per coordinate the objective is piecewise
+    for x of shape (..., N, M). Per coordinate the objective is piecewise
     quadratic with breakpoints at the sorted neighbor values
     b_0 <= ... <= b_{D-1}. On interval j = [b_{j-1}, b_j] (b_{-1} = -inf,
     b_D = +inf) its stationary point is
@@ -350,11 +358,13 @@ def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.nd
         raise ValueError("the l1 prox needs an l1 regularizer")
     index, weight = regularizer.neighbor_table
     n, d = index.shape
-    if x.shape[0] != n:
-        raise ValueError(f"expected {n} agents, got {x.shape[0]}")
-    m = x.shape[1]
-    # coordinates lead, so every agent's D neighbor values are contiguous
-    padded = np.concatenate([x.T, np.full((m, 1), np.inf)], axis=1)
+    if x.shape[-2] != n:
+        raise ValueError(f"expected {n} agents, got {x.shape[-2]}")
+    # coordinates lead, (runs x coordinates, N), so every agent's D neighbor
+    # values are contiguous; each coordinate is solved on its own
+    xt = np.swapaxes(x, -1, -2).reshape(-1, n)
+    m = xt.shape[0]
+    padded = np.concatenate([xt, np.full((m, 1), np.inf)], axis=1)
     values = padded.take(index, axis=1)                        # (M, N, D)
     order = np.argsort(values, axis=-1)
     order += np.arange(n)[:, None] * d
@@ -362,7 +372,7 @@ def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.nd
     b = values.take(order + np.arange(m)[:, None, None] * (n * d))
     prefix = np.zeros((m, n, d + 1))
     np.cumsum(r, axis=-1, out=prefix[..., 1:])
-    c = x.T[..., None] - gamma * (2.0 * prefix - prefix[..., -1:])
+    c = xt[..., None] - gamma * (2.0 * prefix - prefix[..., -1:])
     edge = np.full((m, n, 1), np.inf)
     bounds = np.concatenate([-edge, b, edge], axis=-1)        # b_{-1} .. b_D
     j = np.argmax(c <= bounds[..., 1:], axis=-1)               # (M, N)
@@ -378,11 +388,11 @@ def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.nd
     with np.errstate(invalid="ignore", over="ignore"):
         pen = weight.T * np.abs(cand[:, :, None, :] - slots)   # (3, M, D, N)
         np.copyto(pen, 0.0, where=index.T == n)
-        f_lo, f_mid, f_hi = (cand - x.T) ** 2 / (2.0 * gamma) + pen.sum(axis=2)
+        f_lo, f_mid, f_hi = (cand - xt) ** 2 / (2.0 * gamma) + pen.sum(axis=2)
     finite = np.isfinite(f_mid)
     out = np.where(finite & (f_lo <= f_mid) & (f_lo <= f_hi), lo,
                    np.where(finite & (f_hi < f_mid), hi, mid))
-    return out.T.copy()
+    return np.swapaxes(out.reshape(x.shape[:-2] + (-1, n)), -1, -2).copy()
 
 
 def social_prox_l1(psi, graph: Graph, regularizer: EdgeRegularizer, mu_eta: float):
@@ -405,10 +415,10 @@ def social_diffusion(psi, weights: np.ndarray):
 
 
 def social_subspace(psi, block_matrix: np.ndarray):
-    """Block combination w = A psi on the stacked (N, M) network state."""
+    """Block combination w = A psi on each run's stacked (N, M) state."""
     psi = np.asarray(psi, dtype=float)
-    n, m = psi.shape
-    return (block_matrix @ psi.reshape(-1)).reshape(n, m)
+    stacked = psi.reshape(-1, psi.shape[-2] * psi.shape[-1], 1)
+    return np.matmul(block_matrix, stacked).reshape(psi.shape)
 
 
 def overlap_metropolis(graph: Graph, interest: InterestMap) -> dict[int, np.ndarray]:
@@ -464,8 +474,11 @@ def social_overlapping(psi, table: tuple[np.ndarray, np.ndarray]):
     W_v @ psi_v per variable to rounding, as the sums run in another order.
     """
     index, weight = table
-    flat = np.append(psi, 0.0)
-    return (flat.take(index) * weight).sum(axis=-1)
+    psi = np.asarray(psi, dtype=float)
+    lead = psi.shape[:-2]
+    flat = np.concatenate([psi.reshape(lead + (-1,)), np.zeros(lead + (1,))],
+                          axis=-1)
+    return (np.take(flat, index, axis=-1) * weight).sum(axis=-1)
 
 
 def cluster_metropolis(graph: Graph, partition: ClusterPartition) -> CombinationMatrix:
@@ -560,7 +573,8 @@ class Strategy:
 
     def step(self, state: StrategyState, model: StreamModel,
              samples: NetworkSample) -> StrategyState:
-        psi = self_learn(state.w, model, samples, self.config.mu)
+        psi = self_learn(state.w, model, samples.regressors,
+                         samples.responses, self.config.mu)
         w = self.social(psi)
         return StrategyState(w=w, iteration=state.iteration + 1)
 

@@ -5,8 +5,8 @@ how each agent's observations are generated from its task: linear
 regression with additive noise ("mse") or binary logistic observations
 ("logistic"). Sampling is organized around per-(run, agent) random streams;
 a stream yields the regressor draws for a horizon first, then the noise or
-label draws, so that single samples and whole-horizon blocks come from the
-same well-defined sequence.
+label draws, so that a block of one run and a block of many runs come from
+the same well-defined sequences.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ from .graphs import Spectrum
 __all__ = [
     "TaskField",
     "StreamModel",
-    "Sample",
     "NetworkSample",
     "SampleBlock",
     "synth_smooth_tasks",
-    "mse_sample",
-    "logistic_sample",
     "draw_horizon",
     "network_gradient",
     "pad_blocks",
@@ -249,23 +246,10 @@ class StreamModel:
     def _chol(self) -> np.ndarray | None:
         return None if self.r_u is None else np.linalg.cholesky(self.r_u)
 
-    def regressor_cov(self, k: int) -> np.ndarray:
-        if self.r_u is not None:
-            return self.r_u
-        return np.eye(self.truth.block_sizes[k])
-
 
 # ---------------------------------------------------------------------------
 # Samples
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One agent's observation: (u, d) for mse, (h, gamma) for logistic."""
-
-    regressor: np.ndarray
-    response: float
-
 
 @dataclass(frozen=True, eq=False)
 class NetworkSample:
@@ -284,7 +268,9 @@ class SampleBlock:
     """A whole horizon of network samples.
 
     regressors is (T, N, M_max), zero-padded like NetworkSample;
-    responses is (T, N).
+    responses is (T, N). draw_horizon gives R runs side by side, with a run
+    axis after the time axis: (T, R, N, M_max) and (T, R, N); run(r) is
+    one run's block.
     """
 
     regressors: np.ndarray
@@ -293,6 +279,9 @@ class SampleBlock:
     @property
     def horizon(self) -> int:
         return self.responses.shape[0]
+
+    def run(self, r: int) -> "SampleBlock":
+        return SampleBlock(self.regressors[:, r], self.responses[:, r])
 
     def at(self, i: int) -> NetworkSample:
         return NetworkSample(self.regressors[i], self.responses[i])
@@ -317,50 +306,43 @@ def _draw_agent_block(
     return regs, resp
 
 
-def mse_sample(model: StreamModel, k: int, rng: np.random.Generator) -> Sample:
-    """Draw one (u, d) pair for agent k from its stream."""
-    if model.kind != "mse":
-        raise ValueError("mse_sample needs an mse model")
-    regs, resp = _draw_agent_block(model, k, rng, 1)
-    return Sample(regs[0], float(resp[0]))
-
-
-def logistic_sample(model: StreamModel, k: int, rng: np.random.Generator) -> Sample:
-    """Draw one (h, gamma) pair for agent k from its stream."""
-    if model.kind != "logistic":
-        raise ValueError("logistic_sample needs a logistic model")
-    regs, resp = _draw_agent_block(model, k, rng, 1)
-    return Sample(regs[0], float(resp[0]))
-
-
 def draw_horizon(
-    model: StreamModel, streams: Sequence[np.random.Generator], count: int
+    model: StreamModel, streams: Sequence[Sequence[np.random.Generator]],
+    count: int
 ) -> SampleBlock:
-    """Draw `count` instants for every agent, one stream per agent."""
+    """Draw `count` instants for every agent of every run.
+
+    streams holds one row of N generators per run, giving a
+    (count, R, N, M_max) block. Each (run, agent) stream is drawn whole,
+    regressors then noise, straight into its slot of the block.
+    """
     n = model.n_agents
-    if len(streams) != n:
-        raise ValueError(f"need {n} streams, got {len(streams)}")
-    resp = np.empty((count, n))
-    regs = np.zeros((count, n, model.truth.padded.shape[1]))
-    for k, m_k in enumerate(model.truth.block_sizes):
-        regs[:, k, :m_k], resp[:, k] = _draw_agent_block(model, k, streams[k], count)
+    for row in streams:
+        if len(row) != n:
+            raise ValueError(f"need {n} streams per run, got {len(row)}")
+    resp = np.empty((count, len(streams), n))
+    regs = np.zeros((count, len(streams), n, model.truth.padded.shape[1]))
+    for r, row in enumerate(streams):
+        for k, m_k in enumerate(model.truth.block_sizes):
+            regs[:, r, k, :m_k], resp[:, r, k] = _draw_agent_block(
+                model, k, row[k], count)
     return SampleBlock(regs, resp)
 
 
-def network_gradient(model: StreamModel, w: np.ndarray,
-                     samples: NetworkSample) -> np.ndarray:
-    """Stochastic gradient of every agent's risk at its row of w, (N, M_max).
+def network_gradient(model: StreamModel, w: np.ndarray, regressors: np.ndarray,
+                     responses: np.ndarray) -> np.ndarray:
+    """Stochastic gradient of every agent's risk at its row of w.
+
+    w and regressors are (..., N, M_max), responses (..., N): one network
+    sample (a NetworkSample's arrays), or one per run along leading axes.
 
     mse:      -u_k (d_k - u_k^T w_k)
     logistic: reg * w_k - gamma_k h_k sigmoid(-gamma_k h_k^T w_k)
 
     Zero pad entries in w and the regressors give zero gradient entries.
     """
-    regs = samples.regressors
-    resp = samples.responses
+    inner = np.einsum("...km,...km->...k", regressors, w)
     if model.kind == "mse":
-        err = resp - np.einsum("km,km->k", regs, w)
-        return -regs * err[:, None]
-    t = resp * np.einsum("km,km->k", regs, w)
-    sig = 0.5 * (1.0 + np.tanh(-0.5 * t))
-    return model.reg * w - (resp * sig)[:, None] * regs
+        return -regressors * (responses - inner)[..., None]
+    sig = 0.5 * (1.0 + np.tanh(-0.5 * (responses * inner)))
+    return model.reg * w - (responses * sig)[..., None] * regressors

@@ -4,7 +4,7 @@ One test per criterion; each prints a single PASS/FAIL line (run with -s
 to see them) and asserts the same condition. Monte Carlo tolerances are
 the ones the library documents: 10% for the long noncooperative baseline,
 15% for coupled steady states, exact or near-exact for the deterministic
-identities. The whole module takes about two minutes single-threaded.
+identities. The whole module takes about a minute single-threaded.
 """
 
 import json
@@ -337,7 +337,7 @@ def _network_fd_gaps(model, samples, w, sizes):
     """Relative gap between network_gradient and central finite differences
     of each agent's loss on its own entries, plus the largest |gradient| at
     a pad entry."""
-    grad = network_gradient(model, w, samples)
+    grad = network_gradient(model, w, samples.regressors, samples.responses)
     gaps = []
     for k, m in enumerate(sizes):
         u, d = samples.regressors[k, :m], samples.responses[k]
@@ -382,7 +382,8 @@ def test_09_gradients_match_finite_differences():
         res = resolve(parse_config(doc))
         model, sizes = res.model, res.strategy.block_sizes
         for _ in range(10):
-            samples = draw_horizon(model, [rng] * model.n_agents, 1).at(0)
+            samples = draw_horizon(
+                model, [[rng] * model.n_agents], 1).run(0).at(0)
             w = pad_blocks([rng.standard_normal(m) for m in sizes])
             point_gaps, point_pad = _network_fd_gaps(model, samples, w, sizes)
             gaps += point_gaps

@@ -200,6 +200,13 @@ def test_hash_ignores_execution_knobs(tmp_path):
     assert a.canonical_json() != b.canonical_json()
 
 
+def test_parsed_configs_hash_by_canonical_form():
+    # equal configs hash alike, so a parsed config can key a dict or a set
+    a, b = parse_config(doc()), parse_config(doc())
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, parse_config(doc(seed=8))}) == 2
+
+
 def test_with_overrides():
     cfg = parse_config(doc())
     bumped = cfg.with_overrides(mu=0.05, eta=2.0, seed=99, runs=7)

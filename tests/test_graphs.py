@@ -33,8 +33,12 @@ from adaptnets.graphs import (
     Subspace,
 )
 from adaptnets.harness import run_experiment
-from adaptnets.strategies import EdgeRegularizer, cluster_metropolis
-from adaptnets.streaming import StreamModel, TaskField, draw_horizon, mse_sample
+from adaptnets.strategies import (
+    EdgeRegularizer,
+    StrategyConfig,
+    cluster_metropolis,
+)
+from adaptnets.streaming import StreamModel, TaskField, draw_horizon
 from adaptnets.theory import (
     TheoryInputs,
     bias_smoothness,
@@ -352,7 +356,7 @@ def test_cluster_subspace_blocks():
 def test_partition_slices_and_assignment():
     part = ClusterPartition((3, 2, 4))
     assert part.slices == ((0, 3), (3, 5), (5, 9))
-    assert part.cluster_of(4) == 1
+    assert part.assignment[4] == 1
     assert part.n_agents == 9
 
 
@@ -585,7 +589,8 @@ def _stream_model():
 
 def _sample_block():
     return draw_horizon(_stream_model(),
-                        [np.random.default_rng(k) for k in range(4)], 3)
+                        [[np.random.default_rng(k) for k in range(4)]],
+                        3).run(0)
 
 
 @pytest.mark.parametrize("make", [
@@ -595,6 +600,7 @@ def _sample_block():
     lambda: consensus_subspace(4, 2),
     lambda: SpectralKernel.polynomial([0.0, 1.0]),
     lambda: EdgeRegularizer(ring_graph(4).adjacency),
+    lambda: StrategyConfig(kind="diffusion", mu=0.1),
     lambda: check_feasibility(metropolis_weights(ring_graph(4)),
                               consensus_subspace(4, 1), ring_graph(4)),
     _theory_inputs,
@@ -604,7 +610,6 @@ def _sample_block():
     lambda: filter_bound(_theory_inputs()),
     lambda: TaskField([np.ones(2)] * 4),
     _stream_model,
-    lambda: mse_sample(_stream_model(), 0, np.random.default_rng(0)),
     lambda: _sample_block().at(0),
     _sample_block,
     lambda: run_experiment({
@@ -614,10 +619,11 @@ def _sample_block():
                   "truth": {"kind": "constant"}},
         "strategy": {"kind": "noncooperative", "mu": 0.01}}),
 ], ids=["Graph", "Spectrum", "CombinationMatrix", "Subspace",
-        "SpectralKernel", "EdgeRegularizer", "FeasibilityReport",
+        "SpectralKernel", "EdgeRegularizer", "StrategyConfig",
+        "FeasibilityReport",
         "TheoryInputs", "NoncoopPrediction", "VariancePrediction",
         "BiasPrediction", "FilterBoundReport", "TaskField", "StreamModel",
-        "Sample", "NetworkSample", "SampleBlock", "ExperimentResult"])
+        "NetworkSample", "SampleBlock", "ExperimentResult"])
 def test_value_classes_compare_and_hash_by_identity(make):
     # element-wise equality of their arrays has no single truth value
     a, b = make(), make()

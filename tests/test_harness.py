@@ -1,15 +1,23 @@
 """Monte Carlo harness: windows, aggregation, determinism, persistence."""
 
+import concurrent.futures
+import dataclasses
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from adaptnets import harness
+from adaptnets import harness, strategies, streaming
 from adaptnets.config import ConfigError, data_stream, parse_config, resolve
-from adaptnets.graphs import random_geometric_graph, ring_graph
+from adaptnets.graphs import (
+    CombinationMatrix,
+    metropolis_weights,
+    random_geometric_graph,
+    ring_graph,
+)
 from adaptnets.harness import (
     DIVERGENCE_FACTOR,
     DivergenceError,
@@ -20,7 +28,8 @@ from adaptnets.harness import (
     save_sweep,
     steady_state,
 )
-from adaptnets.streaming import _draw_agent_block, sigmoid
+from adaptnets.strategies import StrategyConfig, build_strategy
+from adaptnets.streaming import _draw_agent_block, draw_horizon, sigmoid
 
 MC_RTOL = 0.3
 
@@ -124,8 +133,8 @@ def test_infeasible_config_fails_before_any_run(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr(harness, "_simulate_run", no_run)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+    monkeypatch.setattr(harness, "_simulate_runs", no_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
     cfg = base_config(runs=2, strategy={
         "kind": "subspace_projection", "mu": 0.01,
         "weights": np.eye(10).tolist()})
@@ -196,18 +205,30 @@ def test_overlapping_divergence_names_worst_agents():
         strategy={"kind": "overlapping", "mu": 2.0,
                   "interests": [[k, (k + 1) % 10] if k % 2 else [k]
                                 for k in range(10)]})
-    with pytest.raises(DivergenceError) as info:
-        run_experiment(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(cfg)
     err = info.value
     assert err.value > err.threshold
     _assert_names_worst_agents(err, 10)
+    assert _divergence_alone(cfg, err)
+
+
+def _divergence_alone(cfg, err):
+    """Whether the per-run loop, which silences no floating-point warning,
+    meets no warning on its way to the same divergence as err."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref, _ = _oracle_divergence(resolve(parse_config(cfg)))
+    return _same_divergence(err, ref)
 
 
 def test_prox_divergence_is_pinned():
     # far past stability the error crosses the threshold at iteration 30,
     # as it did when the prox minimized over every interval candidate (the
     # oracle in test_strategies.py); the finite states on the way raise no
-    # floating-point warnings
+    # floating-point warnings, in the engine or stepped alone
     cfg = base_config(
         seed=3, iters=50, runs=1, graph={"kind": "ring", "n": 8},
         model={"kind": "mse", "m": 2, "noise_var": 0.1,
@@ -219,6 +240,23 @@ def test_prox_divergence_is_pinned():
             run_experiment(cfg)
     assert info.value.iteration == 30
     assert info.value.value == 2256932.850029656
+    assert _divergence_alone(cfg, info.value)
+
+
+def test_logistic_divergence_raises_no_warnings():
+    # a ridge step past stability (mu * reg = 2.5) grows every run's error
+    # geometrically until the first crosses, in the engine and alone
+    cfg = base_config(
+        iters=300, runs=3, graph={"kind": "ring", "n": 8},
+        model={"kind": "logistic", "m": 2, "reg": 0.5,
+               "truth": {"kind": "piecewise", "sizes": [4, 4]}},
+        strategy={"kind": "diffusion", "mu": 5.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(cfg)
+    _assert_names_worst_agents(info.value, 8)
+    assert _divergence_alone(cfg, info.value)
 
 
 def test_noiseless_convergence():
@@ -538,18 +576,18 @@ def test_padded_overlapping_matches_tuple_of_blocks_oracle():
         graphs_seen.add(seed % 2)
         widest = max(widest, max(map(len, strategy.interest.by_variable)))
 
-        got = harness._simulate_run(cfg.canonical_json(), None, 0)
+        got = harness._simulate_runs(cfg.canonical_json(), None, 0, 1)
         ref = _tuple_of_blocks_run(res, 0)
         assert got["msd_wstar"] is None
         for key in ("msd_wo", "per_agent"):
-            np.testing.assert_allclose(got[key], ref[key], rtol=RAGGED_RTOL,
+            np.testing.assert_allclose(got[key][0], ref[key], rtol=RAGGED_RTOL,
                                        atol=0.0, err_msg=f"seed {seed} {key}")
 
         # pad entries stay exactly 0 after every step
         pad = np.arange(model.truth.padded.shape[1]) >= \
             np.array(strategy.block_sizes)[:, None]
         streams = [data_stream(cfg.seed, 0, k) for k in range(res.graph.n_agents)]
-        block = harness.draw_horizon(model, streams, cfg.iters)
+        block = draw_horizon(model, [streams], cfg.iters).run(0)
         assert np.all(block.regressors[:, pad] == 0.0)
         state = strategy.init_state()
         for i in range(cfg.iters):
@@ -559,3 +597,342 @@ def test_padded_overlapping_matches_tuple_of_blocks_oracle():
     assert kinds_seen == {"mse", "logistic"}
     assert graphs_seen == {0, 1}
     assert widest > 3
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against the per-run loop
+# ---------------------------------------------------------------------------
+
+def _per_run_oracle(res, run):
+    """One Monte Carlo run stepped alone, with a NetworkSample and a
+    StrategyState per step and its errors computed after every step: the
+    harness's run loop before runs were stepped in chunks, kept as the
+    oracle of the batched engine."""
+    cfg = res.config
+    strategy, model = res.strategy, res.model
+    n = res.graph.n_agents
+    horizon, every = cfg.iters, cfg.record_every
+
+    streams = [data_stream(cfg.seed, run, k) for k in range(n)]
+    block = draw_horizon(model, [streams], horizon).run(0)
+
+    # the state starts at 0; pad entries are 0 on both sides and add nothing
+    truth, wstar_ref = model.truth.padded, res.w_star
+    state = strategy.init_state()
+    start_err = np.einsum("km,km->k", truth, truth)
+    threshold = DIVERGENCE_FACTOR * max(float(start_err.mean()), 1.0)
+
+    n_rec = horizon // every
+    traj_wo = np.empty(n_rec)
+    traj_ws = np.empty(n_rec) if wstar_ref is not None else None
+    window_start = horizon - math.ceil(cfg.steady_window * horizon)
+    agent_acc = np.zeros(n)
+    agent_count = 0
+
+    rec = 0
+    for i in range(horizon):
+        state = strategy.step(state, model, block.at(i))
+        in_window = i >= window_start
+        record = (i + 1) % every == 0
+        if not (in_window or record):
+            continue
+        diff = state.w - truth
+        sq = np.einsum("km,km->k", diff, diff)
+        if in_window:
+            agent_acc += sq
+            agent_count += 1
+        if record:
+            msd = float(sq.mean())
+            traj_wo[rec] = msd
+            if traj_ws is not None:
+                d2 = state.w - wstar_ref
+                traj_ws[rec] = float(np.einsum("km,km->", d2, d2) / n)
+            rec += 1
+            if not np.isfinite(msd) or msd > threshold:
+                raise DivergenceError(i + 1, msd, threshold,
+                                      strategy.mu, strategy.eta, sq, run)
+    return {
+        "msd_wo": traj_wo,
+        "msd_wstar": traj_ws,
+        "per_agent": agent_acc / max(agent_count, 1),
+    }
+
+
+ENGINE_STRATEGIES = {
+    "noncooperative": {"kind": "noncooperative", "mu": 0.05},
+    "diffusion": {"kind": "diffusion", "mu": 0.05},
+    "laplacian_reg": {"kind": "laplacian_reg", "mu": 0.05, "eta": 0.5},
+    "spectral_reg": {"kind": "spectral_reg", "mu": 0.05, "eta": 0.2,
+                     "kernel": {"kind": "polynomial",
+                                "coefficients": [0.0, 1.0, 0.3]}},
+    "prox_l1": {"kind": "prox_l1", "mu": 0.05, "eta": 1.0, "rho": 0.1},
+    "subspace_projection": {"kind": "subspace_projection", "mu": 0.05,
+                            "subspace": {"clusters": [6, 6]}},
+    "clustered_l1": {"kind": "clustered", "mu": 0.05, "eta": 1.0,
+                     "clusters": [6, 6], "rho": 0.1},
+    "clustered_quadratic": {"kind": "clustered", "mu": 0.05, "eta": 0.5,
+                            "clusters": [6, 6], "penalty": "quadratic"},
+    "clustered_eta0": {"kind": "clustered", "mu": 0.05, "clusters": [6, 6]},
+}
+ENGINE_MODELS = {
+    # every step recorded, and one record every 3 steps
+    "mse": ({"kind": "mse", "m": 2, "noise_var": 0.1}, 1),
+    "logistic": ({"kind": "logistic", "m": 2, "reg": 0.05}, 3),
+}
+ENGINE_GRAPHS = {
+    "ring": {"kind": "ring", "n": 12},
+    "geometric": {"kind": "geometric", "n": 12, "radius": 0.6},
+}
+ENGINE_RUNS = 3
+
+
+def _engine_case(strategy, model, graph):
+    spec, every = ENGINE_MODELS[model]
+    # 150 steps: two full record blocks and a part, the window across one;
+    # seed 6 lays the geometric graph out with both clusters connected
+    return parse_config({
+        "schema": 1, "seed": 6, "iters": 150, "runs": ENGINE_RUNS,
+        "record_every": every, "steady_window": 0.3,
+        "graph": ENGINE_GRAPHS[graph],
+        "model": {**spec, "truth": {"kind": "piecewise", "sizes": [6, 6],
+                                    "scale": 0.5}},
+        "strategy": ENGINE_STRATEGIES[strategy]})
+
+
+def _chunk_budget(cfg, runs_per_chunk):
+    """CHUNK_BYTES that cuts cfg's runs into chunks of runs_per_chunk."""
+    n, m = cfg.graph["n"], cfg.model["m"]
+    return runs_per_chunk * cfg.iters * n * (m + 1) * 8
+
+
+def _chunked(res, chunks):
+    """The engine's output for runs stepped in the given chunks."""
+    parts = [harness._simulate_chunk(res, runs) for runs in chunks]
+    return {key: None if parts[0][key] is None
+            else np.concatenate([part[key] for part in parts])
+            for key in parts[0]}
+
+
+def _assert_runs_equal(got, refs, compare=np.array_equal):
+    for key in ("msd_wo", "msd_wstar", "per_agent"):
+        if refs[0][key] is None:
+            assert got[key] is None
+            continue
+        assert got[key].shape == (len(refs),) + refs[0][key].shape
+        for r, ref in enumerate(refs):
+            assert compare(got[key][r], ref[key]), (key, r)
+
+
+@pytest.mark.parametrize("graph", sorted(ENGINE_GRAPHS))
+@pytest.mark.parametrize("model", sorted(ENGINE_MODELS))
+@pytest.mark.parametrize("strategy", sorted(ENGINE_STRATEGIES))
+def test_engine_matches_per_run_oracle(strategy, model, graph, monkeypatch):
+    cfg = _engine_case(strategy, model, graph)
+    res = resolve(cfg)
+    refs = [_per_run_oracle(res, r) for r in range(ENGINE_RUNS)]
+    chunks = []
+    chunk = harness._simulate_chunk
+    monkeypatch.setattr(harness, "_simulate_chunk", lambda res, runs: (
+        chunks.append(len(runs)) or chunk(res, runs)))
+    for per_chunk in (None, 1, 2):
+        if per_chunk is not None:
+            monkeypatch.setattr(harness, "CHUNK_BYTES",
+                                _chunk_budget(cfg, per_chunk))
+        got = harness._simulate_runs(cfg.canonical_json(), None, 0,
+                                     ENGINE_RUNS)
+        _assert_runs_equal(got, refs)
+    assert chunks == [3, 1, 1, 1, 2, 1]
+
+
+def test_engine_matches_oracle_with_block_weights():
+    # a block combination matrix (not kron(A, I_M) by declaration), mixed
+    # as one matmul per run
+    cfg = _engine_case("subspace_projection", "mse", "ring")
+    res = resolve(cfg)
+    weights = CombinationMatrix(
+        np.kron(metropolis_weights(res.graph).matrix, np.eye(2)),
+        block_sizes=(2,) * 12)
+    strategy = build_strategy(
+        StrategyConfig(kind="subspace_projection", mu=0.05,
+                       payload={"weights": weights}), res.graph, res.model)
+    assert not strategy.combination.is_scalar
+    res = dataclasses.replace(res, strategy=strategy)
+    refs = [_per_run_oracle(res, r) for r in range(ENGINE_RUNS)]
+    for chunks in ([range(3)], [range(1), range(1, 3)],
+                   [range(r, r + 1) for r in range(3)]):
+        _assert_runs_equal(_chunked(res, chunks), refs)
+
+
+def test_engine_overlapping_within_tolerance_and_pads_stay_zero(monkeypatch):
+    cfg = parse_config({**_ragged_case(1).canonical(), "runs": ENGINE_RUNS})
+    res = resolve(cfg)
+    refs = [_per_run_oracle(res, r) for r in range(ENGINE_RUNS)]
+    pad = np.arange(res.model.truth.padded.shape[1]) >= \
+        np.array(res.strategy.block_sizes)[:, None]
+    assert pad.any()
+    social = res.strategy.social
+    outputs = []
+
+    def recorded(psi):
+        out = social(psi)
+        outputs.append(out[..., pad])
+        return out
+
+    checked = dataclasses.replace(
+        res, strategy=dataclasses.replace(res.strategy, social=recorded))
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=RAGGED_RTOL, atol=0.0)
+
+    for chunks in ([range(3)], [range(2), range(2, 3)]):
+        _assert_runs_equal(_chunked(checked, chunks), refs, compare=close)
+    assert len(outputs) == 3 * cfg.iters
+    assert all(np.all(out == 0.0) for out in outputs)
+
+
+def _oracle_divergence(res):
+    """The error the per-run loop raises, and each run's first crossing."""
+    crossings, first = [], None
+    for r in range(res.config.runs):
+        try:
+            _per_run_oracle(res, r)
+            crossings.append(None)
+        except DivergenceError as exc:
+            crossings.append(exc.iteration)
+            first = first or exc
+    return first, crossings
+
+
+def _same_divergence(got, ref):
+    return (got.run, got.iteration, got.value, got.threshold, str(got)) == (
+        ref.run, ref.iteration, ref.value, ref.threshold, str(ref)) and \
+        np.array_equal(got.agent_errors, ref.agent_errors)
+
+
+@pytest.mark.parametrize("mu, seed, crossings", [
+    # run 0 never crosses, run 1 crosses a record block after run 3
+    (0.8, 6, [None, 109, 135, 55, 82, 303]),
+    # run 0 crosses last, record blocks after runs 1, 2 and 4
+    (0.75, 0, [391, 233, 188, None, 245, None]),
+])
+def test_engine_divergence_matches_oracle(mu, seed, crossings, monkeypatch):
+    # the error to raise is the lowest diverging run's, as the per-run loop
+    # met it first, though runs after it cross earlier
+    cfg = parse_config(base_config(seed=seed, iters=400, runs=6, strategy={
+        "kind": "noncooperative", "mu": mu}))
+    ref, found = _oracle_divergence(resolve(cfg))
+    assert found == crossings
+    run = ref.run
+    settings = [(None, 1), (None, 2), (1, 1), (2, 1), (4, 1)]
+    for per_chunk, parallel in settings:
+        if per_chunk is not None:
+            monkeypatch.setattr(harness, "CHUNK_BYTES",
+                                _chunk_budget(cfg, per_chunk))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run_experiment(cfg, parallel=parallel)
+        assert _same_divergence(info.value, ref), (per_chunk, parallel)
+        assert f"run {run} " in str(info.value)
+        assert _same_divergence(pickle.loads(pickle.dumps(info.value)), ref)
+
+
+def test_runs_stepped_past_divergence_raise_no_warnings():
+    # run 1 is pushed to overflow from the first step on; the chunk steps it
+    # to the horizon, as run 0 might still diverge, and its overflows and
+    # nans stay silent
+    res = resolve(parse_config(base_config(iters=100, runs=2)))
+    social = res.strategy.social
+
+    def exploding(psi):
+        out = social(psi)
+        out[1] *= 1e300
+        return out
+
+    res = dataclasses.replace(
+        res, strategy=dataclasses.replace(res.strategy, social=exploding))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            harness._simulate_chunk(res, range(2))
+    assert (info.value.run, info.value.iteration) == (1, 1)
+
+
+def _with_overflow(res, explode=None):
+    """res with a social step that overflows once in a scratch product at
+    every step, leaving the state as it is, and with run `explode` pushed
+    to overflow a few steps after it crosses."""
+    social = res.strategy.social
+    overflowed = []
+
+    def noisy(psi):
+        np.multiply(np.full(1, 1e300), 1e300)
+        out = social(psi)
+        if explode is not None:
+            # 0.5, 5, 50, 2500, ...: squared once past 10
+            out[explode] *= max(10.0, float(np.abs(out[explode]).max()))
+            overflowed.append(not np.all(np.isfinite(out[explode])))
+        return out
+
+    return dataclasses.replace(
+        res, strategy=dataclasses.replace(res.strategy, social=noisy)), \
+        overflowed
+
+
+def test_engine_shows_the_warnings_of_healthy_steps():
+    # 100 steps in two record blocks, each step warning once, as when the
+    # runs are stepped alone; the numbers are untouched
+    res = resolve(parse_config(base_config(iters=100, runs=2)))
+    noisy, _ = _with_overflow(res)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = harness._simulate_chunk(noisy, range(2))
+    assert [str(w.message) for w in caught] == \
+        ["overflow encountered in multiply"] * 100
+    _assert_runs_equal(got, [_per_run_oracle(res, r) for r in range(2)])
+    # np.seterr's setting holds too
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        harness._simulate_chunk(noisy, range(2))
+
+
+def test_engine_shows_warnings_up_to_the_first_crossing():
+    # run 1 crosses a few steps in and overflows some steps later, inside
+    # the same record block; the warnings of the steps up to the crossing
+    # show (one per step), the later ones, run 1's own overflow among
+    # them, stay silent
+    res = resolve(parse_config(base_config(iters=100, runs=2)))
+    noisy, overflowed = _with_overflow(res, explode=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as info:
+            harness._simulate_chunk(noisy, range(2))
+    crossing = info.value.iteration
+    assert info.value.run == 1
+    assert any(overflowed) and not any(overflowed[:crossing])
+    assert crossing < overflowed.index(True) + 1 <= 64
+    assert [str(w.message) for w in caught] == \
+        ["overflow encountered in multiply"] * crossing
+
+
+GUARD_STRATEGIES = {**ENGINE_STRATEGIES, "overlapping": {
+    "kind": "overlapping", "mu": 0.05,
+    "interests": [[k, (k + 1) % 12] for k in range(12)]}}
+
+
+def test_engine_makes_no_per_step_objects(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-step object was made")
+
+    monkeypatch.setattr(streaming.SampleBlock, "at", forbidden)
+    monkeypatch.setattr(strategies.Strategy, "step", forbidden)
+    monkeypatch.setattr(strategies, "StrategyState", forbidden)
+    for name, spec in GUARD_STRATEGIES.items():
+        model = {"kind": "mse", "noise_var": 0.1, "m": 2,
+                 "truth": {"kind": "piecewise", "sizes": [6, 6]}}
+        if name == "overlapping":
+            model = {"kind": "mse", "noise_var": 0.1,
+                     "truth": {"kind": "global_random", "n_variables": 12}}
+        res = run_experiment(base_config(
+            iters=70, runs=2, graph={"kind": "ring", "n": 12}, model=model,
+            strategy=spec))
+        assert np.all(np.isfinite(res.msd_wo)), name

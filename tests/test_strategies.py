@@ -63,7 +63,7 @@ def mse_model(n, m, seed=0, noise=0.1):
 
 def one_sample(model, seed=1):
     streams = [np.random.default_rng((seed, k)) for k in range(model.n_agents)]
-    return draw_horizon(model, streams, 1).at(0)
+    return draw_horizon(model, [streams], 1).run(0).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_self_learn_matches_gradient_loop_mse():
     model = mse_model(6, 3)
     samples = one_sample(model)
     w = np.random.default_rng(2).standard_normal((6, 3))
-    fast = self_learn(w, model, samples, 0.05)
+    fast = self_learn(w, model, samples.regressors, samples.responses, 0.05)
     slow = np.vstack(gradient_loop(w, model, samples, 0.05, [3] * 6))
     assert np.max(np.abs(fast - slow)) < 1e-14
 
@@ -131,7 +131,7 @@ def test_self_learn_matches_gradient_loop_logistic():
     model = StreamModel(kind="logistic", truth=truth, reg=0.2)
     samples = one_sample(model, seed=4)
     w = np.random.default_rng(5).standard_normal((5, 2))
-    fast = self_learn(w, model, samples, 0.1)
+    fast = self_learn(w, model, samples.regressors, samples.responses, 0.1)
     slow = np.vstack(gradient_loop(w, model, samples, 0.1, [2] * 5))
     assert np.max(np.abs(fast - slow)) < 1e-14
 
@@ -146,7 +146,8 @@ def test_self_learn_blockwise_path():
         samples = one_sample(model)
         assert samples.regressors.shape == (4, 4)
         w = pad_blocks([rng.standard_normal(m) for m in sizes])
-        fast = self_learn(w, model, samples, 0.05)
+        fast = self_learn(w, model, samples.regressors, samples.responses,
+                          0.05)
         slow = gradient_loop(w, model, samples, 0.05, sizes)
         for k, m in enumerate(sizes):
             assert np.max(np.abs(fast[k, :m] - slow[k])) < 1e-14
@@ -158,7 +159,7 @@ def test_self_learn_does_not_mutate_input():
     samples = one_sample(model)
     w = np.ones((3, 2))
     before = w.copy()
-    self_learn(w, model, samples, 0.1)
+    self_learn(w, model, samples.regressors, samples.responses, 0.1)
     assert np.array_equal(w, before)
 
 
@@ -1002,3 +1003,63 @@ def test_init_state_pads_ragged_blocks():
     assert np.array_equal(state.w, [[1.0, 0.0], [2.0, 3.0], [4.0, 0.0]])
     with pytest.raises(ValueError, match="sizes"):
         strat.init_state(np.ones((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Social steps over a run axis
+# ---------------------------------------------------------------------------
+
+def _social_steps_by_kind():
+    """One built strategy per social step, block weights and a ragged
+    overlap included, all on ring_graph(10)."""
+    g = ring_graph(10)
+    model = mse_model(10, 3)
+    block = CombinationMatrix(np.kron(metropolis_weights(g).matrix, np.eye(3)),
+                              block_sizes=(3,) * 10)
+    configs = {
+        "noncooperative": StrategyConfig(kind="noncooperative", mu=0.05),
+        "diffusion": StrategyConfig(kind="diffusion", mu=0.05),
+        "laplacian_reg": StrategyConfig(kind="laplacian_reg", mu=0.05,
+                                        eta=0.5),
+        "spectral_reg": StrategyConfig(kind="spectral_reg", mu=0.05, eta=0.2,
+                                       payload={"kernel": [0.0, 1.0, 0.3]}),
+        "prox_l1": StrategyConfig(kind="prox_l1", mu=0.05, eta=1.0,
+                                  payload={"rho": 0.1}),
+        "subspace_scalar": StrategyConfig(
+            kind="subspace_projection", mu=0.05,
+            payload={"subspace": {"clusters": [5, 5]}}),
+        "subspace_block": StrategyConfig(kind="subspace_projection", mu=0.05,
+                                         payload={"weights": block}),
+        "clustered_l1": StrategyConfig(
+            kind="clustered", mu=0.05, eta=1.0,
+            payload={"clusters": (5, 5), "rho": 0.1}),
+        "clustered_quadratic": StrategyConfig(
+            kind="clustered", mu=0.05, eta=0.5,
+            payload={"clusters": (5, 5), "penalty": "quadratic"}),
+    }
+    built = {name: build_strategy(cfg, g, model)
+             for name, cfg in configs.items()}
+    assert not built["subspace_block"].combination.is_scalar
+    interests = [[k, (k + 1) % 10] if k % 2 else [k] for k in range(10)]
+    ragged = StreamModel(kind="mse", noise_var=0.1, truth=TaskField(
+        tuple(np.ones(len(row)) for row in interests)))
+    built["overlapping"] = build_strategy(
+        StrategyConfig(kind="overlapping", mu=0.05,
+                       payload={"interests": interests}), g, ragged)
+    return built
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3, 7, 25])
+def test_social_steps_take_a_run_axis_bit_for_bit(runs):
+    rng = np.random.default_rng(runs)
+    for name, strategy in _social_steps_by_kind().items():
+        sizes = np.array(strategy.block_sizes)
+        pad = np.arange(sizes.max()) >= sizes[:, None]
+        psi = rng.standard_normal((runs, len(sizes), sizes.max()))
+        # values on a coarse grid tie, the prox's hardest case
+        for state in (psi, np.round(psi, 1)):
+            state[:, pad] = 0.0
+            got = strategy.social(state)
+            ref = np.stack([strategy.social(state[r]) for r in range(runs)])
+            assert np.array_equal(got, ref), name
+            assert np.all(got[:, pad] == 0.0), name

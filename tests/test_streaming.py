@@ -6,13 +6,10 @@ from scipy.special import expit
 
 from adaptnets.graphs import build_laplacian, graph_fourier, ring_graph, smoothness
 from adaptnets.streaming import (
-    NetworkSample,
     StreamModel,
     TaskField,
     draw_horizon,
     load_tasks,
-    logistic_sample,
-    mse_sample,
     network_gradient,
     pad_blocks,
     save_tasks,
@@ -186,7 +183,14 @@ def test_noise_broadcast_and_identity_cov():
     model = mse_model(truth, noise=0.2)
     assert np.allclose(model.noise_var, 0.2)
     assert model.noise_var.shape == (4,)
-    assert np.array_equal(model.regressor_cov(1), np.eye(2))
+    # without a shared r_u each agent's regressors are its stream's
+    # standard normals, identity covariance
+    assert model.r_u is None
+    streams = [np.random.default_rng(k) for k in range(4)]
+    block = draw_horizon(model, [streams], 1).run(0)
+    for k in range(4):
+        z = np.random.default_rng(k).standard_normal((1, 2))
+        assert np.array_equal(block.regressors[0, k], z[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +201,10 @@ def test_noiseless_responses_exact():
     truth = TaskField.from_matrix(np.array([[1.0, -2.0], [0.5, 3.0]]))
     model = mse_model(truth, noise=0.0)
     rng = np.random.default_rng(7)
+    sample = draw_horizon(model, [[rng, rng]], 1).run(0).at(0)
     for k in range(2):
-        s = mse_sample(model, k, rng)
-        assert s.response == pytest.approx(float(s.regressor @ truth.blocks[k]),
-                                           abs=0)
-
-
-def test_sample_kind_guards():
-    truth = TaskField.from_matrix(np.ones((2, 2)))
-    model = mse_model(truth)
-    logit = StreamModel(kind="logistic", truth=truth)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        logistic_sample(model, 0, rng)
-    with pytest.raises(ValueError):
-        mse_sample(logit, 0, rng)
+        assert sample.responses[k] == float(
+            sample.regressors[k] @ truth.blocks[k])
 
 
 def test_block_draw_contract():
@@ -220,7 +213,7 @@ def test_block_draw_contract():
     r_u = np.array([[2.0, 0.3], [0.3, 1.0]])
     model = mse_model(truth, noise=0.25, r_u=r_u)
     t = 17
-    block = draw_horizon(model, [np.random.default_rng(99)], t)
+    block = draw_horizon(model, [[np.random.default_rng(99)]], t).run(0)
     rng = np.random.default_rng(99)
     z = rng.standard_normal((t, 2))
     regs = z @ np.linalg.cholesky(r_u).T
@@ -234,7 +227,7 @@ def test_horizon_indexing():
     truth = TaskField.from_matrix(np.ones((3, 2)))
     model = mse_model(truth)
     streams = [np.random.default_rng(s) for s in range(3)]
-    block = draw_horizon(model, streams, 5)
+    block = draw_horizon(model, [streams], 5).run(0)
     assert block.horizon == 5
     net = block.at(2)
     assert net.regressors.shape == (3, 2)
@@ -246,14 +239,39 @@ def test_horizon_requires_one_stream_per_agent():
     truth = TaskField.from_matrix(np.ones((3, 2)))
     model = mse_model(truth)
     with pytest.raises(ValueError):
-        draw_horizon(model, [np.random.default_rng(0)], 4)
+        draw_horizon(model, [[np.random.default_rng(0)]], 4)
+    with pytest.raises(ValueError):
+        draw_horizon(model, [[np.random.default_rng(k) for k in range(3)],
+                             [np.random.default_rng(0)]], 4)
+
+
+def test_run_axis_block_is_single_run_blocks_side_by_side():
+    correlated = mse_model(TaskField.from_matrix(np.ones((3, 2))),
+                           r_u=np.array([[2.0, 0.3], [0.3, 1.0]]))
+    ragged = StreamModel(kind="logistic", reg=0.1,
+                         truth=TaskField((np.ones(2), np.ones(3), np.ones(1))))
+    for model in (correlated, ragged):
+        def streams():
+            return [[np.random.default_rng((r, k)) for k in range(3)]
+                    for r in range(4)]
+
+        block = draw_horizon(model, streams(), 7)
+        assert block.regressors.shape == (7, 4, 3, model.truth.padded.shape[1])
+        assert block.responses.shape == (7, 4, 3)
+        for r, row in enumerate(streams()):
+            one = draw_horizon(model, [row], 7)
+            assert np.array_equal(block.run(r).regressors, one.regressors[:, 0])
+            assert np.array_equal(block.regressors[:, r], one.regressors[:, 0])
+            assert np.array_equal(block.responses[:, r], one.responses[:, 0])
+        with pytest.raises(ValueError):
+            draw_horizon(model, [row[:2] for row in streams()], 7)
 
 
 def test_unequal_blocks_draw():
     truth = TaskField((np.ones(2), np.ones(4)))
     model = mse_model(truth, noise=0.1)
     streams = [np.random.default_rng(s) for s in range(2)]
-    block = draw_horizon(model, streams, 6)
+    block = draw_horizon(model, [streams], 6).run(0)
     assert block.regressors.shape == (6, 2, 4)
     assert np.all(block.regressors[:, 0, 2:] == 0.0)
     assert block.at(3).regressors.shape == (2, 4)
@@ -270,7 +288,7 @@ def test_regressor_covariance_moment():
     truth = TaskField.from_matrix(np.zeros((1, 2)))
     r_u = np.array([[1.5, -0.4], [-0.4, 0.8]])
     model = mse_model(truth, noise=0.0, r_u=r_u)
-    block = draw_horizon(model, [np.random.default_rng(11)], 200_000)
+    block = draw_horizon(model, [[np.random.default_rng(11)]], 200_000).run(0)
     regs = block.regressors[:, 0, :]
     emp = regs.T @ regs / regs.shape[0]
     # second-moment scatter of Gaussian products is ~ sqrt(2)/sqrt(T)
@@ -281,7 +299,7 @@ def test_regressor_covariance_moment():
 def test_logistic_labels_and_rates():
     truth = TaskField.from_matrix(np.array([[3.0, 0.0]]))
     model = StreamModel(kind="logistic", truth=truth)
-    block = draw_horizon(model, [np.random.default_rng(12)], 100_000)
+    block = draw_horizon(model, [[np.random.default_rng(12)]], 100_000).run(0)
     labels = block.responses[:, 0]
     assert set(np.unique(labels)) <= {-1.0, 1.0}
     # empirical P(gamma = 1 | h) should track sigmoid(h^T w^o)
@@ -300,8 +318,7 @@ def test_mse_gradient_formula():
     model = mse_model(truth)
     u = np.array([1.0, -2.0, 0.5])
     w = np.array([0.2, 0.1, -0.3])
-    grad = network_gradient(model, w[None, :],
-                            NetworkSample(u[None, :], np.array([1.7])))
+    grad = network_gradient(model, w[None, :], u[None, :], np.array([1.7]))
     assert np.array_equal(grad[0], -u * (1.7 - u @ w))
 
 
@@ -310,8 +327,7 @@ def test_logistic_gradient_formula():
     model = StreamModel(kind="logistic", truth=truth, reg=0.3)
     h = np.array([0.4, -1.1])
     w = np.array([0.6, 0.2])
-    grad = network_gradient(model, w[None, :],
-                            NetworkSample(h[None, :], np.array([-1.0])))
+    grad = network_gradient(model, w[None, :], h[None, :], np.array([-1.0]))
     expected = 0.3 * w + h * sigmoid(h @ w)
     assert np.max(np.abs(grad[0] - expected)) < EXACT_TOL
 
@@ -323,7 +339,7 @@ def test_mse_gradient_mean():
     r_u = np.array([[1.2, 0.3], [0.3, 0.9]])
     model = mse_model(truth, noise=0.05, r_u=r_u)
     w = np.array([0.3, 0.4])
-    block = draw_horizon(model, [np.random.default_rng(21)], 150_000)
+    block = draw_horizon(model, [[np.random.default_rng(21)]], 150_000).run(0)
     regs = block.regressors[:, 0, :]
     errs = block.responses[:, 0] - regs @ w
     grads = -regs * errs[:, None]
@@ -338,7 +354,7 @@ def test_logistic_gradient_zero_mean_at_truth():
     w_o = np.array([1.0, -0.7])
     truth = TaskField.from_matrix(w_o[None, :])
     model = StreamModel(kind="logistic", truth=truth)
-    block = draw_horizon(model, [np.random.default_rng(22)], 150_000)
+    block = draw_horizon(model, [[np.random.default_rng(22)]], 150_000).run(0)
     regs = block.regressors[:, 0, :]
     labels = block.responses[:, 0]
     grads = -labels[:, None] * regs * sigmoid(-labels * (regs @ w_o))[:, None]
