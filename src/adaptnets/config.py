@@ -34,7 +34,6 @@ from .graphs import (
     build_laplacian,
     complete_graph,
     load_graph,
-    projector,
     random_geometric_graph,
     ring_graph,
     star_graph,
@@ -534,7 +533,9 @@ def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
     elif closed_form == "projection" and strategy.subspace is not None:
         sub = strategy.subspace
         flat = truth_mat.reshape(-1)
-        residual = np.linalg.norm(flat - projector(sub) @ flat)
+        # the projection residual without forming the (M_t x M_t) projector
+        coeffs = np.linalg.solve(sub.basis.T @ sub.basis, sub.basis.T @ flat)
+        residual = np.linalg.norm(flat - sub.basis @ coeffs)
         if residual <= 1e-8 * max(1.0, np.linalg.norm(flat)):
             inputs = theory_mod.TheoryInputs(**base, subspace=sub)
             theory["msd"] = theory_mod.msd_projection(inputs)

@@ -72,6 +72,10 @@ EIG_RESIDUAL_RTOL = 1e-10
 RANK_RTOL = 1e-10
 SPECTRAL_RADIUS_SLACK = 1e-8
 _SYM_ATOL = 1e-12
+# Largest matrix check_feasibility checks by powers and SVD norms: on one
+# OpenBLAS thread of a 2-vCPU x86_64 VM that loop took 19 s at 1000 rows,
+# and its cost grows with the cube of the row count.
+DENSE_CHECK_MAX_ROWS = 1000
 
 
 class EigensolverError(RuntimeError):
@@ -749,6 +753,15 @@ def check_feasibility(
     P_N x I = (A^i - P_N) x I has the same eigenvalues and spectral norm as
     A^i - P_N, and block (k, l) of A x I is a_kl I_M. Any other pair is
     checked on its (M_t x M_t) block form.
+
+    When A fixes the subspace on both sides and the checked matrix equals
+    its transpose exactly (the Metropolis rules), rho and every norm come
+    from one eigvalsh of A - P_U: A P_U = P_U A = P_U and P_U^2 = P_U give
+    (A - P_U)^i = A^i - P_U, and the 2-norm of a symmetric matrix is its
+    spectral radius, so ||A^i - P_U|| = rho^i. Any other matrix is checked
+    by eigvals, matrix powers and SVD norms, and one of more than
+    DENSE_CHECK_MAX_ROWS rows is refused with a ValueError before any
+    factorization.
     """
     sizes = subspace.block_sizes
     m = sizes[0]
@@ -768,7 +781,25 @@ def check_feasibility(
     left = bool(np.max(np.abs(basis.T @ matrix - basis.T)) <= tol * scale)
 
     gap = matrix - proj
-    rho = float(np.max(np.abs(np.linalg.eigvals(gap))))
+    if right and left and np.array_equal(matrix, matrix.T):
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
+        norms = rho ** np.arange(1.0, power + 1.0)
+    else:
+        rows = matrix.shape[0]
+        if rows > DENSE_CHECK_MAX_ROWS:
+            raise ValueError(
+                f"the feasibility check of a {rows}x{rows} combination matrix "
+                f"that is not symmetric or does not fix the subspace needs "
+                f"{power} matrix powers and SVD norms and is refused above "
+                f"{DENSE_CHECK_MAX_ROWS} rows; symmetric weights that fix "
+                f"the subspace, such as the default Metropolis rules, are "
+                f"checked from one eigendecomposition at any size")
+        rho = float(np.max(np.abs(np.linalg.eigvals(gap))))
+        norms = np.empty(power)
+        acc = np.eye(rows)
+        for i in range(power):
+            acc = acc @ matrix
+            norms[i] = np.linalg.norm(acc - proj, ord=2)
     spectral = bool(rho <= 1.0 - SPECTRAL_RADIUS_SLACK)
 
     # largest |entry| of every (k, l) block against the allowed pattern
@@ -778,11 +809,6 @@ def check_feasibility(
     allowed = (graph.adjacency != 0) | np.eye(len(starts), dtype=bool)
     sparsity = not bool(np.any(peaks[~allowed] > tol * scale))
 
-    norms = np.empty(power)
-    acc = np.eye(matrix.shape[0])
-    for i in range(power):
-        acc = acc @ matrix
-        norms[i] = np.linalg.norm(acc - proj, ord=2)
     # Endpoint decay test with an order-of-magnitude envelope; per-step norms
     # are reported for closer inspection.
     if norms[0] == 0.0:

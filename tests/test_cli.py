@@ -115,6 +115,21 @@ def test_run_unstable_coupling_exits_2(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().err
 
 
+def test_run_oversized_dense_feasibility_check_exits_2(tmp_path, capsys):
+    # global Metropolis weights do not fix a cluster subspace, so their check
+    # would need matrix powers and SVD norms at 1001 rows
+    cfg = write_config(
+        tmp_path, graph={"kind": "ring", "n": 1001},
+        model={"kind": "mse", "m": 1, "noise_var": 0.1,
+               "truth": {"kind": "piecewise", "sizes": [500, 501]}},
+        strategy={"kind": "subspace_projection", "mu": 0.01,
+                  "weights": "metropolis",
+                  "subspace": {"clusters": [500, 501]}})
+    rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "1001x1001" in capsys.readouterr().err
+
+
 def test_run_divergence_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, strategy={"kind": "noncooperative",
                                            "mu": 5.0})

@@ -1,11 +1,15 @@
 """Graph structure, spectrum, kernels, subspaces, and feasibility checks."""
 
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from adaptnets.config import parse_config, resolve
 from adaptnets.graphs import (
+    DENSE_CHECK_MAX_ROWS,
     SPECTRAL_RADIUS_SLACK,
     CombinationMatrix,
     ClusterPartition,
@@ -570,6 +574,91 @@ def test_ragged_block_weights_match_the_oracle(block_matrix_calls):
             CombinationMatrix(bad, block_sizes=sizes), subspace, g,
             block_matrix_calls)
         assert not report.sparsity
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
+       radius=st.floats(0.5, 1.5), m=st.integers(1, 3), data=st.data())
+def test_eigenvalue_path_matches_block_oracle(seed, n, radius, m, data):
+    # symmetric weights that fix the subspace: rho and every norm from one
+    # eigvalsh, against the oracle's matrix powers and SVD norms
+    g = random_geometric_graph(n, radius, np.random.default_rng(seed))
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))
+    part = ClusterPartition(tuple(np.diff([0, *sorted(cuts), n])))
+    cases = [(metropolis_weights(g), consensus_subspace(n, m))]
+    try:
+        cases.append((cluster_metropolis(g, part), cluster_subspace(part, m)))
+    except ValueError:  # a cluster is not connected
+        pass
+    for combo, subspace in cases:
+        report, _ = _assert_matches_oracle(combo, subspace, g, [])
+        assert report.right_fixed and report.left_fixed
+
+
+@pytest.fixture
+def dense_path_calls(monkeypatch):
+    """Counts the eigvals and spectral-norm calls of the dense loop path."""
+    calls = {"eigvals": 0, "norm2": 0}
+    eigvals, norm = np.linalg.eigvals, np.linalg.norm
+
+    def counted_eigvals(a):
+        calls["eigvals"] += 1
+        return eigvals(a)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        calls["norm2"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return calls
+
+
+def _directed_ring_average(n):
+    """(I + S) / 2 with S the cyclic shift: doubly stochastic, so it fixes
+    the consensus subspace on both sides, but not symmetric."""
+    return CombinationMatrix(0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1)))
+
+
+def test_clustered_resolve_takes_no_power_and_no_svd_norm(dense_path_calls):
+    cfg = parse_config({
+        "schema": 1, "seed": 0, "iters": 10, "runs": 1,
+        "graph": {"kind": "ring", "n": 12},
+        "model": {"kind": "mse", "m": 2, "noise_var": 0.1,
+                  "truth": {"kind": "piecewise", "sizes": [5, 7]}},
+        "strategy": {"kind": "subspace_projection", "mu": 0.01,
+                     "subspace": {"clusters": [5, 7]}}})
+    assert resolve(cfg).strategy.feasibility.passed
+    assert dense_path_calls == {"eigvals": 0, "norm2": 0}
+
+
+def test_non_symmetric_or_unfixed_weights_take_the_loop(dense_path_calls):
+    g = ring_graph(8)
+    part = ClusterPartition((4, 4))
+    uniform = CombinationMatrix(np.full((8, 8), 1.0 / 8))
+    report = check_feasibility(uniform, cluster_subspace(part, 2), g)
+    assert not report.right_fixed
+    assert dense_path_calls == {"eigvals": 1, "norm2": 50}
+    report = check_feasibility(_directed_ring_average(8),
+                               consensus_subspace(8, 2), g)
+    assert report.passed
+    assert dense_path_calls == {"eigvals": 2, "norm2": 100}
+
+
+def test_loop_path_refuses_large_matrices_before_factorizing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorized")
+
+    n = DENSE_CHECK_MAX_ROWS + 1
+    g = ring_graph(n)
+    subspace = consensus_subspace(n, 1)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{n}x{n}.*Metropolis"):
+        check_feasibility(_directed_ring_average(n), subspace, g)
+    assert time.perf_counter() - start < 5.0
+    # symmetric weights that fix the subspace are checked at any size
+    assert check_feasibility(metropolis_weights(g), subspace, g).passed
 
 
 # ---------------------------------------------------------------------------
