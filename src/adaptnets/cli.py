@@ -96,7 +96,7 @@ def _cmd_run(args) -> int:
     outdir = args.out or config.out
     if outdir is None:
         raise ConfigError("run needs --out or an 'out' entry in the config")
-    result = run_experiment(config, parallel=args.parallel)
+    result = run_experiment(config)
     csv_path, json_path = save_result(result, outdir)
     for warning in result.warnings:
         _info(f"warning: {warning}")
@@ -129,7 +129,7 @@ def _cmd_sweep(args) -> int:
     outdir = args.out or config.out
     if outdir is None:
         raise ConfigError("sweep needs --out or an 'out' entry in the config")
-    points = eta_sweep(config, parallel=args.parallel)
+    points = eta_sweep(config)
     csv_path, json_path = save_sweep(points, outdir)
     best = min(points, key=lambda p: p.msd_sim)
     _info(f"wrote {csv_path} and {json_path}; "

@@ -122,6 +122,70 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
+def _as_string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
+
+
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false")
+    return value
+
+
+def _as_list(value, where: str, item=None) -> list:
+    """value, which must be a list; item(entry, where) checks each entry."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list")
+    if item is not None:
+        for entry in value:
+            item(entry, f"{where} entry")
+    return value
+
+
+def _as_int_list(value, where: str) -> list:
+    return _as_list(value, where, _as_int)
+
+
+def _as_matrix(value, where: str) -> list:
+    """A list of rows, each a list of numbers (rows may differ in length)."""
+    return _as_list(value, where, lambda row, at: _as_list(row, at, _as_number))
+
+
+def _as_numbers(value, where: str):
+    """A number, or a list of numbers."""
+    if isinstance(value, list):
+        return _as_list(value, where, _as_number)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number or a list of numbers")
+    return value
+
+
+def _as_number_or_matrix(value, where: str):
+    if isinstance(value, list):
+        return _as_matrix(value, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number or a matrix")
+    return value
+
+
+def _as_name_or_matrix(value, where: str):
+    if isinstance(value, list):
+        return _as_matrix(value, where)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a rule name or a matrix")
+    return value
+
+
+def _check_types(doc: dict, checks: dict, where: str) -> None:
+    """Run checks[key](value, "where.key") on each key doc has: the JSON
+    type of every value, checked before anything is built from it."""
+    for key, check in checks.items():
+        if key in doc:
+            check(doc[key], f"{where}.{key}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
@@ -215,6 +279,25 @@ _TRUTH_KEYS = {
     "global_random": {"n_variables", "scale"},
 }
 
+_GRAPH_TYPES = {
+    "n": _as_int, "weight": _as_number, "radius": _as_number,
+    "kernel_width": _as_number, "require_connected": _as_bool,
+    "max_tries": _as_int, "path": _as_string, "edges": _as_matrix,
+}
+
+_TRUTH_TYPES = {
+    "scale": _as_number, "path": _as_string, "blocks": _as_matrix,
+    "sizes": _as_int_list,
+}
+
+_STRATEGY_TYPES = {
+    "weights": _as_name_or_matrix,
+    "rho": _as_number_or_matrix,
+    "penalty": _as_string,
+    "clusters": _as_int_list,
+    "interests": lambda value, where: _as_list(value, where, _as_int_list),
+}
+
 _KERNEL_KEYS = {
     "polynomial": {"coefficients"},
     "power": {"exponent"},
@@ -231,6 +314,7 @@ def _validate_graph_spec(doc: dict) -> None:
                               {"n", "edges"} if kind == "edges" else
                               {"n", "radius"} if kind == "geometric" else {"n"}),
                   f"graph ({kind})")
+    _check_types(doc, _GRAPH_TYPES, "graph")
 
 
 def _validate_truth_spec(doc: dict) -> None:
@@ -246,6 +330,7 @@ def _validate_truth_spec(doc: dict) -> None:
                   f"model.truth ({kind})")
     if kind == "smooth" and "modes" in doc and "bandwidth" in doc:
         raise ConfigError("model.truth: give either modes or bandwidth, not both")
+    _check_types(doc, _TRUTH_TYPES, "model.truth")
 
 
 def _validate_model_spec(doc: dict) -> None:
@@ -256,6 +341,7 @@ def _validate_model_spec(doc: dict) -> None:
         raise ConfigError("mse model requires noise_var")
     if kind == "logistic" and "noise_var" in doc:
         raise ConfigError("logistic model does not take noise_var")
+    _check_types(doc, {"noise_var": _as_numbers, "reg": _as_number}, "model")
     _validate_truth_spec(doc["truth"])
 
 
@@ -280,6 +366,10 @@ def _validate_strategy_spec(doc: dict) -> None:
         _strategy_config(doc)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    _check_types(doc, _STRATEGY_TYPES, "strategy")
+    subspace = doc.get("subspace")
+    if isinstance(subspace, dict) and "clusters" in subspace:
+        _as_int_list(subspace["clusters"], "strategy.subspace.clusters")
     if "kernel" in doc:
         kernel = doc["kernel"]
         if not isinstance(kernel, dict):
@@ -588,9 +678,10 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
 def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     """The self-tests of `adaptnets check`, as (name, passed, detail).
 
-    Checks the Laplacian eigendecomposition, then runs the strategy kind's
-    own checks on the pieces its builder assembles. Unlike resolve, it does
-    not refuse an unstable or infeasible step: the kind's checks report it.
+    Checks the Laplacian eigendecomposition, then reports the strategy
+    kind's condition rows on the pieces its builder assembles: the rows
+    resolve refuses a step on, computed by the same functions. Where every
+    condition holds, the kind's own self-tests follow; they only report.
     """
     graph, spectrum, model = resolve_pieces(config)
     residual = np.linalg.norm(
@@ -607,5 +698,8 @@ def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     else:
         strategy = entry.build(_strategy_config(config.strategy), graph, model,
                                spectrum)
-        checks += entry.checks(strategy, spectrum, np.random.default_rng(0))
+        conditions = entry.conditions(strategy, spectrum)
+        checks += conditions
+        if all(ok for _, ok, _ in conditions):
+            checks += entry.checks(strategy, spectrum, np.random.default_rng(0))
     return [(name, bool(passed), detail) for name, passed, detail in checks]

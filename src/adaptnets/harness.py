@@ -6,7 +6,9 @@ social step takes the run axis and mixes each run as it would mix it
 alone, so a run's numbers do not depend on which chunk or worker steps it.
 Serial and parallel execution produce bit-identical aggregates: each
 worker is handed a contiguous group of run indices and the canonical
-config JSON, and results are combined in run order.
+config JSON, and results are combined in run order. The worker count is
+the config's parallel key, which `adaptnets run --parallel` overrides like
+any other key; run_experiment's parallel argument replaces it for one call.
 
 An experiment is resolved once per process, through a cache keyed by the
 canonical config JSON: run_experiment resolves it before any run starts
@@ -76,8 +78,6 @@ CHUNK_BYTES = 64 * 2**20
 # The post-step states are kept and their errors computed this many steps
 # at a time, for all runs of a chunk at once.
 _RECORD_BLOCK = 64
-
-_ENV_PARALLEL = "ADAPTNETS_PARALLEL"
 
 
 class DivergenceError(RuntimeError):
@@ -339,26 +339,14 @@ def _resolved_from_json(config_json: str, base_dir: str | None):
     return resolve(parse_config(json.loads(config_json), base_dir=base_dir))
 
 
-def _effective_parallel(config: ExperimentConfig, override: int | None) -> int:
-    if override is not None:
-        return max(int(override), 1)
-    env = os.environ.get(_ENV_PARALLEL)
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise ConfigError(f"{_ENV_PARALLEL} must be an integer, got {env!r}")
-    return config.parallel
-
-
 def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
                    parallel: int | None = None) -> ExperimentResult:
     """Run the configured experiment and aggregate across runs.
 
     config may be a parsed ExperimentConfig, a raw dict, or a path to a
-    JSON file. parallel overrides the config (and the ADAPTNETS_PARALLEL
-    environment variable sits between the two). Aggregation is performed
-    in fixed run order, so the result does not depend on the worker count.
+    JSON file. The worker count is the config's parallel key; a parallel
+    argument replaces it. Aggregation is performed in fixed run order, so
+    the result does not depend on the worker count.
     """
     if isinstance(config, (str, os.PathLike)):
         config = load_config(config)
@@ -366,7 +354,8 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         config = parse_config(config)
     config_json = config.canonical_json()
     resolved = _resolved_from_json(config_json, config.base_dir)
-    workers = min(_effective_parallel(config, parallel), config.runs)
+    workers = min(config.parallel if parallel is None else max(parallel, 1),
+                  config.runs)
     # contiguous groups of runs, one per worker
     bounds = [config.runs * g // workers for g in range(workers + 1)]
     if workers > 1:
@@ -443,8 +432,7 @@ class SweepPoint:
     settled: bool
 
 
-def eta_sweep(config: ExperimentConfig | dict,
-              etas=None, parallel: int | None = None) -> list[SweepPoint]:
+def eta_sweep(config: ExperimentConfig | dict, etas=None) -> list[SweepPoint]:
     """Rerun the experiment over a grid of coupling strengths.
 
     Each grid point reuses the base seed, so the sweep isolates the effect
@@ -465,8 +453,7 @@ def eta_sweep(config: ExperimentConfig | dict,
         raise ConfigError("eta sweep needs eta_grid in the config or explicit etas")
     points = []
     for eta in grid:
-        result = run_experiment(config.with_overrides(eta=float(eta)),
-                                parallel=parallel)
+        result = run_experiment(config.with_overrides(eta=float(eta)))
         theory = result.theory or {}
         var_t = theory.get("variance", {}).get("total", math.nan)
         bias_t = theory.get("bias", {}).get("total", math.nan)

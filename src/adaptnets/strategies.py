@@ -24,10 +24,10 @@ leading axes, each run mixed exactly as it would be alone.
 Each kind is declared once, as a StrategyKind entry in STRATEGY_KINDS, and
 everything that needs to know a kind reads that entry: StrategyConfig and
 the config schema (its keys, whether it uses eta), build_strategy (its
-builder and validation), the eta sweep (eta), the closed forms resolve
-attaches (theory) and `adaptnets check` (its self-tests). A kind's keys are
-the same names in a config document's "strategy" object and in
-StrategyConfig.payload.
+builder and the conditions it refuses a step on), the eta sweep (eta), the
+closed forms resolve attaches (theory) and `adaptnets check` (the same
+conditions, then its self-tests). A kind's keys are the same names in a
+config document's "strategy" object and in StrategyConfig.payload.
 
 Reductions (special cases that must agree bit-identically under a shared
 RNG stream):
@@ -579,25 +579,6 @@ class Strategy:
         return StrategyState(w=w, iteration=state.iteration + 1)
 
 
-def _validate_doubly_stochastic(weights: np.ndarray, graph: Graph) -> None:
-    n = graph.n_agents
-    if weights.shape != (n, n):
-        raise ValueError(f"combination matrix must be ({n}, {n})")
-    if np.any(weights < -_STOCHASTIC_ATOL):
-        raise ValueError("combination weights must be nonnegative")
-    if not np.allclose(weights.sum(axis=1), 1.0, atol=_STOCHASTIC_ATOL):
-        raise ValueError("combination matrix rows must sum to 1")
-    if not np.allclose(weights.sum(axis=0), 1.0, atol=_STOCHASTIC_ATOL):
-        raise ValueError("combination matrix columns must sum to 1")
-    for k in range(n):
-        allowed = set(graph.neighbors(k).tolist()) | {k}
-        bad = [l for l in range(n) if l not in allowed and weights[k, l] != 0.0]
-        if bad:
-            raise ValueError(
-                f"combination weight from non-neighbor {bad[0]} to agent {k}"
-            )
-
-
 def _resolve_combination(payload_weights, graph: Graph) -> CombinationMatrix:
     if payload_weights is None:
         return metropolis_weights(graph)
@@ -623,6 +604,10 @@ def _edge_regularizer_from(value, graph: Graph, kind: str,
             weights = weights * mask
     else:
         weights = np.asarray(value, dtype=float)
+        n = graph.n_agents
+        if weights.shape != (n, n):
+            raise ValueError(f"rho must be a number or a {n}x{n} matrix, "
+                             f"got shape {weights.shape}")
     reg = EdgeRegularizer(weights=weights, kind=kind)
     support_ok = (reg.weights == 0.0) | (graph.adjacency > 0.0)
     if not np.all(support_ok):
@@ -685,11 +670,74 @@ def _scalar_prox_oracle(anchor, neighbors, weights, gamma, lo, hi):
     return 0.5 * (a + b)
 
 
-def _doubly_stochastic_check(a: np.ndarray) -> tuple[str, bool, str]:
-    col = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
-    row = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
-    return ("doubly_stochastic", max(col, row) <= 1e-10,
-            f"max_dev={max(col, row):.2e}")
+def _no_rows(*args) -> list:
+    return []
+
+
+# -- conditions: the rows a sound social step needs -------------------------
+
+def _weight_conditions(strategy, spectrum) -> list:
+    """Scalar combination weights A on the graph: N x N, nonnegative, rows
+    and columns summing to 1 and a_kl = 0 unless l is k or a neighbor of k;
+    clustered weights besides put no weight across clusters."""
+    a = strategy.combination.matrix
+    graph = strategy.graph
+    n = graph.n_agents
+    if a.shape != (n, n):
+        return [("combination_shape", False,
+                 f"{a.shape[0]}x{a.shape[1]} weights on {n} agents")]
+    low = float(a.min())
+    rows = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
+    cols = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
+    off = (a != 0.0) & (graph.adjacency == 0.0)
+    np.fill_diagonal(off, False)
+    where = ""
+    if off.any():
+        k, l = np.argwhere(off)[0]
+        where = f"weight from non-neighbor {l} to agent {k}"
+    conditions = [
+        ("nonnegative_weights", low >= -_STOCHASTIC_ATOL, f"min={low:.2e}"),
+        ("rows_sum_to_one", rows <= _STOCHASTIC_ATOL, f"max_dev={rows:.2e}"),
+        ("columns_sum_to_one", cols <= _STOCHASTIC_ATOL, f"max_dev={cols:.2e}"),
+        ("graph_sparsity", not off.any(), where),
+    ]
+    if strategy.partition is not None:
+        assign = strategy.partition.assignment
+        leak = float(np.max(np.abs(a[assign[:, None] != assign[None, :]]),
+                            initial=0.0))
+        conditions.append(("block_diagonal_weights", leak == 0.0,
+                           f"leak={leak:.2e} across clusters"))
+    return conditions
+
+
+def _stability_conditions(strategy, spectrum) -> list:
+    """mu*eta * max r(lambda) <= 2, with r(lambda) = lambda without a kernel,
+    as mu*eta <= 2 / max r(lambda); no bound where max r(lambda) <= 0."""
+    mu_eta = strategy.mu * strategy.eta
+    if strategy.kernel is None:
+        peak, name = spectrum.lam_max, "lambda_max"
+    else:
+        peak = float(np.max(strategy.kernel(spectrum.eigenvalues)))
+        name = "max r(lambda)"
+    bound = 2.0 / peak if peak > 0.0 else np.inf
+    ok = mu_eta <= bound + _STABILITY_SLACK
+    detail = f"mu*eta = {mu_eta:.6g}, 2/{name} = {bound:.6g}"
+    return [("stability", ok, detail if ok else f"unstable social step: {detail}")]
+
+
+def _feasibility_conditions(strategy, spectrum) -> list:
+    """The flags of check_feasibility's report on the combination weights
+    and the subspace they must project onto."""
+    report = strategy.feasibility
+    conditions = []
+    for name in ("right_fixed", "left_fixed", "spectral", "sparsity",
+                 "semi_convergence"):
+        ok = getattr(report, name)
+        detail = f"rho(A - P_U) = {report.rho:.6g}" if name == "spectral" else ""
+        if not ok:
+            detail = f"infeasible combination matrix {detail}".rstrip()
+        conditions.append((f"feasibility_{name}", ok, detail))
+    return conditions
 
 
 # -- noncooperative ---------------------------------------------------------
@@ -716,10 +764,6 @@ def _build_diffusion(config, graph, model, spectrum) -> Strategy:
     )
 
 
-def _validate_diffusion(strategy, spectrum) -> None:
-    _validate_doubly_stochastic(strategy.combination.matrix, strategy.graph)
-
-
 def _check_diffusion(strategy, spectrum, rng) -> list:
     psi = _probe(strategy, rng)
     graph = strategy.graph
@@ -729,7 +773,6 @@ def _check_diffusion(strategy, spectrum, rng) -> list:
     mean_after = strategy.social(psi).mean(axis=0)
     drift = float(np.max(np.abs(mean_after - mean_before)))
     return [
-        _doubly_stochastic_check(strategy.combination.matrix),
         ("semi_convergent", report.spectral and report.semi_convergence,
          f"rho={report.rho:.6f}"),
         ("mean_preserved", drift <= 1e-10, f"drift={drift:.2e}"),
@@ -753,32 +796,12 @@ def _build_spectral(config, graph, model, spectrum) -> Strategy:
                     model.truth.block_sizes, kernel=kernel)
 
 
-def _validate_stable(strategy, spectrum) -> None:
-    """mu*eta * max r(lambda) <= 2, with r(lambda) = lambda without a kernel."""
-    mu_eta = strategy.mu * strategy.eta
-    if strategy.kernel is None:
-        peak, name = spectrum.lam_max, "lambda_max"
-    else:
-        peak = float(np.max(strategy.kernel(spectrum.eigenvalues)))
-        name = "max r(lambda)"
-    if peak > 0.0 and mu_eta > 2.0 / peak + _STABILITY_SLACK:
-        raise ValueError(
-            f"unstable social step: mu*eta = {mu_eta:.6g} exceeds "
-            f"2/{name} = {2.0 / peak:.6g}"
-        )
-
-
 def _check_laplacian(strategy, spectrum, rng) -> list:
     psi = _probe(strategy, rng)
     mu_eta = strategy.mu * strategy.eta
-    lam_max = spectrum.lam_max
     dense = psi - mu_eta * (spectrum.laplacian @ psi)
     err = float(np.max(np.abs(strategy.social(psi) - dense)))
-    return [
-        ("smooth_matches_dense", err <= 1e-12, f"max_err={err:.2e}"),
-        ("stability", mu_eta <= 2.0 / lam_max + 1e-12,
-         f"mu*eta={mu_eta:g}, bound={2.0 / lam_max:g}"),
-    ]
+    return [("smooth_matches_dense", err <= 1e-12, f"max_err={err:.2e}")]
 
 
 def _check_spectral(strategy, spectrum, rng) -> list:
@@ -791,15 +814,12 @@ def _check_spectral(strategy, spectrum, rng) -> list:
     err = float(np.max(np.abs(strategy.social(psi) - dense))) / denom
     linear = social_spectral(psi, strategy.graph, (0.0, 1.0), mu_eta)
     smooth = social_smooth(psi, strategy.graph, mu_eta)
-    r_max = float(np.max(values))
     return [
         ("kernel_nonnegative", bool(np.all(values >= -1e-12)),
          f"min={float(values.min()):.2e}"),
         ("recursion_matches_dense", err <= 1e-9, f"rel_err={err:.2e}"),
         ("linear_kernel_reduces_to_smooth",
          bool(np.array_equal(linear, smooth)), "bitwise"),
-        ("stability", mu_eta * r_max <= 2.0 + 1e-12,
-         f"mu*eta*max_r={mu_eta * r_max:g}"),
     ]
 
 
@@ -874,24 +894,6 @@ def _build_subspace(config, graph, model, spectrum) -> Strategy:
                     feasibility=check_feasibility(combo, subspace, graph))
 
 
-def _validate_feasible(strategy, spectrum) -> None:
-    report = strategy.feasibility
-    if not report.passed:
-        raise ValueError(
-            "infeasible combination matrix: violated "
-            + ", ".join(report.failed_constraints())
-            + f" (rho(A - P_U) = {report.rho:.6g})"
-        )
-
-
-def _check_subspace(strategy, spectrum, rng) -> list:
-    report = strategy.feasibility
-    return [(f"feasibility_{name}", getattr(report, name),
-             f"rho={report.rho:.6f}" if name == "spectral" else "")
-            for name in ("right_fixed", "left_fixed", "spectral", "sparsity",
-                         "semi_convergence")]
-
-
 # -- overlapping ------------------------------------------------------------
 
 def _build_overlapping(config, graph, model, spectrum) -> Strategy:
@@ -957,27 +959,12 @@ def _build_clustered(config, graph, model, spectrum) -> Strategy:
     )
 
 
-def _validate_clustered(strategy, spectrum) -> None:
-    a = strategy.combination.matrix
-    _validate_doubly_stochastic(a, strategy.graph)
-    assign = strategy.partition.assignment
-    if np.any(a[assign[:, None] != assign[None, :]] != 0.0):
-        raise ValueError("intra-cluster weights leak across clusters")
-
-
 def _check_clustered(strategy, spectrum, rng) -> list:
     psi = _probe(strategy, rng)
     a = strategy.combination.matrix
-    assign = strategy.partition.assignment
-    inter = assign[:, None] != assign[None, :]
-    leak = float(np.max(np.abs(a[inter]))) if inter.any() else 0.0
     got = social_clustered(psi, strategy.partition, a, None, 0.0)
     err = float(np.max(np.abs(got - social_diffusion(psi, a))))
-    return [
-        ("block_diagonal_weights", leak <= 1e-14, f"leak={leak:.2e}"),
-        _doubly_stochastic_check(a),
-        ("reduces_to_diffusion", err == 0.0, f"max_err={err:.2e}"),
-    ]
+    return [("reduces_to_diffusion", err == 0.0, f"max_err={err:.2e}")]
 
 
 # ---------------------------------------------------------------------------
@@ -991,28 +978,30 @@ class StrategyKind:
     build               (config, graph, model, spectrum) -> Strategy: the
                         pieces and the social step
     checks              (strategy, spectrum, rng) -> [(name, passed, detail)]:
-                        the self-tests of `adaptnets check`
+                        the self-tests of `adaptnets check`, run on a step
+                        that meets its conditions; they only report
+    conditions          (strategy, spectrum) -> [(name, passed, detail)]:
+                        what a sound step needs (weights on the graph,
+                        stability, feasibility), each computed once here;
+                        build_strategy refuses a step that fails a row, and
+                        `adaptnets check` reports every row
     required, optional  its strategy keys besides kind, mu and eta
     uses_eta            whether eta weighs a regularizer (else eta must be 0;
                         the eta sweep takes exactly these kinds)
     blockwise           whether agents may estimate blocks of different
                         sizes; the state is zero-padded to the largest
-    validate            (strategy, spectrum) -> None: raises ValueError where
-                        build_strategy must refuse the step (unstable,
-                        infeasible); `adaptnets check` reports these
-                        conditions instead
     theory              the closed form resolve attaches: "noncooperative",
                         "smoothness", "projection" (onto Strategy.subspace)
                         or None
     """
 
     build: Callable[..., Strategy]
-    checks: Callable[..., list]
+    checks: Callable[..., list] = _no_rows
+    conditions: Callable[[Strategy, Spectrum], list] = _no_rows
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     uses_eta: bool = False
     blockwise: bool = False
-    validate: Callable[[Strategy, Spectrum], None] | None = None
     theory: str | None = None
 
 
@@ -1021,33 +1010,32 @@ STRATEGY_KINDS: dict[str, StrategyKind] = {
         _build_noncooperative, _check_noncooperative, theory="noncooperative"),
     "diffusion": StrategyKind(
         _build_diffusion, _check_diffusion, optional=("weights",),
-        validate=_validate_diffusion, theory="projection"),
+        conditions=_weight_conditions, theory="projection"),
     "laplacian_reg": StrategyKind(
         _build_laplacian, _check_laplacian, uses_eta=True,
-        validate=_validate_stable, theory="smoothness"),
+        conditions=_stability_conditions, theory="smoothness"),
     "spectral_reg": StrategyKind(
         _build_spectral, _check_spectral, required=("kernel",), uses_eta=True,
-        validate=_validate_stable, theory="smoothness"),
+        conditions=_stability_conditions, theory="smoothness"),
     "prox_l1": StrategyKind(
         _build_prox_l1, _check_prox_l1, optional=("rho",), uses_eta=True),
     "subspace_projection": StrategyKind(
-        _build_subspace, _check_subspace, optional=("subspace", "weights"),
-        validate=_validate_feasible, theory="projection"),
+        _build_subspace, optional=("subspace", "weights"),
+        conditions=_feasibility_conditions, theory="projection"),
     "overlapping": StrategyKind(
         _build_overlapping, _check_overlapping, required=("interests",),
         blockwise=True),
     "clustered": StrategyKind(
         _build_clustered, _check_clustered, required=("clusters",),
         optional=("penalty", "rho", "weights"), uses_eta=True,
-        validate=_validate_clustered, theory="projection"),
+        conditions=_weight_conditions, theory="projection"),
 }
 
 
 def build_strategy(config: StrategyConfig, graph: Graph, model: StreamModel,
                    spectrum: Spectrum | None = None) -> Strategy:
-    """Assemble a Strategy with its kind's builder, then validate it against
-    the graph and model (stability bounds, feasibility, sparsity, block
-    sizes).
+    """Assemble a Strategy with its kind's builder, then refuse it with one
+    ValueError naming every condition row (StrategyKind.conditions) it fails.
 
     payload holds the kind's keys with the values a config document gives
     them; besides, a matrix may be a numpy array, weights a
@@ -1062,6 +1050,10 @@ def build_strategy(config: StrategyConfig, graph: Graph, model: StreamModel,
     if spectrum is None:
         spectrum = build_laplacian(graph)
     strategy = entry.build(config, graph, model, spectrum)
-    if entry.validate is not None:
-        entry.validate(strategy, spectrum)
+    failed = [f"{name} ({detail})" if detail else name
+              for name, ok, detail in entry.conditions(strategy, spectrum)
+              if not ok]
+    if failed:
+        raise ValueError(f"{config.kind} step fails its conditions: "
+                         + "; ".join(failed))
     return strategy

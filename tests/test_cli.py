@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adaptnets.cli import main
-from adaptnets.graphs import load_graph
+from adaptnets.graphs import load_graph, metropolis_weights, ring_graph
 from adaptnets.streaming import load_tasks
 
 EXIT_OK = 0
@@ -344,3 +344,116 @@ def test_check_flags_infeasible_combination(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "feasibility_spectral" in err
     assert "FAIL" in err
+
+
+# ---------------------------------------------------------------------------
+# conditions: run refuses exactly what check fails
+# ---------------------------------------------------------------------------
+
+def test_check_and_run_agree_on_weights_off_the_graph(tmp_path, capsys):
+    dense = np.full((8, 8), 1.0 / 8.0).tolist()
+    cfg = write_config(tmp_path, strategy={"kind": "diffusion", "mu": 0.01,
+                                           "weights": dense})
+    assert main(["check", "--config", cfg]) == EXIT_CHECK
+    assert "graph_sparsity: FAIL" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert "graph_sparsity" in capsys.readouterr().err
+
+
+def test_check_and_run_agree_on_sums_off_by_5e_6(tmp_path, capsys):
+    a = metropolis_weights(ring_graph(8)).matrix.copy()
+    a[0, 0] += 5e-6
+    a[1, 1] -= 5e-6
+    cfg = write_config(tmp_path, strategy={"kind": "diffusion", "mu": 0.01,
+                                           "weights": a.tolist()})
+    assert main(["check", "--config", cfg]) == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert "rows_sum_to_one: FAIL" in err
+    assert "columns_sum_to_one: FAIL" in err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rows_sum_to_one" in err and "columns_sum_to_one" in err
+
+
+def test_check_and_run_accept_laplacian_reg_without_edges(tmp_path, capsys):
+    cfg = write_config(tmp_path, graph={"kind": "edges", "n": 3, "edges": []})
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert "stability: PASS" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_OK
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("data was drawn")
+
+
+_RING = {"kind": "ring", "n": 6}
+_GEOMETRIC = {"kind": "geometric", "n": 6, "radius": 0.8}
+_EDGES = {"kind": "edges", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}
+_MODEL = {"kind": "mse", "m": 2, "noise_var": 0.1}
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("graph.n", {"graph": {"kind": "ring", "n": "6"}}),
+    ("graph.n", {"graph": {"kind": "ring", "n": 6.5}}),
+    ("graph.n", {"graph": {"kind": "star", "n": [6]}}),
+    ("graph.n", {"graph": {"kind": "ring", "n": True}}),
+    ("graph.radius", {"graph": {**_GEOMETRIC, "radius": "x"}}),
+    ("graph.max_tries", {"graph": {**_GEOMETRIC, "max_tries": "a"}}),
+    ("graph.require_connected",
+     {"graph": {**_GEOMETRIC, "require_connected": "no"}}),
+    ("graph.path", {"graph": {"kind": "file", "path": 5}}),
+    ("graph.edges", {"graph": {"kind": "edges", "n": 3, "edges": 5}}),
+    ("graph.n", {"graph": {**_EDGES, "n": "3"}}),
+    ("model.truth.scale",
+     {"model": {**_MODEL, "truth": {"kind": "constant", "scale": "a"}}}),
+    ("model.truth.sizes",
+     {"model": {**_MODEL, "truth": {"kind": "piecewise", "sizes": 6}}}),
+    ("model.truth.blocks",
+     {"model": {**_MODEL, "truth": {"kind": "explicit", "blocks": 3}}}),
+    ("model.truth.path",
+     {"model": {**_MODEL, "truth": {"kind": "file", "path": 3}}}),
+    ("model.noise_var", {"model": {**_MODEL, "noise_var": {"a": 1},
+                                   "truth": {"kind": "constant"}}}),
+    ("strategy.interests",
+     {"strategy": {"kind": "overlapping", "mu": 0.01, "interests": 5}}),
+    ("strategy.interests",
+     {"strategy": {"kind": "overlapping", "mu": 0.01,
+                   "interests": [0, 1, 2]}}),
+    ("strategy.clusters",
+     {"strategy": {"kind": "clustered", "mu": 0.01, "clusters": 6}}),
+    ("strategy.subspace.clusters",
+     {"strategy": {"kind": "subspace_projection", "mu": 0.01,
+                   "subspace": {"clusters": 6}}}),
+    ("strategy.weights",
+     {"strategy": {"kind": "diffusion", "mu": 0.01, "weights": {"a": 1}}}),
+])
+def test_wrong_json_types_exit_2_and_name_the_key(tmp_path, capsys,
+                                                  monkeypatch, key,
+                                                  overrides):
+    from adaptnets import harness
+    monkeypatch.setattr(harness, "draw_horizon", _no_draw)
+    cfg = write_config(tmp_path, **{"graph": _RING, **overrides})
+    assert main(["check", "--config", cfg]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", [
+    {"kind": "prox_l1", "mu": 0.01, "eta": 0.1, "rho": [[1.0]]},
+    {"kind": "clustered", "mu": 0.01, "eta": 0.1, "clusters": [3, 3],
+     "rho": [[1.0]]},
+])
+def test_misshaped_rho_exits_2_before_any_draw(tmp_path, capsys, monkeypatch,
+                                               strategy):
+    from adaptnets import harness
+    monkeypatch.setattr(harness, "draw_horizon", _no_draw)
+    cfg = write_config(tmp_path, graph=_RING, strategy=strategy)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rho" in err and "6x6" in err

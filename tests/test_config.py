@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from adaptnets.config import (
     ConfigError,
@@ -12,9 +13,18 @@ from adaptnets.config import (
     load_config,
     parse_config,
     resolve,
+    resolve_pieces,
+    run_checks,
     setup_stream,
 )
-from adaptnets.graphs import CombinationMatrix, save_graph, ring_graph
+from adaptnets.graphs import (
+    ClusterPartition,
+    CombinationMatrix,
+    metropolis_weights,
+    ring_graph,
+    save_graph,
+)
+from adaptnets.strategies import StrategyConfig, build_strategy, cluster_metropolis
 from adaptnets.streaming import TaskField, save_tasks
 
 
@@ -417,3 +427,103 @@ def test_config_is_frozen():
     cfg = parse_config(doc())
     with pytest.raises(AttributeError):
         cfg.seed = 10
+
+
+# ---------------------------------------------------------------------------
+# Conditions: build_strategy refuses exactly the rows run_checks fails
+# ---------------------------------------------------------------------------
+
+def _perturbed_weights(weights, graph, data):
+    """Combination weights with one drawn defect: none, sums off by 1e-12
+    to 1e-4, a negative weight, a weight off the graph or a weight across
+    clusters; each keeps the matrix symmetric."""
+    a = weights.matrix.copy()
+    n = graph.n_agents
+    adjacency = graph.adjacency
+    change = data.draw(st.sampled_from(
+        ["none", "sums", "negative", "off_graph", "cross_cluster"]))
+    side = np.arange(n) >= n // 2  # the two clusters of the clustered case
+    pairs = {
+        "negative": np.argwhere(np.triu(a, 1) > 0.0),
+        "off_graph": np.argwhere(np.triu(adjacency == 0.0, 1)),
+        "cross_cluster": np.argwhere(np.triu(adjacency > 0.0, 1)
+                                     & (side[:, None] != side[None, :])),
+    }
+    if change == "sums":
+        k = data.draw(st.integers(0, n - 1))
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        a[k, k] += sign * 10.0 ** data.draw(st.floats(-12.0, -4.0))
+    elif change != "none":
+        assume(len(pairs[change]))
+        k, l = pairs[change][data.draw(st.integers(0, len(pairs[change]) - 1))]
+        if change == "negative":
+            shift = a[k, l] + 10.0 ** data.draw(st.floats(-12.0, -2.0))
+        else:
+            shift = -(10.0 ** data.draw(st.floats(-12.0, -1.0)))
+        a[k, l] -= shift
+        a[l, k] -= shift
+        a[k, k] += shift
+        a[l, l] += shift
+    return a
+
+
+WEIGHT_ROWS = {"nonnegative_weights", "rows_sum_to_one", "columns_sum_to_one",
+               "graph_sparsity"}
+CONDITION_ROWS = {
+    "diffusion": WEIGHT_ROWS,
+    "clustered": WEIGHT_ROWS | {"block_diagonal_weights"},
+    "laplacian_reg": {"stability"},
+    "spectral_reg": {"stability"},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 10), data=st.data())
+def test_build_strategy_refuses_exactly_the_rows_check_fails(seed, n, data):
+    base = doc(seed=seed,
+               graph={"kind": "geometric", "n": n, "radius": 0.75},
+               model={"kind": "mse", "m": 2, "noise_var": 0.1,
+                      "truth": {"kind": "constant"}})
+    graph, spectrum, model = resolve_pieces(parse_config(base))
+    kind = data.draw(st.sampled_from(
+        ["diffusion", "clustered", "laplacian_reg", "spectral_reg"]))
+    strategy = {"kind": kind, "mu": 0.01}
+    if kind in ("laplacian_reg", "spectral_reg"):
+        coefficients = [0.0, 0.5, 0.25]
+        peak = spectrum.lam_max
+        if kind == "spectral_reg":
+            strategy["kernel"] = {"kind": "polynomial",
+                                  "coefficients": coefficients}
+            peak = float(np.max(np.polyval(coefficients[::-1],
+                                           spectrum.eigenvalues)))
+        fraction = data.draw(st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+                             | st.floats(0.5, 1.5))
+        strategy["eta"] = fraction * 2.0 / (0.01 * peak)
+    else:
+        weights = metropolis_weights(graph)
+        if kind == "clustered":
+            strategy["clusters"] = [n // 2, n - n // 2]
+            try:
+                weights = cluster_metropolis(
+                    graph, ClusterPartition(tuple(strategy["clusters"])))
+            except ValueError:  # a cluster is not connected
+                assume(False)
+        strategy["weights"] = _perturbed_weights(weights, graph,
+                                                 data).tolist()
+    checks = run_checks(parse_config(dict(base, strategy=strategy)))
+    assert CONDITION_ROWS[kind] <= {name for name, _, _ in checks}
+    # self-tests such as semi_convergent only report: weights that put
+    # nothing on a bridge of the graph meet every condition, yet the two
+    # sides never reach consensus
+    failed = [name for name, ok, _ in checks
+              if not ok and name in CONDITION_ROWS[kind]]
+    payload = {k: v for k, v in strategy.items()
+               if k not in ("kind", "mu", "eta")}
+    config = StrategyConfig(kind, 0.01, strategy.get("eta", 0.0), payload)
+    try:
+        build_strategy(config, graph, model, spectrum)
+    except ValueError as exc:
+        assert failed, str(exc)
+        assert all(name in str(exc) for name in failed), (failed, str(exc))
+    else:
+        assert not failed, checks

@@ -924,6 +924,18 @@ def test_build_strategy_rejects_offgraph_rho():
         build_strategy(cfg, g, model)
 
 
+@pytest.mark.parametrize("kind, payload", [
+    ("prox_l1", {}),
+    ("clustered", {"clusters": (3, 3)}),
+])
+def test_build_strategy_rejects_misshaped_rho(kind, payload):
+    g = ring_graph(6)
+    cfg = StrategyConfig(kind=kind, mu=0.01, eta=0.1,
+                         payload={**payload, "rho": [[1.0]]})
+    with pytest.raises(ValueError, match=r"rho .*6x6.*\(1, 1\)"):
+        build_strategy(cfg, g, mse_model(6, 2))
+
+
 def test_build_strategy_rejects_infeasible_combination():
     g = ring_graph(6)
     model = mse_model(6, 2)
@@ -1063,3 +1075,45 @@ def test_social_steps_take_a_run_axis_bit_for_bit(runs):
             ref = np.stack([strategy.social(state[r]) for r in range(runs)])
             assert np.array_equal(got, ref), name
             assert np.all(got[:, pad] == 0.0), name
+
+
+# ---------------------------------------------------------------------------
+# The reduction lattice on the social step
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 16),
+       m=st.integers(1, 3), runs=st.integers(1, 3),
+       fraction=st.floats(0.05, 0.95))
+def test_reduction_lattice_bitwise_on_the_social_step(seed, n, m, runs,
+                                                      fraction):
+    """The five reductions of the module docstring, each pair of social
+    steps bitwise equal on a random (runs, N, M) state."""
+    rng = np.random.default_rng(seed)
+    g = random_geometric_graph(n, 0.6, rng)
+    model = mse_model(n, m)
+    mu = 0.01
+    eta = fraction * 2.0 / (mu * build_laplacian(g).lam_max)
+    pairs = [
+        (StrategyConfig(kind="spectral_reg", mu=mu, eta=eta,
+                        payload={"kernel": [0.0, 1.0]}),
+         StrategyConfig(kind="laplacian_reg", mu=mu, eta=eta)),
+        (StrategyConfig(kind="laplacian_reg", mu=mu, eta=0.0),
+         StrategyConfig(kind="noncooperative", mu=mu)),
+        (StrategyConfig(kind="clustered", mu=mu, eta=0.0,
+                        payload={"clusters": (n,)}),
+         StrategyConfig(kind="diffusion", mu=mu)),
+        (StrategyConfig(kind="subspace_projection", mu=mu,
+                        payload={"subspace": "consensus"}),
+         StrategyConfig(kind="diffusion", mu=mu)),
+        (StrategyConfig(kind="clustered", mu=mu, eta=eta,
+                        payload={"clusters": (1,) * n, "penalty": "l1",
+                                 "rho": 0.3}),
+         StrategyConfig(kind="prox_l1", mu=mu, eta=eta,
+                        payload={"rho": 0.3})),
+    ]
+    psi = rng.standard_normal((runs, n, m))
+    for special, general in pairs:
+        got = build_strategy(special, g, model).social(psi)
+        ref = build_strategy(general, g, model).social(psi)
+        assert np.array_equal(got, ref), (special.kind, general.kind)
