@@ -11,7 +11,9 @@ A configuration document is plain JSON with a version marker:
       "strategy": {"kind": "laplacian_reg", "mu": 0.005, "eta": 1.0}
     }
 
-Unknown keys are rejected everywhere. Resolution is deterministic: the graph
+Each section that has a kind declares its kinds once, in one table of their
+keys, the JSON type of each and their builders; parse_config checks every
+key against it. Resolution is deterministic: the graph
 and the true task field are derived from dedicated random streams spawned
 from the base seed, so every process reconstructs the identical experiment.
 """
@@ -21,13 +23,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field as dc_field
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
 from . import theory as theory_mod
 from .graphs import (
+    SPECTRAL_RADIUS_SLACK,
     Graph,
     ClusterPartition,
     Spectrum,
@@ -99,15 +103,6 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _kind(doc: dict, kinds, where: str) -> str:
-    """doc's "kind", which must be a string naming one of kinds."""
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(
-            f"unknown {where} kind {kind!r}; expected one of {sorted(kinds)}")
-    return kind
-
-
 def _as_int(value, where: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer")
@@ -116,31 +111,31 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
+_as_count = partial(_as_int, minimum=1)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_number(value, where: str) -> float:
+    # _is_number's test, inline: it runs once per entry of a matrix
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
     return float(value)
 
 
-def _as_string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string")
-    return value
-
-
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false")
-    return value
-
-
 def _as_list(value, where: str, item=None) -> list:
-    """value, which must be a list; item(entry, where) checks each entry."""
+    """value, which must be a list; item(entry, where) checks each entry,
+    and an entry that fails is checked again to name it "where[i]"."""
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list")
     if item is not None:
-        for entry in value:
-            item(entry, f"{where} entry")
+        for i, entry in enumerate(value):
+            try:
+                item(entry, where)
+            except ConfigError:
+                item(entry, f"{where}[{i}]")
     return value
 
 
@@ -148,34 +143,44 @@ def _as_int_list(value, where: str) -> list:
     return _as_list(value, where, _as_int)
 
 
+def _as_number_list(value, where: str) -> list:
+    return _as_list(value, where, _as_number)
+
+
 def _as_matrix(value, where: str) -> list:
     """A list of rows, each a list of numbers (rows may differ in length)."""
-    return _as_list(value, where, lambda row, at: _as_list(row, at, _as_number))
+    return _as_list(value, where, _as_number_list)
 
 
-def _as_numbers(value, where: str):
-    """A number, or a list of numbers."""
-    if isinstance(value, list):
-        return _as_list(value, where, _as_number)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number or a list of numbers")
-    return value
+def _checker(single, expected: str, many=None):
+    """The check of a value for which single(value) holds or, given many,
+    of a list, which many(value, where) checks."""
+    def check(value, where: str):
+        if many is not None and isinstance(value, list):
+            return many(value, where)
+        if not single(value):
+            raise ConfigError(f"{where} must be {expected}")
+        return value
+    return check
 
 
-def _as_number_or_matrix(value, where: str):
-    if isinstance(value, list):
-        return _as_matrix(value, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number or a matrix")
-    return value
+_as_string = _checker(lambda value: isinstance(value, str), "a string")
+_as_bool = _checker(lambda value: isinstance(value, bool), "true or false")
+_as_numbers = _checker(_is_number, "a number or a list of numbers",
+                       _as_number_list)
+_as_number_or_matrix = _checker(_is_number, "a number or a matrix", _as_matrix)
+_as_name_or_matrix = _checker(lambda value: isinstance(value, str),
+                              "a rule name or a matrix", _as_matrix)
+# null: no shared regressor covariance
+_as_r_u = _checker(lambda value: value in (None, "identity"),
+                   '"identity", null or a matrix', _as_matrix)
 
 
-def _as_name_or_matrix(value, where: str):
-    if isinstance(value, list):
-        return _as_matrix(value, where)
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a rule name or a matrix")
-    return value
+def _as_subspace(value, where: str) -> None:
+    """"consensus" or {"clusters": [sizes]}."""
+    if value != "consensus":
+        _require_keys(value, {"clusters"}, {"clusters"}, where)
+        _as_int_list(value["clusters"], f"{where}.clusters")
 
 
 def _check_types(doc: dict, checks: dict, where: str) -> None:
@@ -184,6 +189,34 @@ def _check_types(doc: dict, checks: dict, where: str) -> None:
     for key, check in checks.items():
         if key in doc:
             check(doc[key], f"{where}.{key}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Kind:
+    """One kind of a config section, declared once: {key: type check} of
+    the keys besides "kind" that an object of the kind must have and may
+    have, and what resolve builds from it (None for a kernel, which
+    build_strategy builds from the checked object)."""
+
+    build: Callable | None
+    required: dict = dc_field(default_factory=dict)
+    optional: dict = dc_field(default_factory=dict)
+
+
+def _check_kind(doc, kinds: dict[str, _Kind], where: str) -> None:
+    """Check doc against its entry in kinds: an object naming a known kind,
+    with the entry's required keys and no others, each of its declared
+    JSON type."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(
+            f"unknown {where} kind {kind!r}; expected one of {sorted(kinds)}")
+    entry = kinds[kind]
+    _require_keys(doc, {"kind", *entry.required, *entry.optional},
+                  {"kind", *entry.required}, f"{where} ({kind})")
+    _check_types(doc, {**entry.required, **entry.optional}, where)
 
 
 @dataclass(frozen=True)
@@ -261,33 +294,151 @@ class ExperimentConfig:
         return parse_config(doc, base_dir=self.base_dir)
 
 
-_GRAPH_KEYS = {
-    "ring": {"n", "weight"},
-    "star": {"n", "weight"},
-    "complete": {"n", "weight"},
-    "geometric": {"n", "radius", "kernel_width", "require_connected", "max_tries"},
-    "file": {"path"},
-    "edges": {"n", "edges"},
+# ---------------------------------------------------------------------------
+# The kinds of each config section
+# ---------------------------------------------------------------------------
+
+def _resolve_path(path: str, base_dir: str | None) -> str:
+    if os.path.isabs(path) or base_dir is None:
+        return path
+    return os.path.join(base_dir, path)
+
+
+def _geometric_graph(spec: dict, config: ExperimentConfig) -> Graph:
+    return random_geometric_graph(
+        spec["n"], spec["radius"],
+        rng=setup_stream(config.seed, _SETUP_GRAPH),
+        kernel_width=spec.get("kernel_width"),
+        require_connected=spec.get("require_connected", True),
+        max_tries=spec.get("max_tries", 100),
+    )
+
+
+def _uniform_graph(generator) -> _Kind:
+    """The kind of generator(n, weight): one weight on every edge."""
+    return _Kind(lambda spec, config: generator(spec["n"],
+                                                spec.get("weight", 1.0)),
+                 {"n": _as_count}, {"weight": _as_number})
+
+
+# build(spec, config) -> Graph
+_GRAPH_KINDS = {
+    "ring": _uniform_graph(ring_graph),
+    "star": _uniform_graph(star_graph),
+    "complete": _uniform_graph(complete_graph),
+    "geometric": _Kind(_geometric_graph,
+                       {"n": _as_count, "radius": _as_number},
+                       {"kernel_width": _as_number,
+                        "require_connected": _as_bool, "max_tries": _as_int}),
+    "file": _Kind(lambda spec, config: load_graph(
+                      _resolve_path(spec["path"], config.base_dir)),
+                  {"path": _as_string}),
+    "edges": _Kind(lambda spec, config: Graph.from_edges(spec["n"],
+                                                         spec["edges"]),
+                   {"n": _as_count, "edges": _as_matrix}),
 }
 
-_TRUTH_KEYS = {
-    "smooth": {"modes", "bandwidth", "scale"},
-    "constant": {"scale"},
-    "piecewise": {"sizes", "scale"},
-    "explicit": {"blocks"},
-    "file": {"path"},
-    "global_random": {"n_variables", "scale"},
+
+def _smooth_truth(spec: dict, config: ExperimentConfig,
+                  spectrum: Spectrum) -> TaskField:
+    if "modes" in spec:
+        modes = spec["modes"]
+        if modes > spectrum.n_agents:
+            raise ConfigError(f"modes={modes} exceeds N={spectrum.n_agents}")
+        bandwidth = float(spectrum.eigenvalues[modes - 1])
+    else:
+        bandwidth = float(spec.get("bandwidth", np.inf))
+    field = synth_smooth_tasks(spectrum, config.model.get("m", 1), bandwidth,
+                               setup_stream(config.seed, _SETUP_TASKS))
+    scale = spec.get("scale", 1.0)
+    return TaskField(tuple(scale * b for b in field.blocks))
+
+
+def _piecewise_truth(spec: dict, config: ExperimentConfig,
+                     spectrum: Spectrum) -> TaskField:
+    """One task per contiguous cluster of `sizes` agents; "constant" is the
+    one cluster of every agent."""
+    part = ClusterPartition(tuple(spec.get("sizes", (spectrum.n_agents,))))
+    if part.n_agents != spectrum.n_agents:
+        raise ConfigError("truth.sizes must sum to the agent count")
+    rng = setup_stream(config.seed, _SETUP_TASKS)
+    m = config.model.get("m", 1)
+    scale = spec.get("scale", 1.0)
+    blocks = []
+    for size in part.sizes:
+        shared = scale * rng.standard_normal(m)
+        blocks.extend(shared.copy() for _ in range(size))
+    return TaskField(tuple(blocks))
+
+
+def _global_random_truth(spec: dict, config: ExperimentConfig,
+                         spectrum: Spectrum) -> TaskField:
+    strategy = config.strategy
+    if strategy["kind"] != "overlapping":
+        raise ConfigError("global_random truth requires the overlapping strategy")
+    n_vars = spec["n_variables"]
+    interest = InterestMap(n_vars, tuple(tuple(v) for v in strategy["interests"]))
+    if interest.n_agents != spectrum.n_agents:
+        raise ConfigError("interests must list one row per agent")
+    rng = setup_stream(config.seed, _SETUP_TASKS)
+    values = spec.get("scale", 1.0) * rng.standard_normal(n_vars)
+    return TaskField(interest.blocks_from_global(values))
+
+
+# build(spec, config, spectrum) -> TaskField
+_TRUTH_KINDS = {
+    "smooth": _Kind(_smooth_truth, {}, {"modes": _as_count,
+                                        "bandwidth": _as_number,
+                                        "scale": _as_number}),
+    "constant": _Kind(_piecewise_truth, {}, {"scale": _as_number}),
+    "piecewise": _Kind(_piecewise_truth, {"sizes": _as_int_list},
+                       {"scale": _as_number}),
+    "explicit": _Kind(lambda spec, config, spectrum: TaskField(
+                          tuple(np.asarray(b, dtype=float)
+                                for b in spec["blocks"])),
+                      {"blocks": _as_matrix}),
+    "file": _Kind(lambda spec, config, spectrum: load_tasks(
+                      _resolve_path(spec["path"], config.base_dir)),
+                  {"path": _as_string}),
+    "global_random": _Kind(_global_random_truth, {"n_variables": _as_count},
+                           {"scale": _as_number}),
 }
 
-_GRAPH_TYPES = {
-    "n": _as_int, "weight": _as_number, "radius": _as_number,
-    "kernel_width": _as_number, "require_connected": _as_bool,
-    "max_tries": _as_int, "path": _as_string, "edges": _as_matrix,
+
+def _as_truth(value, where: str) -> None:
+    _check_kind(value, _TRUTH_KINDS, where)
+    if "modes" in value and "bandwidth" in value:
+        raise ConfigError(f"{where}: give either modes or bandwidth, not both")
+
+
+def _shared_r_u(spec: dict, truth: TaskField) -> np.ndarray | None:
+    """The model's regressor covariance, or None for per-agent identity."""
+    r_u = spec.get("r_u", "identity")
+    if r_u == "identity":
+        return None if truth.uniform_size is None else np.eye(truth.uniform_size)
+    return None if r_u is None else np.asarray(r_u, dtype=float)
+
+
+# build(spec, truth) -> StreamModel
+_MODEL_KINDS = {
+    "mse": _Kind(lambda spec, truth: StreamModel(
+                     kind="mse", truth=truth, r_u=_shared_r_u(spec, truth),
+                     noise_var=spec["noise_var"]),
+                 {"truth": _as_truth, "noise_var": _as_numbers},
+                 {"m": _as_count, "r_u": _as_r_u}),
+    "logistic": _Kind(lambda spec, truth: StreamModel(
+                          kind="logistic", truth=truth,
+                          r_u=_shared_r_u(spec, truth),
+                          reg=float(spec.get("reg", 0.0))),
+                      {"truth": _as_truth},
+                      {"m": _as_count, "r_u": _as_r_u, "reg": _as_number}),
 }
 
-_TRUTH_TYPES = {
-    "scale": _as_number, "path": _as_string, "blocks": _as_matrix,
-    "sizes": _as_int_list,
+# strategies.build_strategy builds the kernel from the checked object
+_KERNEL_KINDS = {
+    "polynomial": _Kind(None, {"coefficients": _as_number_list}),
+    "power": _Kind(None, {"exponent": _as_count}),
+    "heat": _Kind(None, {"rate": _as_number, "degree": _as_count}),
 }
 
 _STRATEGY_TYPES = {
@@ -295,54 +446,10 @@ _STRATEGY_TYPES = {
     "rho": _as_number_or_matrix,
     "penalty": _as_string,
     "clusters": _as_int_list,
-    "interests": lambda value, where: _as_list(value, where, _as_int_list),
+    "interests": partial(_as_list, item=_as_int_list),
+    "subspace": _as_subspace,
+    "kernel": lambda value, where: _check_kind(value, _KERNEL_KINDS, where),
 }
-
-_KERNEL_KEYS = {
-    "polynomial": {"coefficients"},
-    "power": {"exponent"},
-    "heat": {"rate", "degree"},
-}
-
-
-def _validate_graph_spec(doc: dict) -> None:
-    _require_keys(doc, set().union(*_GRAPH_KEYS.values()) | {"kind"}, {"kind"},
-                  "graph")
-    kind = _kind(doc, _GRAPH_KEYS, "graph")
-    _require_keys(doc, _GRAPH_KEYS[kind] | {"kind"},
-                  {"kind"} | ({"path"} if kind == "file" else
-                              {"n", "edges"} if kind == "edges" else
-                              {"n", "radius"} if kind == "geometric" else {"n"}),
-                  f"graph ({kind})")
-    _check_types(doc, _GRAPH_TYPES, "graph")
-
-
-def _validate_truth_spec(doc: dict) -> None:
-    _require_keys(doc, set().union(*_TRUTH_KEYS.values()) | {"kind"}, {"kind"},
-                  "model.truth")
-    kind = _kind(doc, _TRUTH_KEYS, "truth")
-    required = {
-        "smooth": set(), "constant": set(), "piecewise": {"sizes"},
-        "explicit": {"blocks"}, "file": {"path"},
-        "global_random": {"n_variables"},
-    }[kind]
-    _require_keys(doc, _TRUTH_KEYS[kind] | {"kind"}, {"kind"} | required,
-                  f"model.truth ({kind})")
-    if kind == "smooth" and "modes" in doc and "bandwidth" in doc:
-        raise ConfigError("model.truth: give either modes or bandwidth, not both")
-    _check_types(doc, _TRUTH_TYPES, "model.truth")
-
-
-def _validate_model_spec(doc: dict) -> None:
-    _require_keys(doc, {"kind", "m", "r_u", "noise_var", "reg", "truth"},
-                  {"kind", "truth"}, "model")
-    kind = _kind(doc, ("mse", "logistic"), "model")
-    if kind == "mse" and "noise_var" not in doc:
-        raise ConfigError("mse model requires noise_var")
-    if kind == "logistic" and "noise_var" in doc:
-        raise ConfigError("logistic model does not take noise_var")
-    _check_types(doc, {"noise_var": _as_numbers, "reg": _as_number}, "model")
-    _validate_truth_spec(doc["truth"])
 
 
 def _strategy_config(spec: dict) -> StrategyConfig:
@@ -367,22 +474,6 @@ def _validate_strategy_spec(doc: dict) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc))
     _check_types(doc, _STRATEGY_TYPES, "strategy")
-    subspace = doc.get("subspace")
-    if isinstance(subspace, dict) and "clusters" in subspace:
-        _as_int_list(subspace["clusters"], "strategy.subspace.clusters")
-    if "kernel" in doc:
-        kernel = doc["kernel"]
-        if not isinstance(kernel, dict):
-            raise ConfigError("strategy.kernel must be an object")
-        kind = _kind(kernel, _KERNEL_KEYS, "strategy.kernel")
-        _require_keys(kernel, _KERNEL_KEYS[kind] | {"kind"},
-                      {"kind"} | _KERNEL_KEYS[kind],
-                      f"strategy.kernel ({kind})")
-        if kind == "power":
-            _as_int(kernel["exponent"], "kernel.exponent", minimum=1)
-        if kind == "heat":
-            _as_number(kernel["rate"], "kernel.rate")
-            _as_int(kernel["degree"], "kernel.degree", minimum=1)
 
 
 def parse_config(doc: dict, base_dir: str | None = None) -> ExperimentConfig:
@@ -392,7 +483,7 @@ def parse_config(doc: dict, base_dir: str | None = None) -> ExperimentConfig:
     _require_keys(doc, allowed,
                   {"schema", "seed", "iters", "runs", "graph", "model",
                    "strategy"}, "config")
-    if doc["schema"] != SCHEMA_VERSION:
+    if _as_int(doc["schema"], "schema") != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema version {doc['schema']!r}; this build reads "
             f"schema {SCHEMA_VERSION}"
@@ -407,15 +498,15 @@ def parse_config(doc: dict, base_dir: str | None = None) -> ExperimentConfig:
     window = _as_number(doc.get("steady_window", 0.1), "steady_window")
     if not (0.0 < window <= 1.0):
         raise ConfigError("steady_window must be in (0, 1]")
-    _validate_graph_spec(doc["graph"])
-    _validate_model_spec(doc["model"])
+    _check_kind(doc["graph"], _GRAPH_KINDS, "graph")
+    _check_kind(doc["model"], _MODEL_KINDS, "model")
     _validate_strategy_spec(doc["strategy"])
     eta_grid = None
     if "eta_grid" in doc:
-        grid = doc["eta_grid"]
-        if not isinstance(grid, list) or not grid:
+        grid = _as_list(doc["eta_grid"], "eta_grid", _as_number)
+        if not grid:
             raise ConfigError("eta_grid must be a non-empty list")
-        eta_grid = tuple(_as_number(v, "eta_grid entry") for v in grid)
+        eta_grid = tuple(float(v) for v in grid)
         if any(v < 0.0 for v in eta_grid):
             raise ConfigError("eta_grid entries must be >= 0")
     out = doc.get("out")
@@ -456,128 +547,25 @@ class ResolvedExperiment:
     w_star: np.ndarray | None
 
 
-def _resolve_path(path: str, base_dir: str | None) -> str:
-    if os.path.isabs(path) or base_dir is None:
-        return path
-    return os.path.join(base_dir, path)
-
-
-def _build_graph(spec: dict, seed: int, base_dir: str | None) -> Graph:
-    kind = spec["kind"]
+def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args):
+    """What spec's kind builds from it, a ValueError as a ConfigError."""
     try:
-        if kind == "ring":
-            return ring_graph(spec["n"], spec.get("weight", 1.0))
-        if kind == "star":
-            return star_graph(spec["n"], spec.get("weight", 1.0))
-        if kind == "complete":
-            return complete_graph(spec["n"], spec.get("weight", 1.0))
-        if kind == "geometric":
-            return random_geometric_graph(
-                spec["n"], spec["radius"],
-                rng=setup_stream(seed, _SETUP_GRAPH),
-                kernel_width=spec.get("kernel_width"),
-                require_connected=spec.get("require_connected", True),
-                max_tries=spec.get("max_tries", 100),
-            )
-        if kind == "file":
-            return load_graph(_resolve_path(spec["path"], base_dir))
-        if kind == "edges":
-            return Graph.from_edges(spec["n"], spec["edges"])
-    except OSError:
-        raise
+        return kinds[spec["kind"]].build(spec, *args)
     except ValueError as exc:
-        raise ConfigError(f"graph: {exc}")
-    raise ConfigError(f"unknown graph kind {kind!r}")
+        raise ConfigError(f"{where}: {exc}")
 
 
-def _build_truth(model_spec: dict, strategy_spec: dict, graph: Graph,
-                 spectrum: Spectrum, seed: int,
-                 base_dir: str | None) -> TaskField:
-    spec = model_spec["truth"]
-    kind = spec["kind"]
-    n = graph.n_agents
-    rng = setup_stream(seed, _SETUP_TASKS)
-    scale = spec.get("scale", 1.0)
-    try:
-        if kind == "smooth":
-            m = _as_int(model_spec.get("m", 1), "model.m", minimum=1)
-            if "modes" in spec:
-                modes = _as_int(spec["modes"], "truth.modes", minimum=1)
-                if modes > n:
-                    raise ConfigError(f"modes={modes} exceeds N={n}")
-                bandwidth = float(spectrum.eigenvalues[modes - 1])
-            else:
-                bandwidth = _as_number(spec.get("bandwidth", np.inf),
-                                       "truth.bandwidth")
-            field = synth_smooth_tasks(spectrum, m, bandwidth, rng)
-            return TaskField(tuple(scale * b for b in field.blocks))
-        if kind == "constant":
-            m = _as_int(model_spec.get("m", 1), "model.m", minimum=1)
-            shared = scale * rng.standard_normal(m)
-            return TaskField(tuple(shared.copy() for _ in range(n)))
-        if kind == "piecewise":
-            m = _as_int(model_spec.get("m", 1), "model.m", minimum=1)
-            part = ClusterPartition(tuple(spec["sizes"]))
-            if part.n_agents != n:
-                raise ConfigError("truth.sizes must sum to the agent count")
-            blocks = []
-            for size in part.sizes:
-                shared = scale * rng.standard_normal(m)
-                blocks.extend(shared.copy() for _ in range(size))
-            return TaskField(tuple(blocks))
-        if kind == "explicit":
-            return TaskField(tuple(np.asarray(b, dtype=float)
-                                   for b in spec["blocks"]))
-        if kind == "file":
-            return load_tasks(_resolve_path(spec["path"], base_dir))
-        if kind == "global_random":
-            if strategy_spec.get("kind") != "overlapping":
-                raise ConfigError(
-                    "global_random truth requires the overlapping strategy"
-                )
-            n_vars = _as_int(spec["n_variables"], "truth.n_variables", minimum=1)
-            interest = InterestMap(
-                n_vars, tuple(tuple(v) for v in strategy_spec["interests"])
-            )
-            if interest.n_agents != n:
-                raise ConfigError("interests must list one row per agent")
-            values = scale * rng.standard_normal(n_vars)
-            return TaskField(interest.blocks_from_global(values))
-    except OSError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"model.truth: {exc}")
-    raise ConfigError(f"unknown truth kind {kind!r}")
-
-
-def _build_model(model_spec: dict, truth: TaskField) -> StreamModel:
-    kind = model_spec["kind"]
-    m = truth.uniform_size
-    if "m" in model_spec:
-        declared = _as_int(model_spec["m"], "model.m", minimum=1)
-        if m is not None and declared != m:
-            raise ConfigError(f"model.m = {declared} but blocks have length {m}")
-    r_u_spec = model_spec.get("r_u", "identity")
-    try:
-        if r_u_spec is None:
-            r_u = None
-        elif isinstance(r_u_spec, str):
-            if r_u_spec != "identity":
-                raise ConfigError(f"unknown r_u rule {r_u_spec!r}")
-            r_u = None if m is None else np.eye(m)
-        else:
-            r_u = np.asarray(r_u_spec, dtype=float)
-        if kind == "mse":
-            noise = model_spec["noise_var"]
-            noise_arr = (np.full(truth.n_agents, float(noise))
-                         if np.isscalar(noise) else
-                         np.asarray(noise, dtype=float))
-            return StreamModel(kind="mse", truth=truth, r_u=r_u,
-                               noise_var=noise_arr)
-        return StreamModel(kind="logistic", truth=truth, r_u=r_u,
-                           reg=float(model_spec.get("reg", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}")
+def _mixing_rho(strategy: Strategy) -> float:
+    """rho(A - P_U) of the strategy's weights on its subspace: the
+    feasibility check's where the builder ran one (subspace_projection),
+    else one eigvals of the N x N pair (A, U_N), since the consensus and
+    cluster bases of diffusion and clustered are U_N x I_M."""
+    if strategy.feasibility is not None:
+        return strategy.feasibility.rho
+    m = strategy.subspace.block_sizes[0]
+    basis = strategy.subspace.basis[::m, ::m]  # semi-orthogonal
+    gap = strategy.combination.matrix - basis @ basis.T
+    return float(np.max(np.abs(np.linalg.eigvals(gap))))
 
 
 def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
@@ -620,7 +608,10 @@ def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
                 theory["filter_ratios"] = bound.ratios.tolist()
             except ValueError:
                 pass
-    elif closed_form == "projection" and strategy.subspace is not None:
+    elif (closed_form == "projection" and strategy.subspace is not None
+          and _mixing_rho(strategy) < 1.0 - SPECTRAL_RADIUS_SLACK):
+        # weights that never mix across a bridge split the network: the
+        # projection closed form holds only where A^i converges to P_U
         sub = strategy.subspace
         flat = truth_mat.reshape(-1)
         # the projection residual without forming the (M_t x M_t) projector
@@ -643,16 +634,20 @@ def resolve_pieces(
     combination matrix that may violate feasibility) before the strict
     validation in build_strategy runs.
     """
-    graph = _build_graph(config.graph, config.seed, config.base_dir)
+    graph = _build(_GRAPH_KINDS, config.graph, "graph", config)
     spectrum = build_laplacian(graph)
-    truth = _build_truth(config.model, config.strategy, graph, spectrum,
-                         config.seed, config.base_dir)
+    truth = _build(_TRUTH_KINDS, config.model["truth"], "model.truth", config,
+                   spectrum)
     if truth.n_agents != graph.n_agents:
         raise ConfigError(
             f"truth has {truth.n_agents} blocks but the graph has "
             f"{graph.n_agents} agents"
         )
-    model = _build_model(config.model, truth)
+    m = config.model.get("m", truth.uniform_size)
+    if truth.uniform_size not in (None, m):
+        raise ConfigError(
+            f"model.m = {m} but blocks have length {truth.uniform_size}")
+    model = _build(_MODEL_KINDS, config.model, "model", truth)
     return graph, spectrum, model
 
 

@@ -27,6 +27,7 @@ element-wise comparison of their arrays has no single truth value.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -141,14 +142,22 @@ class Graph:
     def from_edges(cls, n: int, edges: Sequence[Sequence]) -> "Graph":
         """Build a graph from an edge list [[k, l, weight], ...].
 
-        Each undirected edge appears once; duplicates (in either orientation)
-        are rejected.
+        n and the agents k, l must be integers: 6.5 or 0.5 is refused, not
+        truncated. Each undirected edge appears once; duplicates (in either
+        orientation) are rejected.
         """
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {n!r}") from None
         adj = np.zeros((n, n))
         for edge in edges:
-            if len(edge) != 3:
-                raise ValueError(f"edge must be [k, l, weight], got {edge!r}")
-            k, l, c = int(edge[0]), int(edge[1]), float(edge[2])
+            try:
+                k, l, c = edge
+                k, l, c = operator.index(k), operator.index(l), float(c)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge must be [k, l, weight] with integer "
+                                 f"agents k and l, got {edge!r}") from None
             if not (0 <= k < n and 0 <= l < n):
                 raise ValueError(f"edge ({k},{l}) out of range for n={n}")
             if k == l:
@@ -174,7 +183,7 @@ class Graph:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Graph":
         try:
-            n = int(doc["n"])
+            n = doc["n"]
             edges = doc["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph document must have 'n' and 'edges': {exc}")
@@ -781,11 +790,11 @@ def check_feasibility(
     left = bool(np.max(np.abs(basis.T @ matrix - basis.T)) <= tol * scale)
 
     gap = matrix - proj
+    rows = matrix.shape[0]
     if right and left and np.array_equal(matrix, matrix.T):
         rho = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
         norms = rho ** np.arange(1.0, power + 1.0)
     else:
-        rows = matrix.shape[0]
         if rows > DENSE_CHECK_MAX_ROWS:
             raise ValueError(
                 f"the feasibility check of a {rows}x{rows} combination matrix "
@@ -810,14 +819,16 @@ def check_feasibility(
     sparsity = not bool(np.any(peaks[~allowed] > tol * scale))
 
     # Endpoint decay test with an order-of-magnitude envelope; per-step norms
-    # are reported for closer inspection.
+    # are reported for closer inspection. The floor is the rounding of the
+    # matrix powers: each product adds about rows * eps to ||A^i - P_U||.
     if norms[0] == 0.0:
         semi = True
     elif rho >= 1.0 - SPECTRAL_RADIUS_SLACK:
         # spectral's margin: rho = 1 in exact arithmetic is not a rounded bit
         semi = False
     else:
-        semi = bool(norms[-1] <= 10.0 * norms[0] * rho ** (power - 1) + 1e-14)
+        floor = rows * power * np.finfo(float).eps
+        semi = bool(norms[-1] <= 10.0 * norms[0] * rho ** (power - 1) + floor)
     norms.flags.writeable = False
 
     passed = right and left and spectral and sparsity and semi

@@ -507,12 +507,11 @@ def compare_theory(result: ExperimentResult, tolerance: float = 0.15,
     error around the limit point against the variance prediction when both
     are available.
     """
-    theory = predictions if predictions is not None else result.theory
+    theory = (predictions if predictions is not None else result.theory) or {}
     entries = []
     notes = []
-    if theory is None:
-        notes.append("no closed-form predictions for this configuration")
-        theory = {}
+    if "msd" not in theory:
+        notes.append("no closed-form MSD prediction for this configuration")
     tiny = np.finfo(float).tiny
 
     def add(name: str, simulated: float, predicted: float):

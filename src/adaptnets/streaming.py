@@ -128,7 +128,7 @@ class TaskField:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TaskField":
         try:
-            m = int(doc["M"])
+            m = doc["M"]
             blocks = doc["blocks"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"task document must have 'M' and 'blocks': {exc}")

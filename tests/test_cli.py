@@ -457,3 +457,55 @@ def test_misshaped_rho_exits_2_before_any_draw(tmp_path, capsys, monkeypatch,
         == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "rho" in err and "6x6" in err
+
+
+_SPECTRAL = {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5}
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("model.r_u", {"model": {**_MODEL, "r_u": {"a": 1},
+                             "truth": {"kind": "constant"}}}),
+    ("strategy.kernel.coefficients",
+     {"strategy": {**_SPECTRAL, "kernel": {"kind": "polynomial",
+                                           "coefficients": {"a": 1}}}}),
+    ("model.truth.modes",
+     {"model": {**_MODEL, "truth": {"kind": "smooth", "modes": "3"}}}),
+    ("model.m", {"model": {**_MODEL, "m": 2.5,
+                           "truth": {"kind": "constant"}}}),
+    ("model.truth.n_variables",
+     {"model": {"kind": "mse", "noise_var": 0.1,
+                "truth": {"kind": "global_random", "n_variables": "3"}},
+      "strategy": {"kind": "overlapping", "mu": 0.01,
+                   "interests": [[k, (k + 1) % 6] for k in range(6)]}}),
+    ("['reg']", {"model": {**_MODEL, "reg": 0.1,
+                           "truth": {"kind": "constant"}}}),
+    ("graph.n", {"graph": {**_GEOMETRIC, "n": 0}}),
+    ("strategy.interests[1][0]",
+     {"strategy": {"kind": "overlapping", "mu": 0.01,
+                   "interests": [[0, 1], ["1", 2]]}}),
+])
+def test_keys_checked_at_parse_exit_2_and_name_the_key(tmp_path, capsys,
+                                                       monkeypatch, key,
+                                                       overrides):
+    from adaptnets import harness
+    monkeypatch.setattr(harness, "draw_horizon", _no_draw)
+    cfg = write_config(tmp_path, **{"graph": _RING, **overrides})
+    assert main(["check", "--config", cfg]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_non_integral_agents_exit_2(tmp_path, capsys):
+    # an agent index of 0.5 or an agent count of 6.5 is refused, not
+    # truncated to edge 0-1 or to 6 agents
+    cfg = write_config(tmp_path, graph={
+        "kind": "edges", "n": 3, "edges": [[0.5, 1, 1], [1, 2, 1]]})
+    assert main(["check", "--config", cfg]) == EXIT_CONFIG
+    assert "[0.5, 1, 1]" in capsys.readouterr().err
+    (tmp_path / "net.json").write_text(json.dumps(
+        {"n": 6.5, "edges": [[k, (k + 1) % 6, 1.0] for k in range(6)]}))
+    cfg = write_config(tmp_path, graph={"kind": "file", "path": "net.json"})
+    assert main(["check", "--config", cfg]) == EXIT_CONFIG
+    assert "n must be an integer, got 6.5" in capsys.readouterr().err

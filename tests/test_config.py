@@ -1,11 +1,15 @@
 """Configuration parsing, canonicalization, stream namespacing, resolution."""
 
+import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from adaptnets import compare_theory, run_experiment
 from adaptnets.config import (
     ConfigError,
     ExperimentConfig,
@@ -176,6 +180,178 @@ def test_logistic_model_rejects_noise_var():
                      "truth": {"kind": "smooth", "modes": 3}})
     with pytest.raises(ConfigError, match="noise_var"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("key, section, value", [
+    ("model.r_u", "model", {"r_u": {"a": 1}}),
+    ("model.m", "model", {"m": 2.5}),
+    ("model.reg", "model", {"reg": 0.1}),
+    ("model.truth.modes", "truth", {"modes": "3"}),
+    ("model.truth.bandwidth", "truth", {"modes": None, "bandwidth": [1.0]}),
+    ("graph.n", "graph", {"kind": "geometric", "n": 0, "radius": 0.5}),
+    ("strategy.kernel.coefficients", "strategy",
+     {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5,
+      "kernel": {"kind": "polynomial", "coefficients": {"a": 1}}}),
+    ("strategy.kernel.rate", "strategy",
+     {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5,
+      "kernel": {"kind": "heat", "rate": "1", "degree": 3}}),
+])
+def test_parse_checks_every_key_of_a_kind(key, section, value):
+    # each kind's table holds its keys and their types: a misplaced key or
+    # a value of the wrong type fails at parse time and names the key
+    bad = doc()
+    if section == "truth":
+        bad["model"]["truth"].update(value)
+        bad["model"]["truth"] = {k: v for k, v in bad["model"]["truth"].items()
+                                 if v is not None}
+    elif section == "model":
+        bad["model"].update(value)
+    else:
+        bad[section] = value
+    with pytest.raises(ConfigError, match=re.escape(key.split(".")[-1])) as exc:
+        parse_config(bad)
+    assert key.rsplit(".", 1)[0] in str(exc.value)
+
+
+def test_parse_names_the_element_of_a_nested_list():
+    bad = doc(strategy={"kind": "overlapping", "mu": 0.01,
+                        "interests": [[0, 1], [1, "2"]]})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert str(exc.value) == "strategy.interests[1][1] must be an integer"
+    with pytest.raises(ConfigError, match=re.escape("eta_grid[1]")):
+        parse_config(doc(eta_grid=[0.0, "1"]))
+
+
+def test_reg_is_a_logistic_key_only():
+    logistic = doc(model={"kind": "logistic", "m": 2, "reg": 0.1,
+                          "truth": {"kind": "constant"}})
+    parse_config(logistic)
+    mse = doc()
+    mse["model"]["reg"] = 0.1
+    with pytest.raises(ConfigError) as exc:
+        parse_config(mse)
+    assert str(exc.value) == "unknown keys in model (mse): ['reg']"
+
+
+# ---------------------------------------------------------------------------
+# No traceback from a mistyped document
+# ---------------------------------------------------------------------------
+
+def _mse(truth, m=2):
+    return {"kind": "mse", "m": m, "noise_var": 0.1, "truth": truth}
+
+
+_LAPLACIAN = {"kind": "laplacian_reg", "mu": 0.01, "eta": 0.5}
+_SMOOTH = {"kind": "smooth", "modes": 2, "scale": 0.5}
+# one small valid document per graph, truth, model and kernel kind
+_KIND_DOCS = [
+    {"graph": {"kind": "ring", "n": 5, "weight": 1.0}},
+    {"graph": {"kind": "star", "n": 5}},
+    {"graph": {"kind": "complete", "n": 4, "weight": 0.5}},
+    {"graph": {"kind": "geometric", "n": 6, "radius": 0.8,
+               "kernel_width": 0.4, "require_connected": True,
+               "max_tries": 20}},
+    {"graph": {"kind": "file", "path": "net.json"}},
+    {"graph": {"kind": "edges", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 2]]}},
+    {"model": _mse({"kind": "smooth", "bandwidth": 1.5})},
+    {"model": _mse({"kind": "constant", "scale": 2})},
+    {"model": _mse({"kind": "piecewise", "sizes": [2, 3], "scale": 1.0}),
+     "strategy": {"kind": "clustered", "mu": 0.01, "eta": 0.2,
+                  "clusters": [2, 3], "penalty": "l1", "rho": 0.5}},
+    {"model": _mse({"kind": "explicit",
+                    "blocks": [[1.0, 2.0], [0.5, 0.0], [1, 1], [0, 2],
+                               [3.0, 1.0]]})},
+    {"model": _mse({"kind": "file", "path": "tasks.json"})},
+    {"model": {"kind": "mse", "noise_var": [0.1, 0.1, 0.2, 0.1, 0.1],
+               "truth": {"kind": "global_random", "n_variables": 5,
+                         "scale": 1.0}},
+     "strategy": {"kind": "overlapping", "mu": 0.01,
+                  "interests": [[k, (k + 1) % 5] for k in range(5)]}},
+    {"model": {"kind": "mse", "m": 2, "noise_var": 0.1,
+               "r_u": [[1.0, 0.2], [0.2, 1.0]], "truth": _SMOOTH},
+     "strategy": {"kind": "diffusion", "mu": 0.01, "weights": "metropolis"}},
+    {"model": {"kind": "logistic", "m": 2, "r_u": "identity", "reg": 0.1,
+               "truth": _SMOOTH}},
+    {"strategy": {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5,
+                  "kernel": {"kind": "polynomial",
+                             "coefficients": [0.0, 1.0, 0.5]}}},
+    {"strategy": {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5,
+                  "kernel": {"kind": "power", "exponent": 2}}},
+    {"strategy": {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5,
+                  "kernel": {"kind": "heat", "rate": 0.5, "degree": 4}}},
+    {"strategy": {"kind": "subspace_projection", "mu": 0.01,
+                  "subspace": {"clusters": [2, 3]}},
+     "model": _mse({"kind": "piecewise", "sizes": [2, 3]})},
+]
+# small values of every JSON type: strings, booleans, floats where an
+# integer goes, lists, objects and null
+_REPLACEMENTS = ["x", "", "3", True, False, 0.5, 2.5, -1.0, 0, 1, 2, -1,
+                 [], [1], [0.5], ["x"], [[0, 1]], [[1.0, 0.0], [0.0, 1.0]],
+                 {}, {"a": 1}, {"kind": "ring"}, None]
+
+
+def _kind_doc(overrides: dict) -> dict:
+    return doc(**{"iters": 10, "runs": 1, "graph": {"kind": "ring", "n": 5},
+                  **overrides})
+
+
+def _leaves(value, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _leaves(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def kind_files(tmp_path_factory):
+    where = tmp_path_factory.mktemp("kinds")
+    save_graph(ring_graph(5), where / "net.json")
+    save_tasks(TaskField.from_matrix(np.arange(10.0).reshape(5, 2)),
+               where / "tasks.json")
+    return str(where)
+
+
+def test_every_kind_document_resolves(kind_files):
+    for overrides in _KIND_DOCS:
+        config = parse_config(_kind_doc(overrides), base_dir=kind_files)
+        resolve(config)
+        assert all(ok for _, ok, _ in run_checks(config)), overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mistyped_document_fails_as_a_config_error(kind_files, data):
+    # any value replaced by a small value of another JSON type: parse_config
+    # accepts or refuses it with a ConfigError, and resolve and run_checks
+    # raise nothing but a ValueError (a missing file is an OSError)
+    base = _kind_doc(data.draw(st.sampled_from(_KIND_DOCS)))
+    path = data.draw(st.sampled_from(list(_leaves(base))))
+    mistyped = copy.deepcopy(base)
+    target = mistyped
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(st.sampled_from(_REPLACEMENTS))
+    try:
+        config = parse_config(mistyped, base_dir=kind_files)
+    except ConfigError:
+        return
+    allowed = (ValueError, OSError) if path[-1] == "path" else ValueError
+    for call in (resolve, run_checks):
+        try:
+            call(config)
+        except allowed:
+            pass
+
+
+def test_readme_json_blocks_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(json.loads(block))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +586,30 @@ def test_scalar_subspace_resolve_builds_no_block_matrix(monkeypatch):
         assert strategy.feasibility.passed
         assert np.array_equal(strategy.social(psi),
                               strategy.combination.matrix @ psi)
+
+
+def test_split_network_gets_no_consensus_closed_form():
+    # weights on the path 0-1-2-3 that put nothing on the bridge 1-2 meet
+    # every condition row, but the two halves never reach consensus
+    split = [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+             [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]]
+    theories = {}
+    for weights in (split, "metropolis"):
+        cfg = parse_config(doc(
+            iters=20, runs=1,
+            graph={"kind": "edges", "n": 4,
+                   "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]},
+            model={"kind": "mse", "m": 2, "noise_var": 0.1,
+                   "truth": {"kind": "constant"}},
+            strategy={"kind": "diffusion", "mu": 0.01, "weights": weights}))
+        theories[str(weights)] = resolve(cfg).theory
+        notes = compare_theory(run_experiment(cfg)).notes
+        assert ("no closed-form MSD prediction for this configuration"
+                in notes) == (weights is split)
+    assert "msd_nc" in theories[str(split)]
+    assert "msd" not in theories[str(split)]
+    assert theories["metropolis"]["msd"] == pytest.approx(
+        theories["metropolis"]["msd_nc"] / 4, rel=1e-12)
 
 
 def test_resolve_spectral_filter_ratios():

@@ -419,7 +419,8 @@ def _block_feasibility_oracle(
     kept verbatim (its dense (M_t x M_t) form and per-pair sparsity loop)
     as the oracle. Only its semi-convergence verdict follows the library's
     rule, rho >= 1 - SPECTRAL_RADIUS_SLACK, so that both forms decide the
-    same way where rho is 1 in exact arithmetic."""
+    same way where rho is 1 in exact arithmetic, and its floor for the
+    rounding of the matrix powers, rows * power * eps."""
     sizes = subspace.block_sizes
     block = combination.block_matrix(sizes)
     basis = subspace.basis
@@ -460,7 +461,8 @@ def _block_feasibility_oracle(
     elif rho >= 1.0 - SPECTRAL_RADIUS_SLACK:
         semi = False
     else:
-        semi = bool(norms[-1] <= 10.0 * norms[0] * rho ** (power - 1) + 1e-14)
+        floor = block.shape[0] * power * np.finfo(float).eps
+        semi = bool(norms[-1] <= 10.0 * norms[0] * rho ** (power - 1) + floor)
     norms.flags.writeable = False
 
     passed = right and left and spectral and sparsity and semi
@@ -593,6 +595,19 @@ def test_eigenvalue_path_matches_block_oracle(seed, n, radius, m, data):
     for combo, subspace in cases:
         report, _ = _assert_matches_oracle(combo, subspace, g, [])
         assert report.right_fixed and report.left_fixed
+
+
+def test_exact_cluster_averaging_is_semi_convergent_on_both_paths():
+    # a complete graph with clusters of 1 and 12 agents: cluster Metropolis
+    # averages exactly, rho(A - P_U) is a rounding residue, and the
+    # oracle's 50 matrix powers leave ||A^50 - P_U|| at 1.0e-14 to 1.1e-14
+    g = random_geometric_graph(13, 1.5, np.random.default_rng(0))
+    part = ClusterPartition((1, 12))
+    combo = cluster_metropolis(g, part)
+    for m in (1, 2, 3):
+        report, _ = _assert_matches_oracle(combo, cluster_subspace(part, m),
+                                           g, [])
+        assert report.semi_convergence and report.passed
 
 
 @pytest.fixture

@@ -105,6 +105,14 @@ def test_taskfield_json_rejects_mismatched_m(tmp_path):
         load_tasks(path)
 
 
+def test_taskfield_json_rejects_non_integral_m(tmp_path):
+    # M = 2.5 is refused, not truncated to the blocks' length 2
+    path = tmp_path / "tasks.json"
+    path.write_text('{"M": 2.5, "blocks": [[1.0, 2.0], [3.0, 4.0]]}')
+    with pytest.raises(ValueError, match="M=2.5"):
+        load_tasks(path)
+
+
 # ---------------------------------------------------------------------------
 # Smooth synthesis
 # ---------------------------------------------------------------------------
