@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -142,14 +143,19 @@ class Graph:
     def from_edges(cls, n: int, edges: Sequence[Sequence]) -> "Graph":
         """Build a graph from an edge list [[k, l, weight], ...].
 
-        n and the agents k, l must be integers: 6.5 or 0.5 is refused, not
-        truncated. Each undirected edge appears once; duplicates (in either
-        orientation) are rejected.
+        n must be a positive integer and the agents k, l integers: 6.5 or
+        0.5 is refused, not truncated. Each undirected edge appears once;
+        duplicates (in either orientation) are rejected.
         """
         try:
             n = operator.index(n)
         except TypeError:
             raise ValueError(f"n must be an integer, got {n!r}") from None
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        if isinstance(edges, (str, Mapping)) or not isinstance(edges, Iterable):
+            raise ValueError(f"edges must be a list of [k, l, weight], "
+                             f"got {edges!r}")
         adj = np.zeros((n, n))
         for edge in edges:
             try:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass, field as dc_field
 from functools import cached_property
+import math
 from typing import Callable, Mapping
 
 import numpy as np
@@ -194,6 +195,20 @@ class EdgeRegularizer:
         weight[rows, slots] = self.weights[rows, cols]
         return index, weight
 
+    @cached_property
+    def prox_plans(self) -> dict[int, ProxPlan]:
+        """The l1 prox's plans by row count, each built by the first step
+        on that many rows (see prox_plan)."""
+        return {}
+
+    def prox_plan(self, rows: int) -> ProxPlan:
+        """The l1 prox's gather tables and frames for `rows` coordinate rows
+        (runs x M), built on first use and kept for every later step."""
+        plan = self.prox_plans.get(rows)
+        if plan is None:
+            plan = self.prox_plans[rows] = ProxPlan(*self.neighbor_table, rows)
+        return plan
+
 
 @dataclass(frozen=True)
 class InterestMap:
@@ -308,6 +323,35 @@ def social_spectral(psi, graph: Graph, coefficients, mu_eta: float):
     return psi - mu_eta * acc
 
 
+class ProxPlan:
+    """The l1 prox's constant tables for m coordinate rows of N agents with
+    neighbor tables of width D (see _prox_l1, Layout), and the frames a step
+    writes into. Each step overwrites the frames, so a plan serves one step
+    at a time; nothing a step returns is a view of a plan.
+    """
+
+    def __init__(self, index: np.ndarray, weight: np.ndarray, m: int):
+        n, d = index.shape
+        base = np.arange(m)[:, None, None] * (n + 1)
+        cells = np.arange(m * n).reshape(m, n)
+        # row r of x's coordinates, then one +inf for the padded slots
+        self.rows = np.full((m, n + 1), np.inf)
+        self.values = base + index                      # (m, N, D) into rows
+        self.slots = base + index.T                     # (m, D, N) into rows
+        self.sort_offsets = cells[..., None] * d
+        self.weights = np.tile(weight, (m, 1, 1))       # (m, N, D)
+        self.slot_weights = np.ascontiguousarray(weight.T)
+        # flat indices of the padded slots in a step's (3, m, D, N) penalties
+        self.padded_slots = np.flatnonzero(
+            np.broadcast_to(index.T == n, (3, m, d, n)))
+        self.bounds = np.empty((m, n, d + 2))           # b_{-1} .. b_D
+        self.bounds[..., 0] = -np.inf
+        self.bounds[..., -1] = np.inf
+        self.prefix = np.zeros((m, n, d + 1))           # P_0 = 0 .. P_D
+        self.bound_rows = cells * (d + 2)
+        self.prefix_rows = cells * (d + 1)
+
+
 def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.ndarray:
     """Exact weighted-l1 prox of every agent and coordinate at once:
 
@@ -343,7 +387,18 @@ def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.nd
     Layout: the neighbor table pads every agent to the largest degree D
     with value +inf and weight 0, so padded slots sort last, add exactly
     +0.0 to every prefix sum and are never the chosen interval. An isolated
-    agent passes through unchanged.
+    agent passes through unchanged. The m = runs x M coordinate rows are
+    solved side by side, and everything that depends only on m and the
+    table is the regularizer's ProxPlan for m, built by the first step on
+    m rows: flat gather indices into a row buffer whose last slot is +inf,
+    the sort offsets and the weights tiled to match, a bound frame whose
+    first and last columns hold -inf and +inf, a prefix frame whose first
+    column holds 0, the row offsets that pick the chosen interval and the
+    flat positions of the padded slots among the penalty terms. A step
+    copies x into the row buffer, gathers and sorts the neighbor values,
+    writes the sorted breakpoints into the bound frame and the weights'
+    prefix sums into the prefix frame, and then computes c, j*, the three
+    candidates and their objectives as above.
 
     Non-finite values: an agent whose own value is +-inf or nan stays
     non-finite, so divergence checks still see it. A neighbor at +-inf is a
@@ -356,38 +411,38 @@ def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.nd
         return x.copy()
     if regularizer.kind != "l1":
         raise ValueError("the l1 prox needs an l1 regularizer")
-    index, weight = regularizer.neighbor_table
-    n, d = index.shape
+    n = regularizer.weights.shape[0]
     if x.shape[-2] != n:
         raise ValueError(f"expected {n} agents, got {x.shape[-2]}")
+    lead = x.shape[:-2] + (x.shape[-1],)
+    m = math.prod(lead)
+    plan = regularizer.prox_plan(m)
     # coordinates lead, (runs x coordinates, N), so every agent's D neighbor
     # values are contiguous; each coordinate is solved on its own
-    xt = np.swapaxes(x, -1, -2).reshape(-1, n)
-    m = xt.shape[0]
-    padded = np.concatenate([xt, np.full((m, 1), np.inf)], axis=1)
-    values = padded.take(index, axis=1)                        # (M, N, D)
-    order = np.argsort(values, axis=-1)
-    order += np.arange(n)[:, None] * d
-    r = weight.take(order)
-    b = values.take(order + np.arange(m)[:, None, None] * (n * d))
-    prefix = np.zeros((m, n, d + 1))
-    np.cumsum(r, axis=-1, out=prefix[..., 1:])
+    xt = plan.rows[:, :n]
+    np.copyto(xt.reshape(lead + (n,)), np.swapaxes(x, -1, -2))
+    values = plan.rows.take(plan.values)                       # (M, N, D)
+    order = values.argsort(axis=-1)
+    order += plan.sort_offsets
+    r = plan.weights.take(order)
+    bounds = plan.bounds
+    values.take(order, out=bounds[..., 1:-1])
+    prefix = plan.prefix
+    r.cumsum(axis=-1, out=prefix[..., 1:])
     c = xt[..., None] - gamma * (2.0 * prefix - prefix[..., -1:])
-    edge = np.full((m, n, 1), np.inf)
-    bounds = np.concatenate([-edge, b, edge], axis=-1)        # b_{-1} .. b_D
-    j = np.argmax(c <= bounds[..., 1:], axis=-1)               # (M, N)
-    row = np.arange(m * n).reshape(m, n)
-    at = row * (d + 2) + j
-    lo = bounds.take(at)
-    hi = bounds.take(at + 1)
-    mid = np.clip(c.take(row * (d + 1) + j), lo, hi)
-    cand = np.stack([lo, mid, hi])                             # (3, M, N)
+    j = (c <= bounds[..., 1:]).argmax(axis=-1)                 # (M, N)
+    at = plan.bound_rows + j
+    cand = np.empty((3, m, n))
+    lo, mid, hi = cand
+    bounds.take(at, out=lo)
+    bounds.take(at + 1, out=hi)
+    np.clip(c.take(plan.prefix_rows + j), lo, hi, out=mid)
     # slots outside the agents, so pen.sum adds neighbor by neighbor
-    slots = padded.take(index.T, axis=1)                       # (M, D, N)
+    slots = plan.rows.take(plan.slots)                         # (M, D, N)
     # inf - inf and 0 * inf (padded slots) give nan, zeroed or never chosen
     with np.errstate(invalid="ignore", over="ignore"):
-        pen = weight.T * np.abs(cand[:, :, None, :] - slots)   # (3, M, D, N)
-        np.copyto(pen, 0.0, where=index.T == n)
+        pen = plan.slot_weights * np.abs(cand[:, :, None, :] - slots)  # (3, M, D, N)
+        pen.put(plan.padded_slots, 0.0)
         f_lo, f_mid, f_hi = (cand - xt) ** 2 / (2.0 * gamma) + pen.sum(axis=2)
     finite = np.isfinite(f_mid)
     out = np.where(finite & (f_lo <= f_mid) & (f_lo <= f_hi), lo,

@@ -12,6 +12,7 @@ the same well-defined sequences.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -132,6 +133,9 @@ class TaskField:
             blocks = doc["blocks"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"task document must have 'M' and 'blocks': {exc}")
+        if isinstance(blocks, (str, Mapping)) or not isinstance(blocks, Iterable):
+            raise ValueError(f"blocks must be a list of per-agent vectors, "
+                             f"got {blocks!r}")
         field_ = cls(tuple(np.asarray(b, dtype=float) for b in blocks))
         if field_.uniform_size != m:
             raise ValueError(

@@ -509,3 +509,31 @@ def test_non_integral_agents_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, graph={"kind": "file", "path": "net.json"})
     assert main(["check", "--config", cfg]) == EXIT_CONFIG
     assert "n must be an integer, got 6.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, document, message", [
+    ("graph", {"n": 4, "edges": 5}, "edges must be a list"),
+    ("graph", {"n": 4, "edges": {"0": [1, 1.0]}}, "edges must be a list"),
+    ("graph", {"n": 0, "edges": []}, "n must be at least 1, got 0"),
+    ("graph", {"n": -2, "edges": []}, "n must be at least 1, got -2"),
+    ("tasks", {"M": 2, "blocks": 5}, "blocks must be a list"),
+    ("tasks", {"M": 2, "blocks": "12"}, "blocks must be a list"),
+])
+def test_misshaped_graph_and_task_files_exit_2(tmp_path, capsys, monkeypatch,
+                                                section, document, message):
+    # a graph or task file whose edges, blocks or n have the wrong shape
+    # exits 2 naming the key, from check and from run, before any draw
+    from adaptnets import harness
+    monkeypatch.setattr(harness, "draw_horizon", _no_draw)
+    (tmp_path / "data.json").write_text(json.dumps(document))
+    file_kind = {"kind": "file", "path": "data.json"}
+    if section == "graph":
+        cfg = write_config(tmp_path, graph=file_kind)
+    else:
+        cfg = write_config(tmp_path, graph=_RING, model={**_MODEL,
+                                                         "truth": file_kind})
+    assert main(["check", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert message in capsys.readouterr().err

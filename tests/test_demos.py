@@ -14,7 +14,9 @@ SOURCE = os.path.dirname(os.path.dirname(adaptnets.__file__))
 
 @pytest.mark.parametrize("name", ["01_graph_spectra.py",
                                   "03_spectral_kernels.py",
-                                  "06_overlapping_interests.py"])
+                                  "05_sparse_differences.py",
+                                  "06_overlapping_interests.py",
+                                  "07_clustered_networks.py"])
 def test_demo_runs(name, tmp_path):
     path = filter(None, [SOURCE, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

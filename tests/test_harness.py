@@ -936,3 +936,29 @@ def test_engine_makes_no_per_step_objects(monkeypatch):
             iters=70, runs=2, graph={"kind": "ring", "n": 12}, model=model,
             strategy=spec))
         assert np.all(np.isfinite(res.msd_wo)), name
+
+
+@pytest.mark.parametrize("strategy", [
+    {"kind": "prox_l1", "mu": 0.01, "eta": 1.0, "rho": 0.1},
+    {"kind": "clustered", "mu": 0.01, "eta": 1.0, "clusters": [5, 5],
+     "rho": 0.1},
+])
+def test_prox_plans_are_built_by_steps_once_per_row_count(strategy,
+                                                          monkeypatch):
+    # resolve builds no plan (it is set-up time the step may never need);
+    # the first chunk builds one for its runs x M rows, the same chunk
+    # again builds none, and a shorter last chunk builds its own
+    res = resolve(parse_config(base_config(iters=50, runs=3,
+                                           strategy=strategy)))
+    plans = res.strategy.regularizer.prox_plans
+    assert plans == {}
+    built = []
+    plan = strategies.ProxPlan
+    monkeypatch.setattr(strategies, "ProxPlan",
+                        lambda *args: built.append(args[-1]) or plan(*args))
+    harness._simulate_chunk(res, range(3))
+    first = plans[6]
+    harness._simulate_chunk(res, range(3))
+    assert built == [6] and plans[6] is first
+    harness._simulate_chunk(res, range(2, 3))
+    assert built == [6, 2] and sorted(plans) == [2, 6]

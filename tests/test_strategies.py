@@ -292,6 +292,55 @@ def _random_prox_case(rng, t):
     return rho, psi, gamma
 
 
+def _prox_l1_unplanned(x, regularizer, gamma):
+    """The interval-rule kernel as it was before its tables were planned:
+    every step builds its offsets, ±inf edges, row indices and padded-slot
+    mask again. adaptnets.strategies._prox_l1 must agree bit for bit."""
+    if gamma < 0.0:
+        raise ValueError("mu_eta must be >= 0")
+    if gamma == 0.0:
+        return x.copy()
+    if regularizer.kind != "l1":
+        raise ValueError("the l1 prox needs an l1 regularizer")
+    index, weight = regularizer.neighbor_table
+    n, d = index.shape
+    if x.shape[-2] != n:
+        raise ValueError(f"expected {n} agents, got {x.shape[-2]}")
+    # coordinates lead, (runs x coordinates, N), so every agent's D neighbor
+    # values are contiguous; each coordinate is solved on its own
+    xt = np.swapaxes(x, -1, -2).reshape(-1, n)
+    m = xt.shape[0]
+    padded = np.concatenate([xt, np.full((m, 1), np.inf)], axis=1)
+    values = padded.take(index, axis=1)                        # (M, N, D)
+    order = np.argsort(values, axis=-1)
+    order += np.arange(n)[:, None] * d
+    r = weight.take(order)
+    b = values.take(order + np.arange(m)[:, None, None] * (n * d))
+    prefix = np.zeros((m, n, d + 1))
+    np.cumsum(r, axis=-1, out=prefix[..., 1:])
+    c = xt[..., None] - gamma * (2.0 * prefix - prefix[..., -1:])
+    edge = np.full((m, n, 1), np.inf)
+    bounds = np.concatenate([-edge, b, edge], axis=-1)        # b_{-1} .. b_D
+    j = np.argmax(c <= bounds[..., 1:], axis=-1)               # (M, N)
+    row = np.arange(m * n).reshape(m, n)
+    at = row * (d + 2) + j
+    lo = bounds.take(at)
+    hi = bounds.take(at + 1)
+    mid = np.clip(c.take(row * (d + 1) + j), lo, hi)
+    cand = np.stack([lo, mid, hi])                             # (3, M, N)
+    # slots outside the agents, so pen.sum adds neighbor by neighbor
+    slots = padded.take(index.T, axis=1)                       # (M, D, N)
+    # inf - inf and 0 * inf (padded slots) give nan, zeroed or never chosen
+    with np.errstate(invalid="ignore", over="ignore"):
+        pen = weight.T * np.abs(cand[:, :, None, :] - slots)   # (3, M, D, N)
+        np.copyto(pen, 0.0, where=index.T == n)
+        f_lo, f_mid, f_hi = (cand - xt) ** 2 / (2.0 * gamma) + pen.sum(axis=2)
+    finite = np.isfinite(f_mid)
+    out = np.where(finite & (f_lo <= f_mid) & (f_lo <= f_hi), lo,
+                   np.where(finite & (f_hi < f_mid), hi, mid))
+    return np.swapaxes(out.reshape(x.shape[:-2] + (-1, n)), -1, -2).copy()
+
+
 def _has_tied_neighbors(rho, psi):
     return any(np.unique(psi[np.flatnonzero(row)], axis=0).shape[0]
                < np.count_nonzero(row) for row in rho)
@@ -414,6 +463,66 @@ def test_prox_matches_candidate_enumeration_bitwise():
         seen["degree_1"] += int(np.any(degrees == 1))
         seen["hub"] += int(degrees.max() > 16)
     assert min(seen.values()) >= 50, seen
+
+
+def test_planned_prox_matches_unplanned_kernel_bitwise():
+    # the planned kernel against the one that builds its tables per step,
+    # over run axes, with +-inf and nan in an agent's own value (and so in
+    # its neighbors' breakpoints); every case also steps one run on the
+    # same regularizer, so a plan built for one row count serves again
+    rng = np.random.default_rng(34)
+    leads = [(), (1,), (3,), (2, 3)]
+    seen = {"nonfinite_with_neighbors": 0, "isolated": 0, "hub": 0, "ties": 0}
+    for t in range(800):
+        rho, psi, gamma = _random_prox_case(rng, t)
+        x = rng.normal(0.0, 2.0, leads[t % 4] + psi.shape)
+        if t % 3 == 0:
+            x = np.round(x, int(rng.integers(0, 2)))
+        x.reshape((-1,) + psi.shape)[0] = psi
+        degrees = np.count_nonzero(rho, axis=1)
+        if t % 4 >= 2:
+            for value in rng.choice([np.inf, -np.inf, np.nan],
+                                    size=int(rng.integers(1, 4))):
+                spot = tuple(int(rng.integers(s)) for s in x.shape)
+                x[spot] = value
+                seen["nonfinite_with_neighbors"] += int(degrees[spot[-2]] > 0)
+        reg, ref_reg = EdgeRegularizer(rho), EdgeRegularizer(rho)
+        graph = Graph((rho > 0.0) * 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in (x, psi, x):
+                got = social_prox_l1(state, graph, reg, gamma)
+                ref = _prox_l1_unplanned(state, ref_reg, gamma)
+                assert np.array_equal(got, ref, equal_nan=True), t
+        seen["isolated"] += int(np.any(degrees == 0))
+        seen["hub"] += int(degrees.max() > 16)
+        seen["ties"] += _has_tied_neighbors(rho, psi)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_prox_plans_keep_no_memory_of_their_outputs():
+    # row counts 2, 6, 2, 12 and 6 interleave on one regularizer: each
+    # output stays as it was returned, and none shares memory with a plan
+    rng = np.random.default_rng(36)
+    rho, _, gamma = _random_prox_case(rng, 0)
+    n = rho.shape[0]
+    reg, graph = EdgeRegularizer(rho), Graph((rho > 0.0) * 1.0)
+    states = [rng.normal(0.0, 2.0, lead + (n, 2))
+              for lead in [(), (3,), (), (2, 3), (3,)]]
+    outs = [social_prox_l1(x, graph, reg, gamma) for x in states]
+    assert sorted(reg.prox_plans) == [2, 6, 12]
+    frames = [a for plan in reg.prox_plans.values() for a in vars(plan).values()]
+    for x, out in zip(states, outs):
+        assert np.array_equal(out, _prox_l1_unplanned(x, reg, gamma))
+        assert not np.shares_memory(out, x)
+        assert not any(np.shares_memory(out, frame) for frame in frames)
+    # gamma = 0 is a copy and gamma < 0 raises, neither building a plan
+    fresh = EdgeRegularizer(rho)
+    out = social_prox_l1(states[1], graph, fresh, 0.0)
+    assert np.array_equal(out, states[1]) and not np.shares_memory(out, states[1])
+    with pytest.raises(ValueError, match="mu_eta"):
+        social_prox_l1(states[1], graph, fresh, -gamma)
+    assert fresh.prox_plans == {}
 
 
 def test_prox_near_ties_match_candidate_enumeration_to_rounding():
