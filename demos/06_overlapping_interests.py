@@ -9,7 +9,9 @@ neighbors that also estimate it, with Metropolis weights built per
 variable.
 
 The loop below drives the simulation directly through the public API
-instead of the harness, because we want to inspect the final states.
+instead of the harness, because we want to inspect the final states:
+each step is the self-learning step followed by the strategy's social
+step, both on the zero-padded (agents, largest block) state array.
 Two effects show up in the table:
 
   * a variable shared by exactly two adjacent agents collapses to
@@ -24,7 +26,8 @@ network synchronizes much faster than it learns.
 
 import numpy as np
 
-from adaptnets import data_stream, draw_horizon, parse_config, resolve
+from adaptnets import (data_stream, draw_horizon, parse_config, resolve,
+                       self_learn)
 
 INTERESTS = [
     [0, 1, 4],
@@ -55,9 +58,10 @@ for k, ints in enumerate(interest.interests):
 
 streams = [data_stream(doc["seed"], 0, k) for k in range(4)]
 block = draw_horizon(model, [streams], doc["iters"]).run(0)
-state = strategy.init_state()
+w = np.zeros(model.truth.padded.shape)
 for i in range(doc["iters"]):
-    state = strategy.step(state, model, block.at(i))
+    w = strategy.social(self_learn(w, model, block.regressors[i],
+                                   block.responses[i], strategy.mu))
 
 pos = interest.positions
 truth = model.truth.blocks
@@ -68,7 +72,7 @@ spreads, errors = [], []
 for v, agents in enumerate(interest.by_variable):
     if len(agents) < 2:
         continue
-    est = np.array([state.w[k][pos[k][v]] for k in agents])
+    est = np.array([w[k][pos[k][v]] for k in agents])
     tv = truth[agents[0]][pos[agents[0]][v]]
     spread = float(est.max() - est.min())
     rms = float(np.sqrt(np.mean((est - tv) ** 2)))

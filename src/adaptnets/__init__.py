@@ -56,7 +56,6 @@ from .strategies import (
     InterestMap,
     Strategy,
     StrategyConfig,
-    StrategyState,
     build_strategy,
     cluster_metropolis,
     overlap_metropolis,

@@ -37,12 +37,11 @@ from .graphs import (
     Spectrum,
     build_laplacian,
     complete_graph,
-    load_graph,
     random_geometric_graph,
     ring_graph,
     star_graph,
 )
-from .streaming import StreamModel, TaskField, load_tasks, synth_smooth_tasks
+from .streaming import StreamModel, TaskField, synth_smooth_tasks
 from .strategies import (
     STRATEGY_KINDS,
     InterestMap,
@@ -105,9 +104,9 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str):
 
 def _as_int(value, where: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}")
+        raise ConfigError(f"{where} must be at least {minimum}, got {value}")
     return value
 
 
@@ -184,11 +183,12 @@ def _as_subspace(value, where: str) -> None:
 
 
 def _check_types(doc: dict, checks: dict, where: str) -> None:
-    """Run checks[key](value, "where.key") on each key doc has: the JSON
-    type of every value, checked before anything is built from it."""
+    """Run checks[key](value, "where.key") on each key doc has ("key" where
+    where is empty): the JSON type of every value, checked before anything
+    is built from it."""
     for key, check in checks.items():
         if key in doc:
-            check(doc[key], f"{where}.{key}")
+            check(doc[key], f"{where}.{key}" if where else key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,6 +304,20 @@ def _resolve_path(path: str, base_dir: str | None) -> str:
     return os.path.join(base_dir, path)
 
 
+def _file_document(spec: dict, config: ExperimentConfig, checks: dict) -> dict:
+    """The JSON document of spec's graph or task file, each key checked as
+    the same key of an inline document is; a refusal names the file."""
+    path = _resolve_path(spec["path"], config.base_dir)
+    with open(path) as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict):
+        try:
+            _check_types(doc, checks, "")
+        except ConfigError as exc:
+            raise ConfigError(f"file {path}: {exc}") from None
+    return doc
+
+
 def _geometric_graph(spec: dict, config: ExperimentConfig) -> Graph:
     return random_geometric_graph(
         spec["n"], spec["radius"],
@@ -321,6 +335,9 @@ def _uniform_graph(generator) -> _Kind:
                  {"n": _as_count}, {"weight": _as_number})
 
 
+# a graph file holds the keys of an inline "edges" graph
+_EDGES_KEYS = {"n": _as_count, "edges": _as_matrix}
+
 # build(spec, config) -> Graph
 _GRAPH_KINDS = {
     "ring": _uniform_graph(ring_graph),
@@ -330,12 +347,12 @@ _GRAPH_KINDS = {
                        {"n": _as_count, "radius": _as_number},
                        {"kernel_width": _as_number,
                         "require_connected": _as_bool, "max_tries": _as_int}),
-    "file": _Kind(lambda spec, config: load_graph(
-                      _resolve_path(spec["path"], config.base_dir)),
+    "file": _Kind(lambda spec, config: Graph.from_json_dict(
+                      _file_document(spec, config, _EDGES_KEYS)),
                   {"path": _as_string}),
     "edges": _Kind(lambda spec, config: Graph.from_edges(spec["n"],
                                                          spec["edges"]),
-                   {"n": _as_count, "edges": _as_matrix}),
+                   _EDGES_KEYS),
 }
 
 
@@ -397,8 +414,9 @@ _TRUTH_KINDS = {
                           tuple(np.asarray(b, dtype=float)
                                 for b in spec["blocks"])),
                       {"blocks": _as_matrix}),
-    "file": _Kind(lambda spec, config, spectrum: load_tasks(
-                      _resolve_path(spec["path"], config.base_dir)),
+    "file": _Kind(lambda spec, config, spectrum: TaskField.from_json_dict(
+                      _file_document(spec, config, {"M": _as_count,
+                                                    "blocks": _as_matrix})),
                   {"path": _as_string}),
     "global_random": _Kind(_global_random_truth, {"n_variables": _as_count},
                            {"scale": _as_number}),

@@ -16,10 +16,13 @@ followed by a social-learning step that maps the intermediate network state
     overlapping           per-variable combination over interested agents
     clustered             intra-cluster diffusion + inter-cluster penalty
 
-All social steps read psi and write a fresh state; aggregation within an
-iteration always uses the pre-step values. Every step takes a network state
-of shape (..., N, M_max): one run's (N, M_max), or a stack of runs along
-leading axes, each run mixed exactly as it would be alone.
+One iteration is w = strategy.social(self_learn(w, model, regressors,
+responses, strategy.mu)), on arrays. Every social step reads psi and never
+writes it, and returns a fresh state, except noncooperative, which returns
+psi itself; aggregation within an iteration always uses the pre-step
+values. Every step takes a network state of shape (..., N, M_max): one
+run's (N, M_max), or a stack of runs along leading axes, each run mixed
+exactly as it would be alone.
 
 Each kind is declared once, as a StrategyKind entry in STRATEGY_KINDS, and
 everything that needs to know a kind reads that entry: StrategyConfig and
@@ -67,13 +70,12 @@ from .graphs import (
     metropolis_block,
     metropolis_weights,
 )
-from .streaming import NetworkSample, StreamModel, network_gradient, pad_blocks
+from .streaming import StreamModel, network_gradient, pad_blocks
 
 __all__ = [
     "STRATEGY_KINDS",
     "StrategyKind",
     "StrategyConfig",
-    "StrategyState",
     "EdgeRegularizer",
     "InterestMap",
     "Strategy",
@@ -97,7 +99,7 @@ _STOCHASTIC_ATOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Configuration and state
+# Configuration and the social steps' pieces
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +137,6 @@ class StrategyConfig:
         missing = set(entry.required) - set(self.payload)
         if missing:
             raise ValueError(f"missing keys in {where}: {sorted(missing)}")
-
-
-@dataclass
-class StrategyState:
-    """Iterate {w_k} plus the iteration counter.
-
-    w is an (N, M_max) array; agents may estimate blocks of different
-    sizes, and each row is zero-padded to the largest. The intermediates psi
-    produced during a step are transient and never aliased into the state.
-    """
-
-    w: np.ndarray
-    iteration: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,9 +314,9 @@ def social_spectral(psi, graph: Graph, coefficients, mu_eta: float):
 
 class ProxPlan:
     """The l1 prox's constant tables for m coordinate rows of N agents with
-    neighbor tables of width D (see _prox_l1, Layout), and the frames a step
-    writes into. Each step overwrites the frames, so a plan serves one step
-    at a time; nothing a step returns is a view of a plan.
+    neighbor tables of width D (see social_prox_l1, Layout), and the frames
+    a step writes into. Each step overwrites the frames, so a plan serves
+    one step at a time; nothing a step returns is a view of a plan.
     """
 
     def __init__(self, index: np.ndarray, weight: np.ndarray, m: int):
@@ -352,8 +341,10 @@ class ProxPlan:
         self.prefix_rows = cells * (d + 1)
 
 
-def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.ndarray:
-    """Exact weighted-l1 prox of every agent and coordinate at once:
+def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float) -> np.ndarray:
+    """w_k = prox of the weighted l1 neighbor-difference penalty at psi_k,
+    solved exactly for every agent and coordinate at once: with x = psi and
+    gamma = mu_eta,
 
         w_k = argmin_w  (w - x_k)^2 / (2 gamma) + sum_l rho_{kl} |w - x_l|
 
@@ -405,6 +396,7 @@ def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.nd
     breakpoint at the far end; the agents next to it stay finite. gamma = 0
     is the identity; gamma < 0 raises ValueError.
     """
+    x, gamma = np.asarray(psi, dtype=float), mu_eta
     if gamma < 0.0:
         raise ValueError("mu_eta must be >= 0")
     if gamma == 0.0:
@@ -448,20 +440,6 @@ def _prox_l1(x: np.ndarray, regularizer: EdgeRegularizer, gamma: float) -> np.nd
     out = np.where(finite & (f_lo <= f_mid) & (f_lo <= f_hi), lo,
                    np.where(finite & (f_hi < f_mid), hi, mid))
     return np.swapaxes(out.reshape(x.shape[:-2] + (-1, n)), -1, -2).copy()
-
-
-def social_prox_l1(psi, graph: Graph, regularizer: EdgeRegularizer, mu_eta: float):
-    """w_k = prox of the weighted l1 neighbor-difference penalty at psi_k.
-
-    Solves argmin_w sum_l rho_{kl} ||w - psi_l||_1 + ||w - psi_k||^2 / (2 mu eta)
-    exactly, for all agents and coordinates in one pass over the
-    regularizer's padded neighbor table: O(D log D) per coordinate for an
-    agent of degree D. See _prox_l1 for the interval rule, the bitwise
-    agreement with minimizing over every interval candidate and what
-    non-finite inputs give. mu_eta = 0 is the identity; mu_eta < 0 raises
-    ValueError.
-    """
-    return _prox_l1(np.asarray(psi, dtype=float), regularizer, mu_eta)
 
 
 def social_diffusion(psi, weights: np.ndarray):
@@ -549,16 +527,15 @@ def cluster_metropolis(graph: Graph, partition: ClusterPartition) -> Combination
     return CombinationMatrix(weights)
 
 
-def social_clustered(psi, partition: ClusterPartition, intra_weights: np.ndarray,
+def social_clustered(psi, intra_weights: np.ndarray,
                      regularizer: EdgeRegularizer | None, mu_eta: float):
     """Intra-cluster diffusion followed by an inter-cluster penalty step.
 
     phi = A psi with block-diagonal (per-cluster) weights; then either the
     proximal step of the weighted l1 difference penalty or a quadratic
     neighbor-difference correction, both restricted to inter-cluster edges.
-    The l1 step is the same exact, vectorised prox as social_prox_l1
-    (_prox_l1) applied to phi, so singleton clusters reproduce prox_l1 bit
-    for bit. mu_eta < 0 raises ValueError.
+    The l1 step is social_prox_l1 applied to phi, so singleton clusters
+    reproduce prox_l1 bit for bit. mu_eta < 0 raises ValueError.
     """
     if mu_eta < 0.0:
         raise ValueError("mu_eta must be >= 0")
@@ -570,7 +547,7 @@ def social_clustered(psi, partition: ClusterPartition, intra_weights: np.ndarray
     if regularizer.kind == "quadratic":
         deg = rho.sum(axis=1)
         return phi - mu_eta * _laplacian_apply(rho, deg, phi)
-    return _prox_l1(phi, regularizer, mu_eta)
+    return social_prox_l1(phi, regularizer, mu_eta)
 
 
 # ---------------------------------------------------------------------------
@@ -614,24 +591,6 @@ class Strategy:
     @property
     def eta(self) -> float:
         return self.config.eta
-
-    def init_state(self, initial=None) -> StrategyState:
-        """Fresh (N, M_max) state: zeros, or initial's per-agent blocks
-        (vectors, or the rows of an (N, M) array) copied and zero-padded."""
-        sizes = self.block_sizes
-        if initial is None:
-            return StrategyState(w=np.zeros((len(sizes), max(sizes))))
-        blocks = [np.asarray(b, dtype=float).ravel() for b in initial]
-        if tuple(b.size for b in blocks) != tuple(sizes):
-            raise ValueError(f"initial blocks must have sizes {tuple(sizes)}")
-        return StrategyState(w=pad_blocks(blocks))
-
-    def step(self, state: StrategyState, model: StreamModel,
-             samples: NetworkSample) -> StrategyState:
-        psi = self_learn(state.w, model, samples.regressors,
-                         samples.responses, self.config.mu)
-        w = self.social(psi)
-        return StrategyState(w=w, iteration=state.iteration + 1)
 
 
 def _resolve_combination(payload_weights, graph: Graph) -> CombinationMatrix:
@@ -884,7 +843,7 @@ def _build_prox_l1(config, graph, model, spectrum) -> Strategy:
     mu_eta = config.mu * config.eta
     reg = _edge_regularizer_from(config.payload.get("rho"), graph, "l1")
     return Strategy(config, graph,
-                    lambda psi: social_prox_l1(psi, graph, reg, mu_eta),
+                    lambda psi: social_prox_l1(psi, reg, mu_eta),
                     model.truth.block_sizes, regularizer=reg)
 
 
@@ -1008,7 +967,7 @@ def _build_clustered(config, graph, model, spectrum) -> Strategy:
     mu_eta = config.mu * config.eta
     return Strategy(
         config, graph,
-        lambda psi: social_clustered(psi, part, intra, reg, mu_eta),
+        lambda psi: social_clustered(psi, intra, reg, mu_eta),
         model.truth.block_sizes, combination=combo, regularizer=reg,
         partition=part, subspace=subspace,
     )
@@ -1017,7 +976,7 @@ def _build_clustered(config, graph, model, spectrum) -> Strategy:
 def _check_clustered(strategy, spectrum, rng) -> list:
     psi = _probe(strategy, rng)
     a = strategy.combination.matrix
-    got = social_clustered(psi, strategy.partition, a, None, 0.0)
+    got = social_clustered(psi, a, None, 0.0)
     err = float(np.max(np.abs(got - social_diffusion(psi, a))))
     return [("reduces_to_diffusion", err == 0.0, f"max_err={err:.2e}")]
 

@@ -227,15 +227,12 @@ def test_06_prox_vs_scalar_search():
     for _ in range(100):
         neighbors = int(rng.integers(1, 6))
         n = neighbors + 1
-        adj = np.zeros((n, n))
-        adj[0, 1:] = adj[1:, 0] = 1.0
-        graph = Graph(adj)
         rho = np.zeros((n, n))
         rho[0, 1:] = rho[1:, 0] = rng.uniform(0.1, 2.0, neighbors)
         psi = rng.normal(0.0, 2.0, (n, 2))
         mu_eta = float(rng.uniform(0.05, 1.5))
 
-        w = social_prox_l1(psi, graph, EdgeRegularizer(rho), mu_eta)
+        w = social_prox_l1(psi, EdgeRegularizer(rho), mu_eta)
         for j in range(2):
             found = _search_prox_minimizer(
                 rho[0, 1:], psi[1:, j], psi[0, j], mu_eta,

@@ -537,3 +537,37 @@ def test_misshaped_graph_and_task_files_exit_2(tmp_path, capsys, monkeypatch,
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
         == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, document, key", [
+    ("graph", {"n": True, "edges": []}, "n must be an integer, got True"),
+    ("graph", {"n": 3, "edges": [[0, True, 1.0], [1, 2, 1.0]]},
+     "edges[0][1] must be a number"),
+    ("graph", {"n": 3, "edges": [[0, 1, True], [1, 2, 1.0]]},
+     "edges[0][2] must be a number"),
+    ("tasks", {"M": True, "blocks": [[1.0]] * 6},
+     "M must be an integer, got True"),
+    ("tasks", {"M": 1, "blocks": [[True]] + [[1.0]] * 5},
+     "blocks[0][0] must be a number"),
+])
+def test_json_booleans_in_graph_and_task_files_exit_2(tmp_path, capsys,
+                                                      monkeypatch, section,
+                                                      document, key):
+    # a file's keys are checked as an inline document's are, so a JSON
+    # true is not taken for the count or the number 1; the message names
+    # the key and the file
+    from adaptnets import harness
+    monkeypatch.setattr(harness, "draw_horizon", _no_draw)
+    (tmp_path / "data.json").write_text(json.dumps(document))
+    file_kind = {"kind": "file", "path": "data.json"}
+    if section == "graph":
+        cfg = write_config(tmp_path, graph=file_kind, model={
+            **_MODEL, "truth": {"kind": "constant"}})
+    else:
+        cfg = write_config(tmp_path, graph=_RING, model={
+            **_MODEL, "m": 1, "truth": file_kind})
+    for args in (["check", "--config", cfg],
+                 ["run", "--config", cfg, "--out", str(tmp_path / "o")]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "data.json" in err

@@ -218,7 +218,8 @@ def test_parse_names_the_element_of_a_nested_list():
                         "interests": [[0, 1], [1, "2"]]})
     with pytest.raises(ConfigError) as exc:
         parse_config(bad)
-    assert str(exc.value) == "strategy.interests[1][1] must be an integer"
+    assert str(exc.value) == \
+        "strategy.interests[1][1] must be an integer, got '2'"
     with pytest.raises(ConfigError, match=re.escape("eta_grid[1]")):
         parse_config(doc(eta_grid=[0.0, "1"]))
 

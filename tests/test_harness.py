@@ -589,10 +589,11 @@ def test_padded_overlapping_matches_tuple_of_blocks_oracle():
         streams = [data_stream(cfg.seed, 0, k) for k in range(res.graph.n_agents)]
         block = draw_horizon(model, [streams], cfg.iters).run(0)
         assert np.all(block.regressors[:, pad] == 0.0)
-        state = strategy.init_state()
+        w = np.zeros(model.truth.padded.shape)
         for i in range(cfg.iters):
-            state = strategy.step(state, model, block.at(i))
-            assert np.all(state.w[pad] == 0.0), f"seed {seed} step {i}"
+            w = strategy.social(strategies.self_learn(
+                w, model, block.regressors[i], block.responses[i], strategy.mu))
+            assert np.all(w[pad] == 0.0), f"seed {seed} step {i}"
     assert sizes_seen == {1, 2, 3, 4}
     assert kinds_seen == {"mse", "logistic"}
     assert graphs_seen == {0, 1}
@@ -604,10 +605,9 @@ def test_padded_overlapping_matches_tuple_of_blocks_oracle():
 # ---------------------------------------------------------------------------
 
 def _per_run_oracle(res, run):
-    """One Monte Carlo run stepped alone, with a NetworkSample and a
-    StrategyState per step and its errors computed after every step: the
-    harness's run loop before runs were stepped in chunks, kept as the
-    oracle of the batched engine."""
+    """One Monte Carlo run stepped alone on its (N, M_max) state, with its
+    errors computed after every step: the harness's run loop before runs
+    were stepped in chunks, kept as the oracle of the batched engine."""
     cfg = res.config
     strategy, model = res.strategy, res.model
     n = res.graph.n_agents
@@ -618,7 +618,7 @@ def _per_run_oracle(res, run):
 
     # the state starts at 0; pad entries are 0 on both sides and add nothing
     truth, wstar_ref = model.truth.padded, res.w_star
-    state = strategy.init_state()
+    w = np.zeros(truth.shape)
     start_err = np.einsum("km,km->k", truth, truth)
     threshold = DIVERGENCE_FACTOR * max(float(start_err.mean()), 1.0)
 
@@ -631,12 +631,13 @@ def _per_run_oracle(res, run):
 
     rec = 0
     for i in range(horizon):
-        state = strategy.step(state, model, block.at(i))
+        w = strategy.social(strategies.self_learn(
+            w, model, block.regressors[i], block.responses[i], strategy.mu))
         in_window = i >= window_start
         record = (i + 1) % every == 0
         if not (in_window or record):
             continue
-        diff = state.w - truth
+        diff = w - truth
         sq = np.einsum("km,km->k", diff, diff)
         if in_window:
             agent_acc += sq
@@ -645,7 +646,7 @@ def _per_run_oracle(res, run):
             msd = float(sq.mean())
             traj_wo[rec] = msd
             if traj_ws is not None:
-                d2 = state.w - wstar_ref
+                d2 = w - wstar_ref
                 traj_ws[rec] = float(np.einsum("km,km->", d2, d2) / n)
             rec += 1
             if not np.isfinite(msd) or msd > threshold:
@@ -924,8 +925,6 @@ def test_engine_makes_no_per_step_objects(monkeypatch):
         raise AssertionError("a per-step object was made")
 
     monkeypatch.setattr(streaming.SampleBlock, "at", forbidden)
-    monkeypatch.setattr(strategies.Strategy, "step", forbidden)
-    monkeypatch.setattr(strategies, "StrategyState", forbidden)
     for name, spec in GUARD_STRATEGIES.items():
         model = {"kind": "mse", "noise_var": 0.1, "m": 2,
                  "truth": {"kind": "piecewise", "sizes": [6, 6]}}

@@ -1,7 +1,9 @@
 """Module boundaries: no module uses another adaptnets module's private
-names, and no module branches on a tuple-shaped network state."""
+names, no module branches on a tuple-shaped network state, and every name a
+module's __all__ lists exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptnets"
@@ -103,3 +105,16 @@ def test_tuple_check_detection(tmp_path):
         "sample.py:1 isinstance(w, tuple)",
         "sample.py:3 isinstance(w, (list, tuple))",
     ]
+
+
+
+def test_every_name_in_all_exists():
+    # a stale __all__ entry would otherwise fail only a star import
+    modules = [importlib.import_module(f"adaptnets.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if not path.stem.startswith("__")]
+    assert sum(hasattr(module, "__all__") for module in modules) >= 7
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == [], "stale names in __all__: " + ", ".join(missing)

@@ -20,7 +20,6 @@ from adaptnets.graphs import (
     ring_graph,
 )
 from adaptnets.streaming import (
-    NetworkSample,
     StreamModel,
     TaskField,
     draw_horizon,
@@ -28,10 +27,10 @@ from adaptnets.streaming import (
     sigmoid,
 )
 from adaptnets.strategies import (
+    STRATEGY_KINDS,
     EdgeRegularizer,
     InterestMap,
     StrategyConfig,
-    StrategyState,
     build_strategy,
     cluster_metropolis,
     overlap_metropolis,
@@ -295,7 +294,7 @@ def _random_prox_case(rng, t):
 def _prox_l1_unplanned(x, regularizer, gamma):
     """The interval-rule kernel as it was before its tables were planned:
     every step builds its offsets, ±inf edges, row indices and padded-slot
-    mask again. adaptnets.strategies._prox_l1 must agree bit for bit."""
+    mask again. adaptnets.strategies.social_prox_l1 must agree bit for bit."""
     if gamma < 0.0:
         raise ValueError("mu_eta must be >= 0")
     if gamma == 0.0:
@@ -364,20 +363,18 @@ def _assert_matches_oracle(out, ref, x, rho, gamma):
 
 def test_prox_soft_threshold_single_neighbor():
     # argmin (x-3)^2/2 + |x| = 2: pull of one unit toward the neighbor
-    g = path_graph(2)
     reg = EdgeRegularizer(np.array([[0.0, 1.0], [1.0, 0.0]]))
     psi = np.array([[3.0], [0.0]])
-    out = social_prox_l1(psi, g, reg, 1.0)
+    out = social_prox_l1(psi, reg, 1.0)
     assert out[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert out[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prox_collapses_onto_neighbor():
     # strong penalty clips at the breakpoint instead of crossing it
-    g = path_graph(2)
     reg = EdgeRegularizer(np.array([[0.0, 1.0], [1.0, 0.0]]))
     psi = np.array([[0.5], [0.0]])
-    out = social_prox_l1(psi, g, reg, 1.0)
+    out = social_prox_l1(psi, reg, 1.0)
     assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -385,7 +382,7 @@ def test_prox_balanced_neighbors_stay_put():
     g = path_graph(3)
     reg = EdgeRegularizer((build_laplacian(g).laplacian < 0) * 1.0)
     psi = np.array([[-1.0], [0.0], [1.0]])
-    out = social_prox_l1(psi, g, reg, 0.3)
+    out = social_prox_l1(psi, reg, 0.3)
     assert out[1, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -393,7 +390,7 @@ def test_prox_zero_strength_is_copy():
     g = path_graph(3)
     reg = EdgeRegularizer((build_laplacian(g).laplacian < 0) * 1.0)
     psi = np.random.default_rng(14).standard_normal((3, 2))
-    out = social_prox_l1(psi, g, reg, 0.0)
+    out = social_prox_l1(psi, reg, 0.0)
     assert np.array_equal(out, psi)
     assert out is not psi
 
@@ -402,7 +399,7 @@ def test_prox_agreement_is_fixed_point():
     g = ring_graph(6)
     reg = EdgeRegularizer((g.adjacency > 0) * 0.7)
     psi = np.tile([1.5, -2.0], (6, 1))
-    out = social_prox_l1(psi, g, reg, 0.4)
+    out = social_prox_l1(psi, reg, 0.4)
     assert np.max(np.abs(out - psi)) < EXACT_TOL
 
 
@@ -416,7 +413,7 @@ def test_prox_matches_scalar_search():
     reg = EdgeRegularizer((g.adjacency > 0) * 0.5 * (raw + raw.T))
     psi = rng.standard_normal((5, 1)) * 2.0
     gamma = 0.6
-    out = social_prox_l1(psi, g, reg, gamma)
+    out = social_prox_l1(psi, reg, gamma)
     for k in range(5):
         nbrs = np.flatnonzero(reg.weights[k])
 
@@ -436,7 +433,7 @@ def test_prox_input_not_mutated():
     reg = EdgeRegularizer((g.adjacency > 0) * 1.0)
     psi = np.random.default_rng(16).standard_normal((4, 3))
     before = psi.copy()
-    social_prox_l1(psi, g, reg, 0.5)
+    social_prox_l1(psi, reg, 0.5)
     assert np.array_equal(psi, before)
 
 
@@ -454,8 +451,7 @@ def test_prox_matches_candidate_enumeration_bitwise():
     seen = {"ties": 0, "isolated": 0, "degree_1": 0, "hub": 0}
     for t in range(600):
         rho, psi, gamma = _random_prox_case(rng, t)
-        graph = Graph((rho > 0.0) * 1.0)
-        out = social_prox_l1(psi, graph, EdgeRegularizer(rho), gamma)
+        out = social_prox_l1(psi, EdgeRegularizer(rho), gamma)
         assert np.array_equal(out, _oracle_prox_l1(psi, rho, gamma)), t
         degrees = np.count_nonzero(rho, axis=1)
         seen["ties"] += _has_tied_neighbors(rho, psi)
@@ -487,11 +483,10 @@ def test_planned_prox_matches_unplanned_kernel_bitwise():
                 x[spot] = value
                 seen["nonfinite_with_neighbors"] += int(degrees[spot[-2]] > 0)
         reg, ref_reg = EdgeRegularizer(rho), EdgeRegularizer(rho)
-        graph = Graph((rho > 0.0) * 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for state in (x, psi, x):
-                got = social_prox_l1(state, graph, reg, gamma)
+                got = social_prox_l1(state, reg, gamma)
                 ref = _prox_l1_unplanned(state, ref_reg, gamma)
                 assert np.array_equal(got, ref, equal_nan=True), t
         seen["isolated"] += int(np.any(degrees == 0))
@@ -506,10 +501,10 @@ def test_prox_plans_keep_no_memory_of_their_outputs():
     rng = np.random.default_rng(36)
     rho, _, gamma = _random_prox_case(rng, 0)
     n = rho.shape[0]
-    reg, graph = EdgeRegularizer(rho), Graph((rho > 0.0) * 1.0)
+    reg = EdgeRegularizer(rho)
     states = [rng.normal(0.0, 2.0, lead + (n, 2))
               for lead in [(), (3,), (), (2, 3), (3,)]]
-    outs = [social_prox_l1(x, graph, reg, gamma) for x in states]
+    outs = [social_prox_l1(x, reg, gamma) for x in states]
     assert sorted(reg.prox_plans) == [2, 6, 12]
     frames = [a for plan in reg.prox_plans.values() for a in vars(plan).values()]
     for x, out in zip(states, outs):
@@ -518,10 +513,10 @@ def test_prox_plans_keep_no_memory_of_their_outputs():
         assert not any(np.shares_memory(out, frame) for frame in frames)
     # gamma = 0 is a copy and gamma < 0 raises, neither building a plan
     fresh = EdgeRegularizer(rho)
-    out = social_prox_l1(states[1], graph, fresh, 0.0)
+    out = social_prox_l1(states[1], fresh, 0.0)
     assert np.array_equal(out, states[1]) and not np.shares_memory(out, states[1])
     with pytest.raises(ValueError, match="mu_eta"):
-        social_prox_l1(states[1], graph, fresh, -gamma)
+        social_prox_l1(states[1], fresh, -gamma)
     assert fresh.prox_plans == {}
 
 
@@ -534,8 +529,7 @@ def test_prox_near_ties_match_candidate_enumeration_to_rounding():
     for t in range(300):
         rho, psi, gamma = _random_prox_case(rng, t)
         psi = np.round(psi, 1) + rng.integers(-3, 4, psi.shape) * np.spacing(psi)
-        out = social_prox_l1(psi, Graph((rho > 0.0) * 1.0), EdgeRegularizer(rho),
-                             gamma)
+        out = social_prox_l1(psi, EdgeRegularizer(rho), gamma)
         differ += _assert_matches_oracle(
             out, _oracle_prox_l1(psi, rho, gamma), psi, rho, gamma)
     assert differ > 0
@@ -562,7 +556,7 @@ def test_social_clustered_l1_matches_candidate_enumeration():
         if t % 3 == 0:
             psi = np.round(psi, 1)
         gamma = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
-        out = social_clustered(psi, part, intra, EdgeRegularizer(rho), gamma)
+        out = social_clustered(psi, intra, EdgeRegularizer(rho), gamma)
         phi = intra @ psi
         _assert_matches_oracle(out, _oracle_prox_l1(phi, rho, gamma),
                                phi, rho, gamma)
@@ -582,7 +576,7 @@ def test_prox_satisfies_subgradient_optimality(anchor, neighbors, gamma):
     rho = np.zeros((len(neighbors) + 1,) * 2)
     rho[0, 1:] = rho[1:, 0] = rho_row
     psi = np.concatenate([[anchor], values])[:, None]
-    x = social_prox_l1(psi, Graph((rho > 0.0) * 1.0), EdgeRegularizer(rho), gamma)[0, 0]
+    x = social_prox_l1(psi, EdgeRegularizer(rho), gamma)[0, 0]
     delta = 1e-12 * (abs(anchor) + abs(x) + gamma * rho_row.sum())
     slope = ((x - anchor) / gamma + rho_row[values < x - delta].sum()
              - rho_row[values > x + delta].sum())
@@ -599,7 +593,7 @@ def test_prox_nonfinite_agent_stays_nonfinite():
     psi[3, 1] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = social_prox_l1(psi, g, reg, 0.3)
+        out = social_prox_l1(psi, reg, 0.3)
     assert out[0, 0] == np.inf
     assert np.isnan(out[3, 1])
     # the infinite agent is a far breakpoint to its neighbors
@@ -615,10 +609,10 @@ def test_prox_rejects_negative_strength():
     reg = EdgeRegularizer(inter * 0.5)
     psi = np.random.default_rng(18).standard_normal((6, 2))
     with pytest.raises(ValueError, match="mu_eta"):
-        social_prox_l1(psi, g, reg, -0.3)
+        social_prox_l1(psi, reg, -0.3)
     for reg in (reg, EdgeRegularizer(inter * 0.5, kind="quadratic")):
         with pytest.raises(ValueError, match="mu_eta"):
-            social_clustered(psi, part, intra, reg, -0.3)
+            social_clustered(psi, intra, reg, -0.3)
 
 
 def test_edge_regularizer_validation():
@@ -947,7 +941,7 @@ def test_social_clustered_single_cluster_is_diffusion():
     part = ClusterPartition((6,))
     a = cluster_metropolis(g, part).matrix
     psi = np.random.default_rng(20).standard_normal((6, 2))
-    out = social_clustered(psi, part, a, None, 0.0)
+    out = social_clustered(psi, a, None, 0.0)
     ref = social_diffusion(psi, metropolis_weights(g).matrix)
     assert np.array_equal(out, ref)
 
@@ -959,8 +953,8 @@ def test_social_clustered_singletons_reduce_to_prox():
     assert np.array_equal(intra, np.eye(5))
     reg = EdgeRegularizer((g.adjacency > 0) * 0.8)
     psi = np.random.default_rng(21).standard_normal((5, 2))
-    out = social_clustered(psi, part, intra, reg, 0.3)
-    ref = social_prox_l1(psi, g, reg, 0.3)
+    out = social_clustered(psi, intra, reg, 0.3)
+    ref = social_prox_l1(psi, reg, 0.3)
     assert np.array_equal(out, ref)
 
 
@@ -972,7 +966,7 @@ def test_social_clustered_quadratic_penalty():
     inter = (assign[:, None] != assign[None, :]) & (g.adjacency > 0)
     reg = EdgeRegularizer(inter * 0.5, kind="quadratic")
     psi = np.random.default_rng(22).standard_normal((6, 2))
-    out = social_clustered(psi, part, intra, reg, 0.1)
+    out = social_clustered(psi, intra, reg, 0.1)
     phi = intra @ psi
     lap = np.diag(reg.weights.sum(axis=1)) - reg.weights
     expected = phi - 0.1 * lap @ phi
@@ -1086,46 +1080,6 @@ def test_build_strategy_requires_uniform_blocks():
         build_strategy(StrategyConfig(kind="diffusion", mu=0.01), g, model)
 
 
-def test_step_increments_and_preserves_input():
-    g = ring_graph(5)
-    model = mse_model(5, 2)
-    strat = build_strategy(StrategyConfig(kind="diffusion", mu=0.05), g, model)
-    state = strat.init_state()
-    assert state.iteration == 0
-    assert np.array_equal(state.w, np.zeros((5, 2)))
-    samples = one_sample(model)
-    before = np.array(state.w, copy=True)
-    nxt = strat.step(state, model, samples)
-    assert nxt.iteration == 1
-    assert np.array_equal(state.w, before)
-    assert nxt.w is not state.w
-
-
-def test_init_state_copies_initial():
-    g = ring_graph(4)
-    model = mse_model(4, 2)
-    strat = build_strategy(StrategyConfig(kind="noncooperative", mu=0.05),
-                           g, model)
-    init = np.ones((4, 2))
-    state = strat.init_state(init)
-    init[0, 0] = 99.0
-    assert state.w[0, 0] == 1.0
-
-
-def test_init_state_pads_ragged_blocks():
-    g = path_graph(3)
-    truth = TaskField((np.ones(1), np.ones(2), np.ones(1)))
-    model = StreamModel(kind="mse", truth=truth, noise_var=0.1)
-    strat = build_strategy(
-        StrategyConfig(kind="overlapping", mu=0.05,
-                       payload={"interests": [[0], [0, 1], [1]]}), g, model)
-    assert np.array_equal(strat.init_state().w, np.zeros((3, 2)))
-    state = strat.init_state([[1.0], [2.0, 3.0], [4.0]])
-    assert np.array_equal(state.w, [[1.0, 0.0], [2.0, 3.0], [4.0, 0.0]])
-    with pytest.raises(ValueError, match="sizes"):
-        strat.init_state(np.ones((3, 2)))
-
-
 # ---------------------------------------------------------------------------
 # Social steps over a run axis
 # ---------------------------------------------------------------------------
@@ -1184,6 +1138,26 @@ def test_social_steps_take_a_run_axis_bit_for_bit(runs):
             ref = np.stack([strategy.social(state[r]) for r in range(runs)])
             assert np.array_equal(got, ref), name
             assert np.all(got[:, pad] == 0.0), name
+
+
+@pytest.mark.parametrize("kind", sorted(STRATEGY_KINDS))
+def test_social_step_reads_its_input_and_never_writes_it(kind):
+    # every social step returns a fresh state, except noncooperative's,
+    # which returns psi itself
+    rng = np.random.default_rng(41)
+    built = [s for s in _social_steps_by_kind().values() if s.kind == kind]
+    assert built, kind
+    for strategy in built:
+        sizes = np.array(strategy.block_sizes)
+        psi = rng.standard_normal((3, len(sizes), sizes.max()))
+        psi[:, np.arange(sizes.max()) >= sizes[:, None]] = 0.0
+        before = psi.copy()
+        out = strategy.social(psi)
+        assert np.array_equal(psi, before), kind
+        if kind == "noncooperative":
+            assert out is psi
+        else:
+            assert not np.shares_memory(out, psi), kind
 
 
 # ---------------------------------------------------------------------------
