@@ -34,6 +34,7 @@ from .graphs import (
     SPECTRAL_RADIUS_SLACK,
     Graph,
     ClusterPartition,
+    SpectralKernel,
     Spectrum,
     build_laplacian,
     complete_graph,
@@ -195,10 +196,9 @@ def _check_types(doc: dict, checks: dict, where: str) -> None:
 class _Kind:
     """One kind of a config section, declared once: {key: type check} of
     the keys besides "kind" that an object of the kind must have and may
-    have, and what resolve builds from it (None for a kernel, which
-    build_strategy builds from the checked object)."""
+    have, and what resolve builds from it."""
 
-    build: Callable | None
+    build: Callable
     required: dict = dc_field(default_factory=dict)
     optional: dict = dc_field(default_factory=dict)
 
@@ -346,7 +346,7 @@ _GRAPH_KINDS = {
     "geometric": _Kind(_geometric_graph,
                        {"n": _as_count, "radius": _as_number},
                        {"kernel_width": _as_number,
-                        "require_connected": _as_bool, "max_tries": _as_int}),
+                        "require_connected": _as_bool, "max_tries": _as_count}),
     "file": _Kind(lambda spec, config: Graph.from_json_dict(
                       _file_document(spec, config, _EDGES_KEYS)),
                   {"path": _as_string}),
@@ -452,11 +452,25 @@ _MODEL_KINDS = {
                       {"m": _as_count, "r_u": _as_r_u, "reg": _as_number}),
 }
 
-# strategies.build_strategy builds the kernel from the checked object
+def _power_kernel(spec: dict, spectrum: Spectrum) -> SpectralKernel:
+    coefficients = np.zeros(spec["exponent"] + 1)
+    coefficients[-1] = 1.0
+    return SpectralKernel.polynomial(coefficients, spectrum)
+
+
+def _heat_kernel(spec: dict, spectrum: Spectrum) -> SpectralKernel:
+    rate = float(spec["rate"])
+    return SpectralKernel.from_function(lambda lam: np.expm1(rate * lam),
+                                        spectrum, degree=spec["degree"])
+
+
+# build(spec, spectrum) -> SpectralKernel, validated on the spectrum
 _KERNEL_KINDS = {
-    "polynomial": _Kind(None, {"coefficients": _as_number_list}),
-    "power": _Kind(None, {"exponent": _as_count}),
-    "heat": _Kind(None, {"rate": _as_number, "degree": _as_count}),
+    "polynomial": _Kind(lambda spec, spectrum: SpectralKernel.polynomial(
+                            spec["coefficients"], spectrum),
+                        {"coefficients": _as_number_list}),
+    "power": _Kind(_power_kernel, {"exponent": _as_count}),
+    "heat": _Kind(_heat_kernel, {"rate": _as_number, "degree": _as_count}),
 }
 
 _STRATEGY_TYPES = {
@@ -470,14 +484,20 @@ _STRATEGY_TYPES = {
 }
 
 
-def _strategy_config(spec: dict) -> StrategyConfig:
+def _strategy_config(spec: dict,
+                     spectrum: Spectrum | None = None) -> StrategyConfig:
     """The StrategyConfig of a strategy object: its kind's keys are the
-    payload."""
+    payload, with a kernel object built on the spectrum where one is
+    given."""
+    payload = {k: v for k, v in spec.items() if k not in ("kind", "mu", "eta")}
+    if spectrum is not None and "kernel" in payload:
+        payload["kernel"] = _build(_KERNEL_KINDS, payload["kernel"],
+                                   "strategy.kernel", spectrum)
     return StrategyConfig(
         kind=spec.get("kind"),
         mu=float(spec["mu"]),
         eta=float(spec.get("eta", 0.0)),
-        payload={k: v for k, v in spec.items() if k not in ("kind", "mu", "eta")},
+        payload=payload,
     )
 
 
@@ -676,9 +696,10 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
     inconsistency the schema-level validation cannot see.
     """
     graph, spectrum, model = resolve_pieces(config)
+    strategy_config = _strategy_config(config.strategy, spectrum)
     try:
-        strategy = build_strategy(_strategy_config(config.strategy), graph,
-                                  model, spectrum=spectrum)
+        strategy = build_strategy(strategy_config, graph, model,
+                                  spectrum=spectrum)
     except ValueError as exc:
         raise ConfigError(f"strategy: {exc}")
     theory, w_star = _attach_theory(config, graph, spectrum, model, strategy)
@@ -709,8 +730,8 @@ def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
         checks.append(("uniform_blocks", False,
                        "strategy needs uniform block sizes"))
     else:
-        strategy = entry.build(_strategy_config(config.strategy), graph, model,
-                               spectrum)
+        strategy = entry.build(_strategy_config(config.strategy, spectrum),
+                               graph, model, spectrum)
         conditions = entry.conditions(strategy, spectrum)
         checks += conditions
         if all(ok for _, ok, _ in conditions):

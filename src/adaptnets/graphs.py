@@ -78,6 +78,17 @@ _SYM_ATOL = 1e-12
 # OpenBLAS thread of a 2-vCPU x86_64 VM that loop took 19 s at 1000 rows,
 # and its cost grows with the cube of the row count.
 DENSE_CHECK_MAX_ROWS = 1000
+# check_feasibility: how many powers ||A^i - P_U|| it follows, and the
+# tolerance, relative to max(1, max |a_kl|), of its fixed-subspace and
+# sparsity tests
+_FEASIBILITY_POWERS = 50
+_FEASIBILITY_TOL = 1e-10
+# chebyshev_fit: quadrature nodes of the series and points of the error grid
+_CHEB_QUAD_NODES = 2048
+_CHEB_ERROR_GRID = 1000
+# how far below zero, relative to max(1, max |r(lambda)|), a kernel may
+# reach on the spectrum
+_KERNEL_NEGATIVE_TOL = 1e-12
 
 
 class EigensolverError(RuntimeError):
@@ -559,10 +570,10 @@ class SpectralKernel:
     def __call__(self, lam) -> np.ndarray:
         return _poly.polyval(np.asarray(lam, dtype=float), self.coefficients)
 
-    def validate_on(self, spectrum: Spectrum, tol: float = 1e-12) -> None:
+    def validate_on(self, spectrum: Spectrum) -> None:
         vals = self(spectrum.eigenvalues)
         low = float(np.min(vals))
-        if low < -tol * max(1.0, float(np.max(np.abs(vals)))):
+        if low < -_KERNEL_NEGATIVE_TOL * max(1.0, float(np.max(np.abs(vals)))):
             raise ValueError(
                 f"kernel is negative on the spectrum (min r(lambda) = {low:.3e})"
             )
@@ -572,16 +583,16 @@ def chebyshev_fit(
     r: Callable[[np.ndarray], np.ndarray],
     degree: int,
     lam_max: float,
-    n_quad: int = 2048,
-    n_grid: int = 1000,
 ) -> tuple[np.ndarray, float]:
     """Truncated shifted-Chebyshev expansion of r on [0, lam_max].
 
     Series coefficients are computed by Chebyshev-Gauss quadrature with
-    n_quad nodes, truncated at the given degree, then converted to ascending
-    monomial coefficients in lambda. Returns (coefficients, max_error) where
-    max_error is the max absolute fit error on an n_grid uniform grid.
+    _CHEB_QUAD_NODES nodes, truncated at the given degree, then converted
+    to ascending monomial coefficients in lambda. Returns (coefficients,
+    max_error) where max_error is the max absolute fit error on a uniform
+    grid of _CHEB_ERROR_GRID points.
     """
+    n_quad = _CHEB_QUAD_NODES
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if lam_max <= 0.0:
@@ -597,7 +608,7 @@ def chebyshev_fit(
     )
     coeffs = np.zeros(degree + 1)
     coeffs[: poly.coef.size] = poly.coef
-    grid = np.linspace(0.0, lam_max, n_grid)
+    grid = np.linspace(0.0, lam_max, _CHEB_ERROR_GRID)
     err = float(np.max(np.abs(np.asarray(r(grid), dtype=float)
                               - _poly.polyval(grid, coeffs))))
     return coeffs, err
@@ -724,7 +735,7 @@ class FeasibilityReport:
 
     The first four flags are the defining constraints (right/left fixed
     subspace, spectral gap, sparsity). semi_convergence tracks the measured
-    decay of ||A^i - P_U|| up to the configured power; norms holds those
+    decay of ||A^i - P_U|| up to power _FEASIBILITY_POWERS; norms holds those
     values for inspection.
     """
 
@@ -752,15 +763,14 @@ def check_feasibility(
     combination: CombinationMatrix,
     subspace: Subspace,
     graph: Graph,
-    power: int = 50,
-    tol: float = 1e-10,
 ) -> FeasibilityReport:
     """Verify that combination weights realize a projection-type social step.
 
     Checks A U = U, U^T A = U^T, rho(A - P_U) < 1 (with slack 1e-8), that
     nonzero blocks respect the graph sparsity (A_{kl} = 0 for l not in
-    N_k u {k}), and that ||A^i - P_U|| decays geometrically up to the given
-    power.
+    N_k u {k}), and that ||A^i - P_U|| decays geometrically up to power
+    _FEASIBILITY_POWERS; entries count as zero up to _FEASIBILITY_TOL
+    relative to max(1, max |a_kl|).
 
     Scalar weights A with a basis that is exactly U_N x I_M (as
     consensus_subspace and cluster_subspace build it) are checked on the
@@ -778,6 +788,7 @@ def check_feasibility(
     DENSE_CHECK_MAX_ROWS rows is refused with a ValueError before any
     factorization.
     """
+    power, tol = _FEASIBILITY_POWERS, _FEASIBILITY_TOL
     sizes = subspace.block_sizes
     m = sizes[0]
     scalar_basis = subspace.basis[::m, ::m]

@@ -14,7 +14,8 @@ followed by a social-learning step that maps the intermediate network state
     prox_l1               w_k = prox of weighted l1 neighbor differences
     subspace_projection   w = A psi or A_block psi (feasible combination matrix)
     overlapping           per-variable combination over interested agents
-    clustered             intra-cluster diffusion + inter-cluster penalty
+    clustered             diffusion inside each cluster, then prox_l1 or the
+                          laplacian_reg step on the inter-cluster edges
 
 One iteration is w = strategy.social(self_learn(w, model, regressors,
 responses, strategy.mu)), on arrays. Every social step reads psi and never
@@ -42,6 +43,12 @@ RNG stream):
         scalar combination weights      == diffusion
     clustered, singleton clusters,
         l1 regularizer                  == prox_l1
+
+clustered is composed of the other steps: social_diffusion with the
+cluster weights, then, with eta > 0, social_prox_l1 (l1 penalty) or
+social_smooth on the graph of inter-cluster weights (quadratic penalty).
+Its two reductions hold by construction: one cluster's Metropolis weights
+are the graph's, and singleton clusters' weights are the identity.
 """
 
 from __future__ import annotations
@@ -88,7 +95,6 @@ __all__ = [
     "social_diffusion",
     "social_subspace",
     "social_overlapping",
-    "social_clustered",
     "overlap_metropolis",
     "overlap_table",
     "cluster_metropolis",
@@ -527,29 +533,6 @@ def cluster_metropolis(graph: Graph, partition: ClusterPartition) -> Combination
     return CombinationMatrix(weights)
 
 
-def social_clustered(psi, intra_weights: np.ndarray,
-                     regularizer: EdgeRegularizer | None, mu_eta: float):
-    """Intra-cluster diffusion followed by an inter-cluster penalty step.
-
-    phi = A psi with block-diagonal (per-cluster) weights; then either the
-    proximal step of the weighted l1 difference penalty or a quadratic
-    neighbor-difference correction, both restricted to inter-cluster edges.
-    The l1 step is social_prox_l1 applied to phi, so singleton clusters
-    reproduce prox_l1 bit for bit. mu_eta < 0 raises ValueError.
-    """
-    if mu_eta < 0.0:
-        raise ValueError("mu_eta must be >= 0")
-    psi = np.asarray(psi, dtype=float)
-    phi = intra_weights @ psi
-    if mu_eta == 0.0 or regularizer is None:
-        return phi
-    rho = regularizer.weights
-    if regularizer.kind == "quadratic":
-        deg = rho.sum(axis=1)
-        return phi - mu_eta * _laplacian_apply(rho, deg, phi)
-    return social_prox_l1(phi, regularizer, mu_eta)
-
-
 # ---------------------------------------------------------------------------
 # Strategy assembly
 # ---------------------------------------------------------------------------
@@ -593,8 +576,14 @@ class Strategy:
         return self.config.eta
 
 
-def _resolve_combination(payload_weights, graph: Graph) -> CombinationMatrix:
+def _resolve_combination(payload_weights, graph: Graph,
+                         partition: ClusterPartition | None = None
+                         ) -> CombinationMatrix:
+    """The combination a payload's weights name; by default Metropolis
+    weights, within each cluster where a partition is given."""
     if payload_weights is None:
+        if partition is not None:
+            return cluster_metropolis(graph, partition)
         return metropolis_weights(graph)
     if isinstance(payload_weights, str):
         if payload_weights == "metropolis":
@@ -629,30 +618,6 @@ def _edge_regularizer_from(value, graph: Graph, kind: str,
     if mask is not None and np.any((reg.weights != 0.0) & (mask == 0.0)):
         raise ValueError("regularizer weights on intra-cluster edges")
     return reg
-
-
-def _spectral_kernel(value, spectrum: Spectrum) -> SpectralKernel:
-    """A SpectralKernel, ascending polynomial coefficients, or a config
-    document's kernel object ({"kind": "polynomial" | "power" | "heat", ...}),
-    as a kernel validated on the spectrum."""
-    if isinstance(value, SpectralKernel):
-        kernel = value
-    elif not isinstance(value, Mapping):
-        kernel = SpectralKernel.polynomial(value)
-    elif value["kind"] == "polynomial":
-        kernel = SpectralKernel.polynomial(value["coefficients"])
-    elif value["kind"] == "power":
-        coeffs = np.zeros(value["exponent"] + 1)
-        coeffs[value["exponent"]] = 1.0
-        kernel = SpectralKernel.polynomial(coeffs)
-    elif value["kind"] == "heat":
-        rate = float(value["rate"])
-        kernel = SpectralKernel.from_function(
-            lambda lam: np.expm1(rate * lam), spectrum, degree=value["degree"])
-    else:
-        raise ValueError(f"unknown kernel kind {value['kind']!r}")
-    kernel.validate_on(spectrum)
-    return kernel
 
 
 def _probe(strategy: Strategy, rng: np.random.Generator) -> np.ndarray:
@@ -760,10 +725,6 @@ def _build_noncooperative(config, graph, model, spectrum) -> Strategy:
     return Strategy(config, graph, social_noncooperative, model.truth.block_sizes)
 
 
-def _check_noncooperative(strategy, spectrum, rng) -> list:
-    return [("identity_step", True, "no social coupling to check")]
-
-
 # -- diffusion --------------------------------------------------------------
 
 def _build_diffusion(config, graph, model, spectrum) -> Strategy:
@@ -803,7 +764,10 @@ def _build_laplacian(config, graph, model, spectrum) -> Strategy:
 
 def _build_spectral(config, graph, model, spectrum) -> Strategy:
     mu_eta = config.mu * config.eta
-    kernel = _spectral_kernel(config.payload["kernel"], spectrum)
+    kernel = config.payload["kernel"]
+    if not isinstance(kernel, SpectralKernel):
+        kernel = SpectralKernel.polynomial(kernel)
+    kernel.validate_on(spectrum)
     coeffs = kernel.coefficients
     return Strategy(config, graph,
                     lambda psi: social_spectral(psi, graph, coeffs, mu_eta),
@@ -878,22 +842,19 @@ def _build_subspace(config, graph, model, spectrum) -> Strategy:
     sizes = model.truth.block_sizes
     m = model.truth.uniform_size
     sub = config.payload.get("subspace", "consensus")
-    weights = config.payload.get("weights")
+    part = None
     if isinstance(sub, Subspace):
         subspace = sub
-        combo = _resolve_combination(weights, graph)
     elif sub == "consensus":
         subspace = consensus_subspace(graph.n_agents, m)
-        combo = _resolve_combination(weights, graph)
     elif isinstance(sub, Mapping) and set(sub) == {"clusters"}:
         part = ClusterPartition(tuple(sub["clusters"]))
         subspace = cluster_subspace(part, m)
-        combo = (cluster_metropolis(graph, part) if weights is None
-                 else _resolve_combination(weights, graph))
     else:
         raise ValueError(
             f"unknown subspace {sub!r}; expected \"consensus\" or "
             f"{{\"clusters\": [sizes]}}")
+    combo = _resolve_combination(config.payload.get("weights"), graph, part)
     if tuple(subspace.block_sizes) != tuple(sizes):
         raise ValueError("subspace block sizes do not match the task field")
     if combo.is_scalar:
@@ -914,7 +875,9 @@ def _build_overlapping(config, graph, model, spectrum) -> Strategy:
     interest = config.payload["interests"]
     if not isinstance(interest, InterestMap):
         ints = tuple(tuple(v) for v in interest)
-        interest = InterestMap(1 + max(max(row) for row in ints), ints)
+        # an empty row leaves InterestMap to name its agent
+        interest = InterestMap(1 + max((v for row in ints for v in row),
+                                       default=-1), ints)
     sizes = model.truth.block_sizes
     if interest.block_sizes != tuple(sizes):
         raise ValueError("interest map block sizes do not match the task field")
@@ -946,39 +909,38 @@ def _check_overlapping(strategy, spectrum, rng) -> list:
 # -- clustered --------------------------------------------------------------
 
 def _build_clustered(config, graph, model, spectrum) -> Strategy:
+    """Diffusion inside each cluster; with eta > 0, then the l1 prox or the
+    Laplacian step of the penalty on the inter-cluster edges."""
     part = ClusterPartition(tuple(config.payload["clusters"]))
     if part.n_agents != graph.n_agents:
         raise ValueError("partition does not cover all agents")
-    weights = config.payload.get("weights")
-    combo = (cluster_metropolis(graph, part) if weights is None
-             else _resolve_combination(weights, graph))
+    combo = _resolve_combination(config.payload.get("weights"), graph, part)
     if not combo.is_scalar:
         raise ValueError("clustered expects scalar intra-cluster weights")
+    intra = combo.matrix
+    mu_eta = config.mu * config.eta
     reg = subspace = None
-    if config.eta > 0.0:
+    if config.eta == 0.0:
+        subspace = cluster_subspace(part, model.truth.uniform_size)
+        social = lambda psi: social_diffusion(psi, intra)
+    else:
         assign = part.assignment
         reg = _edge_regularizer_from(
             config.payload.get("rho"), graph, config.payload.get("penalty", "l1"),
             mask=(assign[:, None] != assign[None, :]).astype(float),
         )
-    else:
-        subspace = cluster_subspace(part, model.truth.uniform_size)
-    intra = combo.matrix
-    mu_eta = config.mu * config.eta
-    return Strategy(
-        config, graph,
-        lambda psi: social_clustered(psi, intra, reg, mu_eta),
-        model.truth.block_sizes, combination=combo, regularizer=reg,
-        partition=part, subspace=subspace,
-    )
-
-
-def _check_clustered(strategy, spectrum, rng) -> list:
-    psi = _probe(strategy, rng)
-    a = strategy.combination.matrix
-    got = social_clustered(psi, a, None, 0.0)
-    err = float(np.max(np.abs(got - social_diffusion(psi, a))))
-    return [("reduces_to_diffusion", err == 0.0, f"max_err={err:.2e}")]
+        if reg.kind == "l1":
+            social = lambda psi: social_prox_l1(
+                social_diffusion(psi, intra), reg, mu_eta)
+        else:
+            # the stored weights are exactly symmetric with a zero diagonal,
+            # so the graph holds them bit for bit
+            inter = Graph(reg.weights)
+            social = lambda psi: social_smooth(
+                social_diffusion(psi, intra), inter, mu_eta)
+    return Strategy(config, graph, social, model.truth.block_sizes,
+                    combination=combo, regularizer=reg, partition=part,
+                    subspace=subspace)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +983,7 @@ class StrategyKind:
 
 STRATEGY_KINDS: dict[str, StrategyKind] = {
     "noncooperative": StrategyKind(
-        _build_noncooperative, _check_noncooperative, theory="noncooperative"),
+        _build_noncooperative, theory="noncooperative"),
     "diffusion": StrategyKind(
         _build_diffusion, _check_diffusion, optional=("weights",),
         conditions=_weight_conditions, theory="projection"),
@@ -1040,7 +1002,7 @@ STRATEGY_KINDS: dict[str, StrategyKind] = {
         _build_overlapping, _check_overlapping, required=("interests",),
         blockwise=True),
     "clustered": StrategyKind(
-        _build_clustered, _check_clustered, required=("clusters",),
+        _build_clustered, required=("clusters",),
         optional=("penalty", "rho", "weights"), uses_eta=True,
         conditions=_weight_conditions, theory="projection"),
 }
@@ -1052,9 +1014,11 @@ def build_strategy(config: StrategyConfig, graph: Graph, model: StreamModel,
     ValueError naming every condition row (StrategyKind.conditions) it fails.
 
     payload holds the kind's keys with the values a config document gives
-    them; besides, a matrix may be a numpy array, weights a
-    CombinationMatrix, a kernel a SpectralKernel or ascending polynomial
-    coefficients, a subspace a Subspace and interests an InterestMap.
+    them, except the kernel: a SpectralKernel or ascending polynomial
+    coefficients (resolve builds a config document's kernel object first,
+    by its kind in config's table). Besides, a matrix may be a numpy array,
+    weights a CombinationMatrix, a subspace a Subspace and interests an
+    InterestMap.
     """
     if model.n_agents != graph.n_agents:
         raise ValueError("model and graph disagree on the number of agents")

@@ -483,6 +483,21 @@ _SPECTRAL = {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5}
     ("strategy.interests[1][0]",
      {"strategy": {"kind": "overlapping", "mu": 0.01,
                    "interests": [[0, 1], ["1", 2]]}}),
+    ("graph.max_tries must be at least 1, got 0",
+     {"graph": {**_GEOMETRIC, "max_tries": 0}}),
+    ("graph.max_tries must be at least 1, got -3",
+     {"graph": {**_GEOMETRIC, "max_tries": -3}}),
+    ("agent 1 estimates no variables",
+     {"graph": {"kind": "ring", "n": 4},
+      "model": {"kind": "mse", "noise_var": 0.1,
+                "truth": {"kind": "explicit",
+                          "blocks": [[1.0, 2.0], [1.0], [1.0, 2.0], [1.0]]}},
+      "strategy": {"kind": "overlapping", "mu": 0.01,
+                   "interests": [[0, 1], [], [0, 1], [0]]}}),
+    # built once, by its kind, before the strategy: named once
+    ("config: strategy.kernel: kernel is negative on the spectrum",
+     {"strategy": {**_SPECTRAL, "kernel": {"kind": "heat", "rate": -1.0,
+                                           "degree": 3}}}),
 ])
 def test_keys_checked_at_parse_exit_2_and_name_the_key(tmp_path, capsys,
                                                        monkeypatch, key,

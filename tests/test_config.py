@@ -24,6 +24,7 @@ from adaptnets.config import (
 from adaptnets.graphs import (
     ClusterPartition,
     CombinationMatrix,
+    SpectralKernel,
     metropolis_weights,
     ring_graph,
     save_graph,
@@ -315,11 +316,27 @@ def kind_files(tmp_path_factory):
     return str(where)
 
 
+def _direct_kernel(spec: dict, spectrum) -> SpectralKernel:
+    """The kernel a kernel object names, built without the config table."""
+    if spec["kind"] == "heat":
+        return SpectralKernel.from_function(
+            lambda lam: np.expm1(spec["rate"] * lam), spectrum,
+            degree=spec["degree"])
+    if spec["kind"] == "power":
+        return SpectralKernel.polynomial([0.0] * spec["exponent"] + [1.0])
+    return SpectralKernel.polynomial(spec["coefficients"])
+
+
 def test_every_kind_document_resolves(kind_files):
     for overrides in _KIND_DOCS:
         config = parse_config(_kind_doc(overrides), base_dir=kind_files)
-        resolve(config)
+        resolved = resolve(config)
         assert all(ok for _, ok, _ in run_checks(config)), overrides
+        if "kernel" in config.strategy:
+            direct = _direct_kernel(config.strategy["kernel"],
+                                    resolved.spectrum)
+            assert np.array_equal(resolved.strategy.kernel.coefficients,
+                                  direct.coefficients), overrides
 
 
 @settings(max_examples=300, deadline=None)
@@ -720,6 +737,8 @@ def test_build_strategy_refuses_exactly_the_rows_check_fails(seed, n, data):
               if not ok and name in CONDITION_ROWS[kind]]
     payload = {k: v for k, v in strategy.items()
                if k not in ("kind", "mu", "eta")}
+    if kind == "spectral_reg":
+        payload["kernel"] = coefficients
     config = StrategyConfig(kind, 0.01, strategy.get("eta", 0.0), payload)
     try:
         build_strategy(config, graph, model, spectrum)

@@ -36,7 +36,6 @@ from adaptnets.strategies import (
     overlap_metropolis,
     overlap_table,
     self_learn,
-    social_clustered,
     social_diffusion,
     social_noncooperative,
     social_overlapping,
@@ -556,7 +555,11 @@ def test_social_clustered_l1_matches_candidate_enumeration():
         if t % 3 == 0:
             psi = np.round(psi, 1)
         gamma = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
-        out = social_clustered(psi, intra, EdgeRegularizer(rho), gamma)
+        clustered = build_strategy(
+            StrategyConfig("clustered", gamma, 1.0,
+                           {"clusters": part.sizes, "rho": rho}),
+            graph, mse_model(n, psi.shape[1]))
+        out = clustered.social(psi)
         phi = intra @ psi
         _assert_matches_oracle(out, _oracle_prox_l1(phi, rho, gamma),
                                phi, rho, gamma)
@@ -603,16 +606,12 @@ def test_prox_nonfinite_agent_stays_nonfinite():
 def test_prox_rejects_negative_strength():
     g = ring_graph(6)
     part = ClusterPartition((3, 3))
-    intra = cluster_metropolis(g, part).matrix
     assign = part.assignment
     inter = (assign[:, None] != assign[None, :]) & (g.adjacency > 0)
     reg = EdgeRegularizer(inter * 0.5)
     psi = np.random.default_rng(18).standard_normal((6, 2))
     with pytest.raises(ValueError, match="mu_eta"):
         social_prox_l1(psi, reg, -0.3)
-    for reg in (reg, EdgeRegularizer(inter * 0.5, kind="quadratic")):
-        with pytest.raises(ValueError, match="mu_eta"):
-            social_clustered(psi, intra, reg, -0.3)
 
 
 def test_edge_regularizer_validation():
@@ -938,22 +937,25 @@ def test_metropolis_rules_match_their_oracles_bitwise():
 
 def test_social_clustered_single_cluster_is_diffusion():
     g = ring_graph(6)
-    part = ClusterPartition((6,))
-    a = cluster_metropolis(g, part).matrix
+    clustered = build_strategy(
+        StrategyConfig("clustered", 0.01, payload={"clusters": (6,)}),
+        g, mse_model(6, 2))
     psi = np.random.default_rng(20).standard_normal((6, 2))
-    out = social_clustered(psi, a, None, 0.0)
+    out = clustered.social(psi)
     ref = social_diffusion(psi, metropolis_weights(g).matrix)
     assert np.array_equal(out, ref)
 
 
 def test_social_clustered_singletons_reduce_to_prox():
     g = ring_graph(5)
-    part = ClusterPartition((1,) * 5)
-    intra = cluster_metropolis(g, part).matrix
-    assert np.array_equal(intra, np.eye(5))
+    clustered = build_strategy(
+        StrategyConfig("clustered", 0.3, 1.0,
+                       {"clusters": (1,) * 5, "rho": 0.8}),
+        g, mse_model(5, 2))
+    assert np.array_equal(clustered.combination.matrix, np.eye(5))
     reg = EdgeRegularizer((g.adjacency > 0) * 0.8)
     psi = np.random.default_rng(21).standard_normal((5, 2))
-    out = social_clustered(psi, intra, reg, 0.3)
+    out = clustered.social(psi)
     ref = social_prox_l1(psi, reg, 0.3)
     assert np.array_equal(out, ref)
 
@@ -965,8 +967,13 @@ def test_social_clustered_quadratic_penalty():
     assign = part.assignment
     inter = (assign[:, None] != assign[None, :]) & (g.adjacency > 0)
     reg = EdgeRegularizer(inter * 0.5, kind="quadratic")
+    clustered = build_strategy(
+        StrategyConfig("clustered", 0.1, 1.0,
+                       {"clusters": (3, 3), "penalty": "quadratic",
+                        "rho": 0.5}),
+        g, mse_model(6, 2))
     psi = np.random.default_rng(22).standard_normal((6, 2))
-    out = social_clustered(psi, intra, reg, 0.1)
+    out = clustered.social(psi)
     phi = intra @ psi
     lap = np.diag(reg.weights.sum(axis=1)) - reg.weights
     expected = phi - 0.1 * lap @ phi
