@@ -31,13 +31,14 @@ import numpy as np
 
 from . import theory as theory_mod
 from .graphs import (
-    SPECTRAL_RADIUS_SLACK,
     Graph,
     ClusterPartition,
     SpectralKernel,
     Spectrum,
     build_laplacian,
     complete_graph,
+    mixes,
+    mixing_rho,
     random_geometric_graph,
     ring_graph,
     star_graph,
@@ -593,19 +594,6 @@ def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args):
         raise ConfigError(f"{where}: {exc}")
 
 
-def _mixing_rho(strategy: Strategy) -> float:
-    """rho(A - P_U) of the strategy's weights on its subspace: the
-    feasibility check's where the builder ran one (subspace_projection),
-    else one eigvals of the N x N pair (A, U_N), since the consensus and
-    cluster bases of diffusion and clustered are U_N x I_M."""
-    if strategy.feasibility is not None:
-        return strategy.feasibility.rho
-    m = strategy.subspace.block_sizes[0]
-    basis = strategy.subspace.basis[::m, ::m]  # semi-orthogonal
-    gap = strategy.combination.matrix - basis @ basis.T
-    return float(np.max(np.abs(np.linalg.eigvals(gap))))
-
-
 def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
                    model: StreamModel,
                    strategy: Strategy) -> tuple[dict | None, np.ndarray | None]:
@@ -646,20 +634,20 @@ def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
                 theory["filter_ratios"] = bound.ratios.tolist()
             except ValueError:
                 pass
-    elif (closed_form == "projection" and strategy.subspace is not None
-          and _mixing_rho(strategy) < 1.0 - SPECTRAL_RADIUS_SLACK):
+    elif closed_form == "projection" and strategy.subspace is not None:
         # weights that never mix across a bridge split the network: the
         # projection closed form holds only where A^i converges to P_U
-        sub = strategy.subspace
-        flat = truth_mat.reshape(-1)
-        # the projection residual without forming the (M_t x M_t) projector
-        coeffs = np.linalg.solve(sub.basis.T @ sub.basis, sub.basis.T @ flat)
-        residual = np.linalg.norm(flat - sub.basis @ coeffs)
-        if residual <= 1e-8 * max(1.0, np.linalg.norm(flat)):
-            inputs = theory_mod.TheoryInputs(**base, subspace=sub)
-            theory["msd"] = theory_mod.msd_projection(inputs)
-            theory["msd_projection"] = theory["msd"]
-            w_star = truth_mat
+        report = strategy.feasibility
+        rho = (report.rho if report is not None
+               else mixing_rho(strategy.combination, strategy.subspace))
+        if mixes(rho):
+            try:
+                theory["msd"] = theory_mod.msd_projection(
+                    theory_mod.TheoryInputs(**base, subspace=strategy.subspace))
+                theory["msd_projection"] = theory["msd"]
+                w_star = truth_mat
+            except ValueError:
+                pass
     return theory, w_star
 
 

@@ -16,7 +16,7 @@ and the operations
     build_laplacian, smoothness, graph_fourier, inverse_graph_fourier,
     metropolis_block, metropolis_weights, laplacian_weights,
     apply_spectral_kernel, chebyshev_fit, consensus_subspace,
-    cluster_subspace, projector, check_feasibility
+    cluster_subspace, projector, check_feasibility, mixes, mixing_rho
 
 plus generators (ring, star, complete, random geometric) and JSON I/O.
 
@@ -59,6 +59,8 @@ __all__ = [
     "cluster_subspace",
     "projector",
     "check_feasibility",
+    "mixes",
+    "mixing_rho",
     "ring_graph",
     "star_graph",
     "complete_graph",
@@ -499,23 +501,18 @@ def metropolis_weights(graph: Graph) -> CombinationMatrix:
     return CombinationMatrix(weights)
 
 
-def laplacian_weights(graph: Graph, scale: float | None = None) -> CombinationMatrix:
-    """Laplacian combination rule A = I - scale * L.
+def laplacian_weights(graph: Graph) -> CombinationMatrix:
+    """Laplacian combination rule A = I - L / max_k L_kk.
 
-    The default scale 1 / max_k L_kk keeps every entry nonnegative.
-    Requires a connected graph.
+    The scale 1 / max_k L_kk keeps every entry nonnegative; a graph without
+    edges (one agent) gets the identity. Requires a connected graph.
     """
     if not graph.is_connected:
         raise ValueError("laplacian weights require a connected graph")
     deg = graph.weighted_degrees
-    if scale is None:
-        scale = 1.0 / float(deg.max())
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    weights = scale * graph.adjacency.copy()
+    scale = 1.0 / float(deg.max()) if deg.any() else 0.0
+    weights = scale * graph.adjacency
     np.fill_diagonal(weights, 1.0 - scale * deg)
-    if np.any(weights < 0.0):
-        raise ValueError(f"scale {scale} makes a diagonal entry negative")
     return CombinationMatrix(weights)
 
 
@@ -534,7 +531,6 @@ class SpectralKernel:
     """
 
     coefficients: np.ndarray
-    degree: int
     fit_error: float = 0.0
 
     def __post_init__(self):
@@ -545,11 +541,14 @@ class SpectralKernel:
             raise ValueError("kernel coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "degree", int(coeffs.size - 1))
+
+    @property
+    def degree(self) -> int:
+        return self.coefficients.size - 1
 
     @classmethod
     def polynomial(cls, coefficients, spectrum: Spectrum | None = None) -> "SpectralKernel":
-        kernel = cls(np.asarray(coefficients, dtype=float), degree=0)
+        kernel = cls(np.asarray(coefficients, dtype=float))
         if spectrum is not None:
             kernel.validate_on(spectrum)
         return kernel
@@ -563,7 +562,7 @@ class SpectralKernel:
     ) -> "SpectralKernel":
         """Polynomial surrogate of r on [0, lam_max] via Chebyshev truncation."""
         coeffs, err = chebyshev_fit(r, degree, spectrum.lam_max)
-        kernel = cls(coeffs, degree=degree, fit_error=err)
+        kernel = cls(coeffs, fit_error=err)
         kernel.validate_on(spectrum)
         return kernel
 
@@ -632,7 +631,6 @@ class Subspace:
 
     basis: np.ndarray
     block_sizes: tuple[int, ...]
-    semi_orthogonal: bool = False
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=float)
@@ -646,10 +644,6 @@ class Subspace:
         singular = np.linalg.svd(basis, compute_uv=False)
         if singular.size == 0 or singular[-1] <= RANK_RTOL * singular[0]:
             raise ValueError("basis is rank deficient")
-        if self.semi_orthogonal:
-            gram = basis.T @ basis
-            if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10):
-                raise ValueError("basis flagged semi-orthogonal but U^T U != I")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "block_sizes", sizes)
@@ -662,13 +656,31 @@ class Subspace:
     def n_agents(self) -> int:
         return len(self.block_sizes)
 
+    @cached_property
+    def semi_orthogonal(self) -> bool:
+        """Whether U^T U = I, to 1e-10."""
+        return bool(np.allclose(self.basis.T @ self.basis, np.eye(self.dim),
+                                atol=1e-10))
+
+    @cached_property
+    def agent_basis(self) -> np.ndarray | None:
+        """U_N where the basis is exactly U_N x I_M with every block of size
+        M (as consensus_subspace and cluster_subspace build it), else None.
+        Column q*M of U_N x I_M holds [u_q]_k at row k*M."""
+        m = self.block_sizes[0]
+        agent = self.basis[::m, ::m]
+        if (len(set(self.block_sizes)) != 1
+                or not np.array_equal(self.basis, np.kron(agent, np.eye(m)))):
+            return None
+        return agent
+
 
 def consensus_subspace(n_agents: int, m: int) -> Subspace:
     """Span of (1/sqrt(N)) (1_N x I_M): all agents share one length-M task."""
     if n_agents < 1 or m < 1:
         raise ValueError("n_agents and m must be positive")
     basis = np.kron(np.ones((n_agents, 1)) / np.sqrt(n_agents), np.eye(m))
-    return Subspace(basis, block_sizes=(m,) * n_agents, semi_orthogonal=True)
+    return Subspace(basis, block_sizes=(m,) * n_agents)
 
 
 def cluster_subspace(partition: "ClusterPartition", m: int) -> Subspace:
@@ -681,7 +693,7 @@ def cluster_subspace(partition: "ClusterPartition", m: int) -> Subspace:
         size = stop - start
         block = np.kron(np.ones((size, 1)) / np.sqrt(size), np.eye(m))
         basis[start * m : stop * m, q * m : (q + 1) * m] = block
-    return Subspace(basis, block_sizes=(m,) * n, semi_orthogonal=True)
+    return Subspace(basis, block_sizes=(m,) * n)
 
 
 def projector(subspace: Subspace) -> np.ndarray:
@@ -746,17 +758,33 @@ class FeasibilityReport:
     semi_convergence: bool
     rho: float
     norms: np.ndarray
-    passed: bool
+    flags = ("right_fixed", "left_fixed", "spectral", "sparsity",
+             "semi_convergence")
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed_constraints()
 
     def failed_constraints(self) -> list[str]:
-        names = [
-            ("right_fixed", self.right_fixed),
-            ("left_fixed", self.left_fixed),
-            ("spectral", self.spectral),
-            ("sparsity", self.sparsity),
-            ("semi_convergence", self.semi_convergence),
-        ]
-        return [name for name, ok in names if not ok]
+        return [name for name in self.flags if not getattr(self, name)]
+
+
+def mixes(rho: float) -> bool:
+    """Whether A^i converges to P_U: rho(A - P_U) < 1, with a margin of
+    SPECTRAL_RADIUS_SLACK since rho = 1 in exact arithmetic may round
+    below it."""
+    return rho < 1.0 - SPECTRAL_RADIUS_SLACK
+
+
+def mixing_rho(combination: CombinationMatrix, subspace: Subspace) -> float:
+    """rho(A - P_U) of scalar (N x N) weights A on a subspace with a
+    semi-orthogonal agent basis U_N: one eigvals of the pair (A, U_N),
+    since (A x I_M) - P_U = (A - U_N U_N^T) x I_M has its eigenvalues."""
+    agent = subspace.agent_basis
+    if agent is None:
+        raise ValueError("mixing_rho needs a basis U_N x I_M")
+    gap = combination.matrix - agent @ agent.T
+    return float(np.max(np.abs(np.linalg.eigvals(gap))))
 
 
 def check_feasibility(
@@ -772,12 +800,12 @@ def check_feasibility(
     _FEASIBILITY_POWERS; entries count as zero up to _FEASIBILITY_TOL
     relative to max(1, max |a_kl|).
 
-    Scalar weights A with a basis that is exactly U_N x I_M (as
-    consensus_subspace and cluster_subspace build it) are checked on the
-    N x N pair (A, U_N) with unit blocks, never on A x I_M: (A x I)^i -
-    P_N x I = (A^i - P_N) x I has the same eigenvalues and spectral norm as
-    A^i - P_N, and block (k, l) of A x I is a_kl I_M. Any other pair is
-    checked on its (M_t x M_t) block form.
+    Scalar weights A with a basis that is exactly U_N x I_M (its
+    agent_basis, as consensus_subspace and cluster_subspace build it) are
+    checked on the N x N pair (A, U_N) with unit blocks, never on A x I_M:
+    (A x I)^i - P_N x I = (A^i - P_N) x I has the same eigenvalues and
+    spectral norm as A^i - P_N, and block (k, l) of A x I is a_kl I_M. Any
+    other pair is checked on its (M_t x M_t) block form.
 
     When A fixes the subspace on both sides and the checked matrix equals
     its transpose exactly (the Metropolis rules), rho and every norm come
@@ -790,13 +818,10 @@ def check_feasibility(
     """
     power, tol = _FEASIBILITY_POWERS, _FEASIBILITY_TOL
     sizes = subspace.block_sizes
-    m = sizes[0]
-    scalar_basis = subspace.basis[::m, ::m]
-    if (combination.is_scalar and len(set(sizes)) == 1
-            and combination.matrix.shape[0] == len(sizes)
-            and np.array_equal(subspace.basis, np.kron(scalar_basis, np.eye(m)))):
+    if (combination.is_scalar and combination.matrix.shape[0] == len(sizes)
+            and subspace.agent_basis is not None):
         matrix = combination.matrix
-        subspace = Subspace(scalar_basis, block_sizes=(1,) * len(sizes))
+        subspace = Subspace(subspace.agent_basis, (1,) * len(sizes))
     else:
         matrix = combination.block_matrix(sizes)
     basis = subspace.basis
@@ -826,7 +851,7 @@ def check_feasibility(
         for i in range(power):
             acc = acc @ matrix
             norms[i] = np.linalg.norm(acc - proj, ord=2)
-    spectral = bool(rho <= 1.0 - SPECTRAL_RADIUS_SLACK)
+    spectral = mixes(rho)
 
     # largest |entry| of every (k, l) block against the allowed pattern
     starts = np.concatenate([[0], np.cumsum(subspace.block_sizes)[:-1]])
@@ -840,15 +865,12 @@ def check_feasibility(
     # matrix powers: each product adds about rows * eps to ||A^i - P_U||.
     if norms[0] == 0.0:
         semi = True
-    elif rho >= 1.0 - SPECTRAL_RADIUS_SLACK:
-        # spectral's margin: rho = 1 in exact arithmetic is not a rounded bit
+    elif not spectral:
         semi = False
     else:
         floor = rows * power * np.finfo(float).eps
         semi = bool(norms[-1] <= 10.0 * norms[0] * rho ** (power - 1) + floor)
     norms.flags.writeable = False
-
-    passed = right and left and spectral and sparsity and semi
     return FeasibilityReport(
         right_fixed=right,
         left_fixed=left,
@@ -857,5 +879,4 @@ def check_feasibility(
         semi_convergence=semi,
         rho=rho,
         norms=norms,
-        passed=passed,
     )

@@ -94,10 +94,8 @@ class TheoryInputs:
         lam = self.spectrum.eigenvalues
         if self.kernel is None:
             return lam.copy()
-        vals = np.asarray(self.kernel(lam), dtype=float)
-        if np.any(vals < -1e-12 * max(1.0, float(np.max(np.abs(vals))))):
-            raise ValueError("kernel is negative on the spectrum")
-        return np.maximum(vals, 0.0)
+        self.kernel.validate_on(self.spectrum)
+        return np.maximum(self.kernel(lam), 0.0)
 
     def r_u_eigenvalues(self) -> np.ndarray:
         vals = np.linalg.eigvalsh(self.r_u)
@@ -198,29 +196,22 @@ def bias_smoothness(inputs: TheoryInputs) -> BiasPrediction:
 def msd_projection(inputs: TheoryInputs) -> float:
     """Small-mu network MSD of projection-type strategies.
 
-    With a semi-orthogonal scalar basis U (block basis U x I_M) and
+    With a semi-orthogonal basis U_N x I_M (Subspace.agent_basis U_N) and
     W^o in its range:
 
         MSD = (mu M / 2N) * sum_m sum_k [u_m]_k^2 sigma_{v,k}^2
 
-    summed over the P_bar columns of U.
+    summed over the P_bar columns of U_N.
     """
     sub = inputs.subspace
     if sub is None:
         raise ValueError("msd_projection needs a subspace")
     if not sub.semi_orthogonal:
         raise ValueError("msd_projection requires a semi-orthogonal basis")
-    n = sub.n_agents
-    if set(sub.block_sizes) != {inputs.m}:
-        raise ValueError("subspace block sizes must equal M")
-    if sub.dim % inputs.m != 0:
-        raise ValueError("block basis must be U_scalar x I_M")
-    # Recover the scalar basis from the block one: column q*M holds
-    # [u_q]_k at row k*M.
-    p_bar = sub.dim // inputs.m
-    scalar = sub.basis[:: inputs.m, :: inputs.m]
-    if scalar.shape != (n, p_bar):
-        raise ValueError("could not extract a scalar basis")
+    scalar = sub.agent_basis
+    if scalar is None or sub.block_sizes[0] != inputs.m:
+        raise ValueError("msd_projection requires a basis U_N x I_M "
+                         "with blocks of size M")
     if inputs.truth is not None:
         flat = inputs.truth.reshape(-1)
         proj = sub.basis @ (sub.basis.T @ flat)
@@ -228,7 +219,7 @@ def msd_projection(inputs: TheoryInputs) -> float:
         if np.linalg.norm(flat - proj) > 1e-8 * scale:
             raise ValueError("truth is not in the range of the subspace")
     contrib = (scalar ** 2).T @ inputs.noise_var
-    return float(0.5 * inputs.mu * inputs.m / n * contrib.sum())
+    return float(0.5 * inputs.mu * inputs.m / sub.n_agents * contrib.sum())
 
 
 def filter_bound(inputs: TheoryInputs) -> FilterBoundReport:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from adaptnets import strategies
 from adaptnets.cli import main
 from adaptnets.graphs import load_graph, metropolis_weights, ring_graph
 from adaptnets.streaming import load_tasks
@@ -381,6 +382,46 @@ def test_check_and_run_accept_laplacian_reg_without_edges(tmp_path, capsys):
     cfg = write_config(tmp_path, graph={"kind": "edges", "n": 3, "edges": []})
     assert main(["check", "--config", cfg]) == EXIT_OK
     assert "stability: PASS" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_OK
+
+
+def test_check_and_run_accept_laplacian_weights_on_one_agent(tmp_path):
+    cfg = write_config(
+        tmp_path, graph={"kind": "edges", "n": 1, "edges": []},
+        model={"kind": "mse", "m": 2, "noise_var": 0.1,
+               "truth": {"kind": "constant"}},
+        strategy={"kind": "diffusion", "mu": 0.01, "weights": "laplacian"})
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_OK
+
+
+def test_check_and_run_agree_on_a_kernel_within_the_sign_tolerance(tmp_path):
+    # r(0) = -1e-7 is within the one sign rule's tolerance,
+    # 1e-12 * max |r(lambda)| = 4e-6 below zero on ring N=8
+    cfg = write_config(tmp_path, strategy={
+        "kind": "spectral_reg", "mu": 0.01, "eta": 1e-5,
+        "kernel": {"kind": "polynomial", "coefficients": [-1e-7, 1e6]}})
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_OK
+
+
+def test_check_reads_the_diffusion_mixing_rate_run_reads(tmp_path, capsys,
+                                                        monkeypatch):
+    # directed-ring averaging, a_kk = a_k,k+1 = 1/2, is doubly stochastic
+    # but not symmetric: its feasibility check is refused above 1000
+    # agents, where run serves it, so check must not need it either
+    def refuse(*args):
+        raise ValueError("check_feasibility called")
+
+    monkeypatch.setattr(strategies, "check_feasibility", refuse)
+    weights = 0.5 * (np.eye(8) + np.roll(np.eye(8), 1, axis=1))
+    cfg = write_config(tmp_path, strategy={"kind": "diffusion", "mu": 0.01,
+                                           "weights": weights.tolist()})
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert "semi_convergent: PASS" in capsys.readouterr().err
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
         == EXIT_OK
 

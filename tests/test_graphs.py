@@ -274,11 +274,11 @@ def test_laplacian_weights_default_scale():
     expected = np.eye(5) - spec.laplacian / 4.0
     assert np.allclose(a, expected, atol=1e-14)
     assert np.all(a >= 0)
-
-
-def test_laplacian_weights_bad_scale():
-    with pytest.raises(ValueError):
-        laplacian_weights(star_graph(5), scale=10.0)
+    # one agent, no edges: the identity, as Metropolis gives, not a
+    # division by zero
+    one = Graph.from_edges(1, [])
+    assert np.array_equal(laplacian_weights(one).matrix, np.eye(1))
+    assert np.array_equal(metropolis_weights(one).matrix, np.eye(1))
 
 
 def test_block_matrix_expands_scalar():
@@ -344,8 +344,24 @@ def test_consensus_projector():
 
 def test_projector_invariant_to_basis_scaling():
     sub = consensus_subspace(4, 1)
-    scaled = type(sub)(3.0 * sub.basis, sub.block_sizes, semi_orthogonal=False)
+    scaled = type(sub)(3.0 * sub.basis, sub.block_sizes)
     assert np.max(np.abs(projector(sub) - projector(scaled))) < 1e-12
+
+
+def test_agent_basis_only_of_a_basis_agent_by_agent():
+    # U_N where the basis is exactly U_N x I_M with uniform blocks
+    consensus = consensus_subspace(5, 2)
+    assert np.array_equal(consensus.agent_basis,
+                          np.full((5, 1), 1.0 / np.sqrt(5)))
+    part = ClusterPartition((2, 3))
+    assert np.array_equal(cluster_subspace(part, 3).agent_basis,
+                          cluster_subspace(part, 1).basis)
+    # the same range in a rotated basis, and ragged blocks: no U_N
+    c, s = np.cos(0.7), np.sin(0.7)
+    rotated = Subspace(consensus.basis @ np.array([[c, -s], [s, c]]),
+                       consensus.block_sizes)
+    assert rotated.semi_orthogonal and rotated.agent_basis is None
+    assert Subspace(np.ones((4, 1)), (1, 2, 1)).agent_basis is None
 
 
 def test_cluster_subspace_blocks():
@@ -464,8 +480,6 @@ def _block_feasibility_oracle(
         floor = block.shape[0] * power * np.finfo(float).eps
         semi = bool(norms[-1] <= 10.0 * norms[0] * rho ** (power - 1) + floor)
     norms.flags.writeable = False
-
-    passed = right and left and spectral and sparsity and semi
     return FeasibilityReport(
         right_fixed=right,
         left_fixed=left,
@@ -474,7 +488,6 @@ def _block_feasibility_oracle(
         semi_convergence=semi,
         rho=rho,
         norms=norms,
-        passed=passed,
     )
 
 

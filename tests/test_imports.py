@@ -1,5 +1,6 @@
 """Module boundaries: no module uses another adaptnets module's private
-names, no module branches on a tuple-shaped network state, and every name a
+names, no module branches on a tuple-shaped network state, only
+Subspace.agent_basis reads an agent basis by strides, and every name a
 module's __all__ lists exists."""
 
 import ast
@@ -106,6 +107,53 @@ def test_tuple_check_detection(tmp_path):
         "sample.py:3 isinstance(w, (list, tuple))",
     ]
 
+
+def _strided_slices(path: Path) -> list[str]:
+    """Subscripts x[::a, ::b], strided on two axes, outside
+    Subspace.agent_basis: reading U_N off a basis by strides is right only
+    where agent_basis has checked that the basis is U_N x I_M."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exempt = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Subspace":
+            for fn in cls.body:
+                if getattr(fn, "name", None) == "agent_basis":
+                    exempt.update(id(node) for node in ast.walk(fn))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and id(node) not in exempt
+                and isinstance(node.slice, ast.Tuple)
+                and sum(isinstance(axis, ast.Slice) and axis.step is not None
+                        for axis in node.slice.elts) >= 2):
+            found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_strided_agent_basis_outside_subspace():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) >= 8
+    found = [use for path in files for use in _strided_slices(path)]
+    assert found == [], "doubly strided slices in src:\n" + "\n".join(found)
+
+
+def test_strided_slice_detection(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "a = basis[::m, ::m]\n"
+        "b = basis[1::2, :, ::3]\n"
+        "c = basis[::-1]\n"
+        "d = basis[:, ::2]\n"
+        "class Subspace:\n"
+        "    def agent_basis(self):\n"
+        "        return self.basis[::m, ::m]\n"
+        "def agent_basis(basis):\n"
+        "    return basis[::2, ::2]\n"
+    )
+    assert _strided_slices(source) == [
+        "sample.py:1 basis[::m, ::m]",
+        "sample.py:2 basis[1::2, :, ::3]",
+        "sample.py:9 basis[::2, ::2]",
+    ]
 
 
 def test_every_name_in_all_exists():

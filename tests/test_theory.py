@@ -7,6 +7,7 @@ from adaptnets.graphs import (
     ClusterPartition,
     Graph,
     SpectralKernel,
+    Subspace,
     build_laplacian,
     cluster_subspace,
     consensus_subspace,
@@ -271,6 +272,23 @@ def test_msd_projection_requires_semi_orthogonal():
                           r_u=np.eye(2), spectrum=spec, subspace=sub)
     with pytest.raises(ValueError, match="semi-orthogonal"):
         msd_projection(inputs)
+
+
+def test_msd_projection_refuses_a_basis_not_agent_by_agent():
+    # the consensus subspace in a rotated orthonormal basis: the same range,
+    # but no U_N x I_M to read each agent's weight from
+    spec = build_laplacian(ring_graph(4))
+    sub = consensus_subspace(4, 2)
+    c, s = np.cos(0.7), np.sin(0.7)
+    rotated = Subspace(sub.basis @ np.array([[c, -s], [s, c]]),
+                       block_sizes=sub.block_sizes)
+    assert rotated.semi_orthogonal
+    shared = dict(mu=0.01, eta=0.0, m=2, noise_var=np.full(4, 0.1),
+                  r_u=np.eye(2), spectrum=spec)
+    assert msd_projection(TheoryInputs(**shared, subspace=sub)) \
+        == pytest.approx(2.5e-4, rel=1e-12)
+    with pytest.raises(ValueError, match="U_N x I_M"):
+        msd_projection(TheoryInputs(**shared, subspace=rotated))
 
 
 def test_msd_projection_rejects_truth_outside_range():
