@@ -78,6 +78,7 @@ from .config import (
     ExperimentConfig,
     ResolvedExperiment,
     data_stream,
+    data_streams,
     load_config,
     parse_config,
     resolve,

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", type=float, help="override coupling strength")
         p.add_argument("--iters", type=int, help="override horizon")
         p.add_argument("--runs", type=int, help="override run count")
-        p.add_argument("--parallel", type=int, help="worker processes")
+        p.add_argument("--parallel", type=int, help="processes that step runs")
         p.add_argument("--json", action="store_true",
                        help="print a JSON summary to stdout")
 

@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cache, lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -64,6 +64,7 @@ __all__ = [
     "run_checks",
     "setup_stream",
     "data_stream",
+    "data_streams",
 ]
 
 SCHEMA_VERSION = 1
@@ -80,17 +81,135 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on 32-bit words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _uint32_words(value: int) -> list[int]:
+    """An int as SeedSequence reads it: its 32-bit words, lowest first."""
+    if value < 0:
+        raise ValueError(f"seeds and spawn keys must be non-negative, "
+                         f"got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _running(const: int, mult: int):
+    """The hash constant before and after each step: a hashed word is xored
+    with the one and multiplied by the other."""
+    while True:
+        before, const = const, const * mult & _MASK32
+        yield before, const
+
+
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _const_pairs(pairs, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next `count` (xor, mul) pairs, as uint32 columns along axis 0."""
+    table = np.array([next(pairs) for _ in range(count)], dtype=np.uint32)
+    return table[:, 0, None, None], table[:, 1, None, None]
+
+
+# generate_state hashes the pool, cycled, to 8 words with its own constants
+_STATE_XOR, _STATE_MUL = _const_pairs(_running(_INIT_B, _MULT_B),
+                                      2 * _POOL_SIZE)
+
+
+class _StateWords:
+    """PCG64's four uint64 state words, handed over as a seed sequence would
+    hand them to PCG64, the one caller; registered with numpy's
+    ISeedSequence on first use."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+@cache
+def _pcg64_generator():
+    # numpy.random is loaded here, on the first stream, not on import
+    from numpy.random import PCG64, Generator, bit_generator
+    bit_generator.ISeedSequence.register(_StateWords)
+    return PCG64, Generator
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int, prefix: tuple):
+    """SeedSequence's pool after every entropy word of seed and prefix, as
+    uint32 words along axis 0, and the hash constants that then mix in the
+    row word and the column word."""
+    entropy = _uint32_words(seed)
+    # a spawned sequence pads its entropy to the pool size
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    for key in prefix:
+        entropy += _uint32_words(key)
+    pairs = _running(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, *next(pairs)) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(pairs)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(pairs)))
+    return (np.array(pool, dtype=np.uint32)[:, None, None],
+            _const_pairs(pairs, _POOL_SIZE), _const_pairs(pairs, _POOL_SIZE))
+
+
+def _streams(seed: int, prefix: tuple, rows, cols) -> list[list]:
+    """default_rng(SeedSequence(seed, spawn_key=prefix + (r, c))) for every
+    r in rows and c in cols, one list per row, bit for bit.
+
+    The pool words that depend only on the seed and the prefix are mixed
+    once, as ints. Then r and c, each one word below 2**32, are mixed into
+    all four pool words at once as uint32 arrays, whose products wrap as
+    the hash needs, and the state words of every stream come out together.
+    """
+    pool, row_consts, col_consts = _seed_pool(seed, prefix)
+    rows = np.asarray(rows, dtype=np.uint32)[None, :, None]
+    cols = np.asarray(cols, dtype=np.uint32)[None, None, :]
+    pool = _mix(pool, _hashmix(rows, *row_consts))
+    pool = _mix(pool, _hashmix(cols, *col_consts))
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MUL)
+    # pairs of words read as little-endian uint64s, as generate_state does
+    state = state.transpose(1, 2, 0).astype("<u4", order="C")
+    state = state.view("<u8").astype(np.uint64)
+    pcg64, generator = _pcg64_generator()
+    return [[generator(pcg64(_StateWords(words))) for words in row]
+            for row in state]
+
+
+def data_streams(seed: int, runs, n: int) -> list[list]:
+    """The streams of agents 0 .. n - 1 in each run of `runs`, one list per
+    run: row i, entry k is data_stream(seed, runs[i], k)."""
+    return _streams(seed, (_NS_DATA,), runs, range(n))
+
+
 def data_stream(seed: int, run: int, agent: int) -> np.random.Generator:
     """The independent stream feeding agent `agent` during run `run`."""
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_NS_DATA, run, agent))
-    )
+    return _streams(seed, (_NS_DATA,), [run], [agent])[0][0]
 
 
 def setup_stream(seed: int, which: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_NS_SETUP, which))
-    )
+    return _streams(seed, (), [_NS_SETUP], [which])[0][0]
 
 
 def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str):
@@ -280,6 +399,9 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
+        if all(value is None for value in overrides.values()):
+            # nothing to change, and this config was parsed already
+            return self
         doc = self.canonical()
         strategy = dict(doc["strategy"])
         for key in ("mu", "eta"):

@@ -3,12 +3,17 @@
 Runs are independent by construction (per-(run, agent) random streams).
 The engine steps a chunk of R runs as one (R, N, M_max) state: every
 social step takes the run axis and mixes each run as it would mix it
-alone, so a run's numbers do not depend on which chunk or worker steps it.
-Serial and parallel execution produce bit-identical aggregates: each
-worker is handed a contiguous group of run indices and the canonical
-config JSON, and results are combined in run order. The worker count is
-the config's parallel key, which `adaptnets run --parallel` overrides like
-any other key; run_experiment's parallel argument replaces it for one call.
+alone, so a run's numbers do not depend on which chunk or process steps
+it. The streams of a chunk are seeded in one batched pass, bit-identical
+to numpy's SeedSequence with the same spawn keys. Serial and parallel
+execution produce bit-identical aggregates: the runs are cut into one
+contiguous group per process, the calling process steps the first group
+while forked workers step the others (each handed its run indices and the
+canonical config JSON), and results are combined in run order. A process
+holds one chunk at a time, so memory is about processes x CHUNK_BYTES.
+The process count is the config's parallel key, which `adaptnets run
+--parallel` overrides like any other key; run_experiment's parallel
+argument replaces it for one call.
 
 An experiment is resolved once per process, through a cache keyed by the
 canonical config JSON: run_experiment resolves it before any run starts
@@ -24,7 +29,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -33,7 +38,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     ResolvedExperiment,
-    data_stream,
+    data_streams,
     load_config,
     parse_config,
     resolve,
@@ -70,9 +75,9 @@ SETTLED_DRIFT = 0.1
 # float64s per run (regressors and responses), drawn whole because a stream
 # cut into time tiles would give other values. The chunk holds
 # max(1, CHUNK_BYTES // that) runs, and a process holds one chunk at a time,
-# so memory is about workers x CHUNK_BYTES. 64 MiB gives 6 runs per chunk at
-# 9.6 MB per run (20 agents, M = 2, 20000 iterations), enough to spread the
-# per-step Python cost, while 4 workers stay near 256 MiB.
+# so memory is about processes x CHUNK_BYTES. 64 MiB gives 6 runs per chunk
+# at 9.6 MB per run (20 agents, M = 2, 20000 iterations), enough to spread
+# the per-step Python cost, while 4 processes stay near 256 MiB.
 CHUNK_BYTES = 64 * 2**20
 
 # The post-step states are kept and their errors computed this many steps
@@ -243,8 +248,7 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
     n = res.graph.n_agents
     horizon, every = cfg.iters, cfg.record_every
 
-    streams = [[data_stream(cfg.seed, r, k) for k in range(n)] for r in runs]
-    block = draw_horizon(model, streams, horizon)
+    block = draw_horizon(model, data_streams(cfg.seed, runs, n), horizon)
     regs, resp = block.regressors, block.responses
 
     # the state starts at 0; pad entries are 0 on both sides and add nothing
@@ -344,9 +348,9 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
     """Run the configured experiment and aggregate across runs.
 
     config may be a parsed ExperimentConfig, a raw dict, or a path to a
-    JSON file. The worker count is the config's parallel key; a parallel
+    JSON file. The process count is the config's parallel key; a parallel
     argument replaces it. Aggregation is performed in fixed run order, so
-    the result does not depend on the worker count.
+    the result does not depend on the process count.
     """
     if isinstance(config, (str, os.PathLike)):
         config = load_config(config)
@@ -354,22 +358,24 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         config = parse_config(config)
     config_json = config.canonical_json()
     resolved = _resolved_from_json(config_json, config.base_dir)
-    workers = min(config.parallel if parallel is None else max(parallel, 1),
-                  config.runs)
-    # contiguous groups of runs, one per worker
-    bounds = [config.runs * g // workers for g in range(workers + 1)]
-    if workers > 1:
+    processes = min(config.parallel if parallel is None else max(parallel, 1),
+                    config.runs)
+    # contiguous groups of runs, one per process
+    bounds = [config.runs * g // processes for g in range(processes + 1)]
+    groups = [partial(_simulate_runs, config_json, config.base_dir, first, stop)
+              for first, stop in zip(bounds, bounds[1:])]
+    if processes > 1:
         # loaded here, untimed, so that serial runs never load it
         from concurrent.futures import ProcessPoolExecutor
     t0 = time.perf_counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_simulate_runs, config_json, config.base_dir,
-                                 first, stop)
-                       for first, stop in zip(bounds, bounds[1:])]
-            parts = [f.result() for f in futures]
+    if processes > 1:
+        # workers step groups 1 .. processes - 1 while this process steps
+        # group 0; a divergence in group 0 is the lowest run's, and raises
+        with ProcessPoolExecutor(max_workers=processes - 1) as ex:
+            futures = [ex.submit(group) for group in groups[1:]]
+            parts = [groups[0]()] + [f.result() for f in futures]
     else:
-        parts = [_simulate_runs(config_json, config.base_dir, 0, config.runs)]
+        parts = [groups[0]()]
     wall = time.perf_counter() - t0
 
     runs_wo = np.concatenate([part["msd_wo"] for part in parts])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from adaptnets import strategies
+from adaptnets import config as config_mod, strategies
 from adaptnets.cli import main
 from adaptnets.graphs import load_graph, metropolis_weights, ring_graph
 from adaptnets.streaming import load_tasks
@@ -309,6 +309,24 @@ def test_check_passes_for_valid_setups(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == EXIT_OK, f"{strategy['kind']} failed:\n{err}"
         assert "FAIL" not in err
+
+
+def test_check_parses_the_config_once(tmp_path, monkeypatch):
+    # with no override given, the loaded config is the one checked
+    calls = []
+    real = config_mod.parse_config
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(config_mod, "parse_config", counted)
+    cfg = write_config(tmp_path)
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["check", "--config", cfg, "--seed", "6"]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_missing_strategy_keys_exit_2(tmp_path, capsys):

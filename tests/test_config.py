@@ -14,6 +14,7 @@ from adaptnets.config import (
     ConfigError,
     ExperimentConfig,
     data_stream,
+    data_streams,
     load_config,
     parse_config,
     resolve,
@@ -422,6 +423,7 @@ def test_with_overrides():
     assert bumped.iters == cfg.iters
     with pytest.raises(ConfigError, match="unknown overrides"):
         cfg.with_overrides(gamma=1.0)
+    assert cfg.with_overrides(mu=None, seed=None) is cfg
 
 
 def test_load_config_sets_base_dir(tmp_path):
@@ -459,6 +461,28 @@ def test_setup_streams_independent_of_data_streams():
     assert not np.array_equal(setup, data)
     assert not np.array_equal(setup_stream(7, 0).standard_normal(8),
                               setup_stream(7, 1).standard_normal(8))
+
+
+def _assert_same_stream(got, ref):
+    assert got.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(got.standard_normal(4), ref.standard_normal(4))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3,
+                                  2**128 + 1])
+def test_streams_are_numpys_seed_sequence_spawns(seed):
+    # the batched seeding computes SeedSequence's hash itself: every stream
+    # must be the generator numpy builds from the same spawn key
+    n, runs = 13, [0, 7]
+    for run, row in zip(runs, data_streams(seed, runs, n)):
+        for k in range(n):
+            _assert_same_stream(row[k], np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(0, run, k))))
+            _assert_same_stream(data_stream(seed, run, k),
+                                data_streams(seed, [run], n)[0][k])
+    for which in range(n):
+        _assert_same_stream(setup_stream(seed, which), np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(1, which))))
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,26 @@ def test_parallel_divergence_reaches_the_caller():
     _assert_names_worst_agents(info.value, 10)
 
 
+def test_parallel_starts_one_worker_fewer_than_processes(monkeypatch):
+    # the calling process steps the first group of runs itself
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recorded(real):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    cfg = base_config(iters=100, runs=3)
+    run_experiment(cfg, parallel=1)
+    assert started == []
+    for parallel in (2, 3):
+        started.clear()
+        run_experiment(cfg, parallel=parallel)
+        assert started == [parallel - 1]
+
+
 def test_overlapping_divergence_names_worst_agents():
     cfg = base_config(iters=500, runs=1, model={
         "kind": "mse", "noise_var": 0.1,
@@ -836,6 +856,19 @@ def test_engine_divergence_matches_oracle(mu, seed, crossings, monkeypatch):
         assert _same_divergence(info.value, ref), (per_chunk, parallel)
         assert f"run {run} " in str(info.value)
         assert _same_divergence(pickle.loads(pickle.dumps(info.value)), ref)
+
+
+def test_a_worker_divergence_reaches_the_caller():
+    # the caller steps run 0, which never crosses; run 1 crosses in the
+    # worker, and its error arrives whole, as the per-run loop raises it
+    cfg = parse_config(base_config(seed=6, iters=400, runs=2, strategy={
+        "kind": "noncooperative", "mu": 0.8}))
+    ref, found = _oracle_divergence(resolve(cfg))
+    assert found == [None, 109]
+    with pytest.raises(DivergenceError) as info:
+        run_experiment(cfg, parallel=2)
+    assert info.value.run == 1
+    assert _same_divergence(info.value, ref)
 
 
 def test_runs_stepped_past_divergence_raise_no_warnings():
