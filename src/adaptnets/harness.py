@@ -9,17 +9,18 @@ to numpy's SeedSequence with the same spawn keys. Serial and parallel
 execution produce bit-identical aggregates: the runs are cut into one
 contiguous group per process, the calling process steps the first group
 while forked workers step the others (each handed its run indices and the
-canonical config JSON), and results are combined in run order. A process
+parsed config), and results are combined in run order. A process
 holds one chunk at a time, so memory is about processes x CHUNK_BYTES.
 The process count is the config's parallel key, which `adaptnets run
 --parallel` overrides like any other key; run_experiment's parallel
 argument replaces it for one call.
 
 An experiment is resolved once per process, through a cache keyed by the
-canonical config JSON: run_experiment resolves it before any run starts
-(so a bad config fails fast) and the serial runs reuse it. Forked workers
-inherit the resolved experiment; under spawn or forkserver each worker
-resolves it once, deterministically, from the JSON.
+parsed config (hashed by its canonical JSON, compared with its base_dir):
+run_experiment resolves it before any run starts (so a bad config fails
+fast) and the serial runs reuse it. Forked workers inherit the resolved
+experiment; under spawn or forkserver each worker resolves it once,
+deterministically, from the pickled config.
 """
 
 from __future__ import annotations
@@ -207,18 +208,14 @@ class ExperimentResult:
     warnings: tuple[str, ...]
 
 
-def _simulate_runs(config_json: str, base_dir: str | None, first: int,
-                   stop: int) -> dict:
+def _simulate_runs(config: ExperimentConfig, first: int, stop: int) -> dict:
     """Runs first .. stop - 1, stepped a chunk at a time. Module-level so
     worker processes can call it.
 
-    base_dir travels separately because the canonical form excludes it (the
-    hash must not depend on where the config file lives), yet file-backed
-    graphs and tasks still need it to resolve relative paths. Returns the
-    per-run trajectories (R, T / record_every) and window means (R, N). A
-    divergence raises the error of the lowest-index diverging run.
+    Returns the per-run trajectories (R, T / record_every) and window means
+    (R, N). A divergence raises the error of the lowest-index diverging run.
     """
-    res = _resolved_from_json(config_json, base_dir)
+    res = _resolved(config)
     cfg = res.config
     n, m_max = res.model.truth.padded.shape
     size = max(1, CHUNK_BYTES // (cfg.iters * n * (m_max + 1) * 8))
@@ -339,8 +336,8 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
 
 
 @lru_cache(maxsize=8)
-def _resolved_from_json(config_json: str, base_dir: str | None):
-    return resolve(parse_config(json.loads(config_json), base_dir=base_dir))
+def _resolved(config: ExperimentConfig) -> ResolvedExperiment:
+    return resolve(config)
 
 
 def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
@@ -356,13 +353,12 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         config = load_config(config)
     elif isinstance(config, dict):
         config = parse_config(config)
-    config_json = config.canonical_json()
-    resolved = _resolved_from_json(config_json, config.base_dir)
+    resolved = _resolved(config)
     processes = min(config.parallel if parallel is None else max(parallel, 1),
                     config.runs)
     # contiguous groups of runs, one per process
     bounds = [config.runs * g // processes for g in range(processes + 1)]
-    groups = [partial(_simulate_runs, config_json, config.base_dir, first, stop)
+    groups = [partial(_simulate_runs, config, first, stop)
               for first, stop in zip(bounds, bounds[1:])]
     if processes > 1:
         # loaded here, untimed, so that serial runs never load it

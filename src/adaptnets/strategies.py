@@ -73,6 +73,7 @@ from .graphs import (
     check_feasibility,
     cluster_subspace,
     consensus_subspace,
+    is_symmetric,
     laplacian_weights,
     metropolis_block,
     metropolis_weights,
@@ -166,7 +167,7 @@ class EdgeRegularizer:
             raise ValueError("regularizer weights must be square")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             raise ValueError("regularizer weights must be finite and >= 0")
-        if not np.allclose(w, w.T, atol=1e-12):
+        if not is_symmetric(w):
             raise ValueError("regularizer weights must be symmetric")
         w = 0.5 * (w + w.T)
         np.fill_diagonal(w, 0.0)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Spectrum
+from .graphs import Spectrum, is_symmetric
 
 __all__ = [
     "TaskField",
@@ -218,8 +218,9 @@ class StreamModel:
                 raise ValueError("shared r_u requires uniform block sizes")
             if r_u.shape != (m, m):
                 raise ValueError(f"r_u must be ({m}, {m}), got {r_u.shape}")
-            if not np.allclose(r_u, r_u.T, atol=1e-12):
+            if not is_symmetric(r_u):
                 raise ValueError("r_u must be symmetric")
+            r_u = 0.5 * (r_u + r_u.T)
             try:
                 np.linalg.cholesky(r_u)
             except np.linalg.LinAlgError:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SpectralKernel, Spectrum, Subspace, graph_fourier
+from .graphs import (SpectralKernel, Spectrum, Subspace, graph_fourier,
+                     is_symmetric)
 
 __all__ = [
     "TheoryInputs",
@@ -76,8 +77,9 @@ class TheoryInputs:
         r_u = np.array(self.r_u, dtype=float)
         if r_u.shape != (self.m, self.m):
             raise ValueError(f"r_u must be ({self.m}, {self.m})")
-        if not np.allclose(r_u, r_u.T, atol=1e-12):
+        if not is_symmetric(r_u):
             raise ValueError("r_u must be symmetric")
+        r_u = 0.5 * (r_u + r_u.T)
         r_u.flags.writeable = False
         object.__setattr__(self, "r_u", r_u)
         if self.truth is not None:

@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, stdout JSON contracts, artifacts."""
 
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adaptnets import config as config_mod, strategies
 from adaptnets.cli import main
+from adaptnets.strategies import STRATEGY_KINDS
 from adaptnets.graphs import load_graph, metropolis_weights, ring_graph
 from adaptnets.streaming import load_tasks
 
@@ -116,9 +120,9 @@ def test_run_unstable_coupling_exits_2(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().err
 
 
-def test_run_oversized_dense_feasibility_check_exits_2(tmp_path, capsys):
-    # global Metropolis weights do not fix a cluster subspace, so their check
-    # would need matrix powers and SVD norms at 1001 rows
+def test_run_global_weights_on_clusters_exits_2(tmp_path, capsys):
+    # global Metropolis weights do not fix a cluster subspace; at 1001 rows
+    # the check still takes one eigvals and names the failed row
     cfg = write_config(
         tmp_path, graph={"kind": "ring", "n": 1001},
         model={"kind": "mse", "m": 1, "noise_var": 0.1,
@@ -128,7 +132,25 @@ def test_run_oversized_dense_feasibility_check_exits_2(tmp_path, capsys):
                   "subspace": {"clusters": [500, 501]}})
     rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
-    assert "1001x1001" in capsys.readouterr().err
+    assert "feasibility_right_fixed" in capsys.readouterr().err
+
+
+def test_asymmetric_edge_weights_or_covariance_exit_2(tmp_path, capsys):
+    # 1e-6 relative asymmetry: far past the 1e-12 that graphs are held to
+    rho = 0.5 * ring_graph(8).adjacency
+    rho[0, 1] *= 1.0 + 1e-6
+    r_u = [[1.0, 0.2], [0.2 * (1.0 + 1e-6), 1.0]]
+    cases = [
+        ({"strategy": {"kind": "prox_l1", "mu": 0.01, "eta": 0.2,
+                       "rho": rho.tolist()}}, "weights must be symmetric"),
+        ({"model": {"kind": "mse", "m": 2, "noise_var": 0.1, "r_u": r_u,
+                    "truth": {"kind": "constant"}}}, "r_u must be symmetric"),
+    ]
+    for overrides, message in cases:
+        cfg = write_config(tmp_path, name="asym.json", **overrides)
+        for command in (["check"], ["run", "--out", str(tmp_path / "o")]):
+            assert main(command + ["--config", cfg]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
 
 
 def test_run_divergence_exits_3(tmp_path, capsys):
@@ -284,31 +306,72 @@ def test_generated_pieces_match_run_resolution(tmp_path):
 # check
 # ---------------------------------------------------------------------------
 
+_SHARED_MODEL = {"kind": "mse", "noise_var": 0.1,
+                 "truth": {"kind": "global_random", "n_variables": 8}}
+_VALID_STRATEGIES = (
+    {"kind": "noncooperative", "mu": 0.01},
+    {"kind": "laplacian_reg", "mu": 0.01, "eta": 1.0},
+    {"kind": "spectral_reg", "mu": 0.005, "eta": 0.5,
+     "kernel": {"kind": "power", "exponent": 3}},
+    {"kind": "prox_l1", "mu": 0.01, "eta": 0.2, "rho": 0.5},
+    {"kind": "diffusion", "mu": 0.01},
+    {"kind": "subspace_projection", "mu": 0.01},
+    {"kind": "subspace_projection", "mu": 0.01,
+     "subspace": {"clusters": [3, 5]}},
+    {"kind": "overlapping", "mu": 0.01,
+     "interests": [[k, (k + 1) % 8] for k in range(8)]},
+    {"kind": "clustered", "mu": 0.01, "eta": 0.2, "clusters": [4, 4],
+     "penalty": "l1", "rho": 0.2},
+)
+
+
+def _write_valid_config(tmp_path, strategy):
+    model = ({"model": _SHARED_MODEL} if strategy["kind"] == "overlapping"
+             else {})
+    return write_config(tmp_path, name="chk.json", strategy=strategy, **model)
+
+
 def test_check_passes_for_valid_setups(tmp_path, capsys):
-    shared = {"kind": "mse", "noise_var": 0.1,
-              "truth": {"kind": "global_random", "n_variables": 8}}
-    for strategy in (
-        {"kind": "noncooperative", "mu": 0.01},
-        {"kind": "laplacian_reg", "mu": 0.01, "eta": 1.0},
-        {"kind": "spectral_reg", "mu": 0.005, "eta": 0.5,
-         "kernel": {"kind": "power", "exponent": 3}},
-        {"kind": "prox_l1", "mu": 0.01, "eta": 0.2, "rho": 0.5},
-        {"kind": "diffusion", "mu": 0.01},
-        {"kind": "subspace_projection", "mu": 0.01},
-        {"kind": "subspace_projection", "mu": 0.01,
-         "subspace": {"clusters": [3, 5]}},
-        {"kind": "overlapping", "mu": 0.01,
-         "interests": [[k, (k + 1) % 8] for k in range(8)]},
-        {"kind": "clustered", "mu": 0.01, "eta": 0.2, "clusters": [4, 4],
-         "penalty": "l1", "rho": 0.2},
-    ):
-        model = {"model": shared} if strategy["kind"] == "overlapping" else {}
-        cfg = write_config(tmp_path, name="chk.json", strategy=strategy,
-                           **model)
+    for strategy in _VALID_STRATEGIES:
+        cfg = _write_valid_config(tmp_path, strategy)
         rc = main(["check", "--config", cfg])
         err = capsys.readouterr().err
         assert rc == EXIT_OK, f"{strategy['kind']} failed:\n{err}"
         assert "FAIL" not in err
+
+
+def _readme_rows(header):
+    """{kind: the row names its line names} of the README table headed
+    `| kind | <header> |`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    start = lines.index(f"| kind | {header} |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                    lines[start:]):
+        kinds, rows = re.split(r"(?<!\\)\|", line)[1:3]
+        names = set(re.findall(r"`(\w+)`", rows)) - {"combination_shape"}
+        for kind in re.findall(r"`(\w+)`", kinds):
+            table[kind] = names
+    return table
+
+
+def test_readme_tables_list_the_rows_check_reports(tmp_path):
+    # combination_shape is left out: only a misshaped matrix produces it
+    conditions = _readme_rows("condition rows")
+    self_tests = _readme_rows("self-tests")
+    assert {s["kind"] for s in _VALID_STRATEGIES} == set(STRATEGY_KINDS)
+    assert set(conditions) | set(self_tests) <= set(STRATEGY_KINDS)
+    for strategy in _VALID_STRATEGIES:
+        kind = strategy["kind"]
+        cfg = config_mod.load_config(_write_valid_config(tmp_path, strategy))
+        rows = [name for name, _, _ in config_mod.run_checks(cfg)]
+        # the spectrum row, the kind's condition rows, then its self-tests
+        documented = conditions.get(kind, set())
+        assert rows[0] == "spectrum_residual"
+        assert set(rows[1:1 + len(documented)]) == documented, kind
+        assert set(rows[1 + len(documented):]) == \
+            self_tests.get(kind, set()), kind
 
 
 def test_check_parses_the_config_once(tmp_path, monkeypatch):
@@ -429,8 +492,8 @@ def test_check_and_run_agree_on_a_kernel_within_the_sign_tolerance(tmp_path):
 def test_check_reads_the_diffusion_mixing_rate_run_reads(tmp_path, capsys,
                                                         monkeypatch):
     # directed-ring averaging, a_kk = a_k,k+1 = 1/2, is doubly stochastic
-    # but not symmetric: its feasibility check is refused above 1000
-    # agents, where run serves it, so check must not need it either
+    # but not symmetric: diffusion's conditions read its mixing rate, not
+    # a feasibility report, in check as in run
     def refuse(*args):
         raise ValueError("check_feasibility called")
 

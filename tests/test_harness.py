@@ -9,9 +9,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from adaptnets import harness, strategies, streaming
-from adaptnets.config import ConfigError, data_stream, parse_config, resolve
+from adaptnets import config as config_mod, harness, strategies, streaming
+from adaptnets.config import (
+    ConfigError,
+    data_stream,
+    parse_config,
+    resolve,
+    run_checks,
+)
 from adaptnets.graphs import (
     CombinationMatrix,
     metropolis_weights,
@@ -123,7 +130,7 @@ def test_serial_run_resolves_once(monkeypatch):
         return real(config)
 
     monkeypatch.setattr(harness, "resolve", counted)
-    harness._resolved_from_json.cache_clear()
+    harness._resolved.cache_clear()
     result = run_experiment(base_config(iters=50, runs=3), parallel=1)
     assert result.n_runs == 3
     assert len(calls) == 1
@@ -447,6 +454,72 @@ def test_run_accepts_parsed_config():
     assert res.msd_wo.shape == (100,)
 
 
+def test_run_of_a_parsed_config_parses_nothing(monkeypatch):
+    calls = []
+    real = config_mod.parse_config
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    cfg = parse_config(base_config(iters=50, runs=3))
+    monkeypatch.setattr(harness, "parse_config", counted)
+    monkeypatch.setattr(config_mod, "parse_config", counted)
+    harness._resolved.cache_clear()
+    run_experiment(cfg, parallel=1)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The reduction lattice on non-normal weights
+# ---------------------------------------------------------------------------
+
+def _assert_projection_runs_as_diffusion(weights, assume_mixing=False):
+    """subspace_projection on the consensus subspace with scalar weights A
+    runs bit for bit as diffusion with A, wherever diffusion's condition
+    rows and its semi_convergent self-test pass."""
+    base = {"schema": 1, "seed": 3, "iters": 60, "runs": 2,
+            "graph": {"kind": "complete", "n": len(weights)},
+            "model": {"kind": "mse", "m": 2, "noise_var": 0.1,
+                      "truth": {"kind": "constant"}}}
+    diffusion = {"kind": "diffusion", "mu": 0.05, "weights": weights.tolist()}
+    projection = dict(diffusion, kind="subspace_projection",
+                      subspace="consensus")
+    failed = [name for name, ok, _ in
+              run_checks(parse_config(dict(base, strategy=diffusion)))
+              if not ok and name != "mean_preserved"]
+    if assume_mixing:
+        assume(not failed)
+    assert not failed
+    ref = run_experiment(dict(base, strategy=diffusion))
+    got = run_experiment(dict(base, strategy=projection))
+    assert np.array_equal(got.msd_wo, ref.msd_wo)
+    assert np.array_equal(got.per_agent_msd, ref.per_agent_msd)
+
+
+def test_projection_runs_non_normal_weights_as_diffusion():
+    # A is not normal: rho(A - P_U) = 0.79, yet ||A - P_U|| = 0.94 and
+    # ||A^50 - P_U|| = 9.7e-5 > 10 * 0.94 * 0.79^49, so the powers decay
+    # slower than rho^i at first; A^i -> P_U all the same
+    p = [0, 3, 2, 5, 6, 7, 4, 1]
+    q = [7, 1, 3, 0, 2, 4, 6, 5]
+    eye = np.eye(8)
+    _assert_projection_runs_as_diffusion(0.75 * eye[p] + 0.25 * eye[q])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 9), data=st.data())
+def test_projection_runs_permutation_mixtures_as_diffusion(n, data):
+    # convex combinations of 2-3 permutation matrices: doubly stochastic,
+    # and mostly not normal
+    shares = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=3))
+    eye = np.eye(n)
+    weights = sum(share / sum(shares)
+                  * eye[data.draw(st.permutations(range(n)))]
+                  for share in shares)
+    _assert_projection_runs_as_diffusion(weights, assume_mixing=True)
+
+
 # ---------------------------------------------------------------------------
 # The zero-padded overlapping state against the tuple-of-blocks run loop
 # ---------------------------------------------------------------------------
@@ -596,7 +669,7 @@ def test_padded_overlapping_matches_tuple_of_blocks_oracle():
         graphs_seen.add(seed % 2)
         widest = max(widest, max(map(len, strategy.interest.by_variable)))
 
-        got = harness._simulate_runs(cfg.canonical_json(), None, 0, 1)
+        got = harness._simulate_runs(cfg, 0, 1)
         ref = _tuple_of_blocks_run(res, 0)
         assert got["msd_wstar"] is None
         for key in ("msd_wo", "per_agent"):
@@ -759,8 +832,7 @@ def test_engine_matches_per_run_oracle(strategy, model, graph, monkeypatch):
         if per_chunk is not None:
             monkeypatch.setattr(harness, "CHUNK_BYTES",
                                 _chunk_budget(cfg, per_chunk))
-        got = harness._simulate_runs(cfg.canonical_json(), None, 0,
-                                     ENGINE_RUNS)
+        got = harness._simulate_runs(cfg, 0, ENGINE_RUNS)
         _assert_runs_equal(got, refs)
     assert chunks == [3, 1, 1, 1, 2, 1]
 
