@@ -18,7 +18,6 @@ from adaptnets import (
     SpectralKernel,
     TheoryInputs,
     apply_spectral_kernel,
-    build_laplacian,
     filter_bound,
     random_geometric_graph,
     synth_smooth_tasks,
@@ -27,7 +26,7 @@ from adaptnets.strategies import social_spectral
 
 rng = np.random.default_rng(11)
 graph = random_geometric_graph(20, 0.45, rng)
-spectrum = build_laplacian(graph)
+spectrum = graph.spectrum
 lam_max = float(spectrum.eigenvalues[-1])
 
 # ---------------------------------------------------------------------------

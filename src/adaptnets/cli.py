@@ -142,7 +142,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen_graph(args) -> int:
     config = _load_with_overrides(args)
-    graph, _, _ = resolve_pieces(config)
+    graph, _ = resolve_pieces(config)
     save_graph(graph, args.out)
     _info(f"wrote {args.out} ({graph.n_agents} agents, "
           f"{len(graph.to_json_dict()['edges'])} edges)")
@@ -153,7 +153,7 @@ def _cmd_gen_graph(args) -> int:
 
 def _cmd_gen_tasks(args) -> int:
     config = _load_with_overrides(args)
-    _, _, model = resolve_pieces(config)
+    _, model = resolve_pieces(config)
     save_tasks(model.truth, args.out)
     _info(f"wrote {args.out} ({model.truth.n_agents} blocks)")
     if args.json:

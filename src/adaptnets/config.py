@@ -20,11 +20,12 @@ from the base seed, so every process reconstructs the identical experiment.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field as dc_field
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -35,7 +36,6 @@ from .graphs import (
     ClusterPartition,
     SpectralKernel,
     Spectrum,
-    build_laplacian,
     complete_graph,
     mixes,
     mixing_rho,
@@ -346,7 +346,8 @@ class ExperimentConfig:
     The sub-specifications (graph, model, strategy) stay as plain dicts and
     are interpreted by resolve(). base_dir anchors relative file paths and
     is excluded from the canonical form and the hash; parallel and out stay
-    in the canonical form (round-trip) but not in the hash.
+    in the canonical form (round-trip) but not in the hash. parse_config
+    copies the dicts, which must not change: each form is serialized once.
     """
 
     seed: int
@@ -381,22 +382,24 @@ class ExperimentConfig:
             doc["out"] = self.out
         return doc
 
+    @cached_property
+    def _forms(self) -> tuple[str, str]:
+        # the canonical JSON, and the digest of it without the two keys
+        # that never change the numbers
+        doc = self.canonical()
+        identity = {k: v for k, v in doc.items() if k not in ("parallel", "out")}
+        dump = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+        return dump(doc), hashlib.sha256(dump(identity).encode()).hexdigest()
+
     def canonical_json(self) -> str:
-        return json.dumps(self.canonical(), sort_keys=True,
-                          separators=(",", ":"))
+        return self._forms[0]
 
     def __hash__(self) -> int:
         # the dict fields are unhashable; equal configs share a canonical form
-        return hash(self.canonical_json())
+        return hash(self._forms[0])
 
     def config_hash(self) -> str:
-        # worker count and artifact location never change the numbers, so
-        # they are not part of the experiment's identity
-        doc = self.canonical()
-        doc.pop("parallel", None)
-        doc.pop("out", None)
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return self._forms[1]
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         if all(value is None for value in overrides.values()):
@@ -480,26 +483,26 @@ _GRAPH_KINDS = {
 
 
 def _smooth_truth(spec: dict, config: ExperimentConfig,
-                  spectrum: Spectrum) -> TaskField:
+                  graph: Graph) -> TaskField:
     if "modes" in spec:
         modes = spec["modes"]
-        if modes > spectrum.n_agents:
-            raise ConfigError(f"modes={modes} exceeds N={spectrum.n_agents}")
-        bandwidth = float(spectrum.eigenvalues[modes - 1])
+        if modes > graph.n_agents:
+            raise ConfigError(f"modes={modes} exceeds N={graph.n_agents}")
+        bandwidth = float(graph.spectrum.eigenvalues[modes - 1])
     else:
         bandwidth = float(spec.get("bandwidth", np.inf))
-    field = synth_smooth_tasks(spectrum, config.model.get("m", 1), bandwidth,
-                               setup_stream(config.seed, _SETUP_TASKS))
+    field = synth_smooth_tasks(graph.spectrum, config.model.get("m", 1),
+                               bandwidth, setup_stream(config.seed, _SETUP_TASKS))
     scale = spec.get("scale", 1.0)
     return TaskField(tuple(scale * b for b in field.blocks))
 
 
 def _piecewise_truth(spec: dict, config: ExperimentConfig,
-                     spectrum: Spectrum) -> TaskField:
+                     graph: Graph) -> TaskField:
     """One task per contiguous cluster of `sizes` agents; "constant" is the
     one cluster of every agent."""
-    part = ClusterPartition(tuple(spec.get("sizes", (spectrum.n_agents,))))
-    if part.n_agents != spectrum.n_agents:
+    part = ClusterPartition(tuple(spec.get("sizes", (graph.n_agents,))))
+    if part.n_agents != graph.n_agents:
         raise ConfigError("truth.sizes must sum to the agent count")
     rng = setup_stream(config.seed, _SETUP_TASKS)
     m = config.model.get("m", 1)
@@ -512,20 +515,20 @@ def _piecewise_truth(spec: dict, config: ExperimentConfig,
 
 
 def _global_random_truth(spec: dict, config: ExperimentConfig,
-                         spectrum: Spectrum) -> TaskField:
+                         graph: Graph) -> TaskField:
     strategy = config.strategy
     if strategy["kind"] != "overlapping":
         raise ConfigError("global_random truth requires the overlapping strategy")
     n_vars = spec["n_variables"]
     interest = InterestMap(n_vars, tuple(tuple(v) for v in strategy["interests"]))
-    if interest.n_agents != spectrum.n_agents:
+    if interest.n_agents != graph.n_agents:
         raise ConfigError("interests must list one row per agent")
     rng = setup_stream(config.seed, _SETUP_TASKS)
     values = spec.get("scale", 1.0) * rng.standard_normal(n_vars)
     return TaskField(interest.blocks_from_global(values))
 
 
-# build(spec, config, spectrum) -> TaskField
+# build(spec, config, graph) -> TaskField; only "smooth" reads graph.spectrum
 _TRUTH_KINDS = {
     "smooth": _Kind(_smooth_truth, {}, {"modes": _as_count,
                                         "bandwidth": _as_number,
@@ -533,11 +536,11 @@ _TRUTH_KINDS = {
     "constant": _Kind(_piecewise_truth, {}, {"scale": _as_number}),
     "piecewise": _Kind(_piecewise_truth, {"sizes": _as_int_list},
                        {"scale": _as_number}),
-    "explicit": _Kind(lambda spec, config, spectrum: TaskField(
+    "explicit": _Kind(lambda spec, config, graph: TaskField(
                           tuple(np.asarray(b, dtype=float)
                                 for b in spec["blocks"])),
                       {"blocks": _as_matrix}),
-    "file": _Kind(lambda spec, config, spectrum: TaskField.from_json_dict(
+    "file": _Kind(lambda spec, config, graph: TaskField.from_json_dict(
                       _file_document(spec, config, {"M": _as_count,
                                                     "blocks": _as_matrix})),
                   {"path": _as_string}),
@@ -575,25 +578,18 @@ _MODEL_KINDS = {
                       {"m": _as_count, "r_u": _as_r_u, "reg": _as_number}),
 }
 
-def _power_kernel(spec: dict, spectrum: Spectrum) -> SpectralKernel:
-    coefficients = np.zeros(spec["exponent"] + 1)
-    coefficients[-1] = 1.0
-    return SpectralKernel.polynomial(coefficients, spectrum)
-
-
-def _heat_kernel(spec: dict, spectrum: Spectrum) -> SpectralKernel:
-    rate = float(spec["rate"])
-    return SpectralKernel.from_function(lambda lam: np.expm1(rate * lam),
-                                        spectrum, degree=spec["degree"])
-
-
-# build(spec, spectrum) -> SpectralKernel, validated on the spectrum
+# build(spec, graph) -> SpectralKernel, validated on graph.spectrum
 _KERNEL_KINDS = {
-    "polynomial": _Kind(lambda spec, spectrum: SpectralKernel.polynomial(
-                            spec["coefficients"], spectrum),
+    "polynomial": _Kind(lambda spec, graph: SpectralKernel.polynomial(
+                            spec["coefficients"], graph.spectrum),
                         {"coefficients": _as_number_list}),
-    "power": _Kind(_power_kernel, {"exponent": _as_count}),
-    "heat": _Kind(_heat_kernel, {"rate": _as_number, "degree": _as_count}),
+    "power": _Kind(lambda spec, graph: SpectralKernel.polynomial(
+                       [0.0] * spec["exponent"] + [1.0], graph.spectrum),
+                   {"exponent": _as_count}),
+    "heat": _Kind(lambda spec, graph: SpectralKernel.from_function(
+                      lambda lam: np.expm1(float(spec["rate"]) * lam),
+                      graph.spectrum, degree=spec["degree"]),
+                  {"rate": _as_number, "degree": _as_count}),
 }
 
 _STRATEGY_TYPES = {
@@ -607,15 +603,14 @@ _STRATEGY_TYPES = {
 }
 
 
-def _strategy_config(spec: dict,
-                     spectrum: Spectrum | None = None) -> StrategyConfig:
+def _strategy_config(spec: dict, graph: Graph | None = None) -> StrategyConfig:
     """The StrategyConfig of a strategy object: its kind's keys are the
-    payload, with a kernel object built on the spectrum where one is
-    given."""
+    payload, with a kernel object built on the graph's spectrum where a
+    graph is given."""
     payload = {k: v for k, v in spec.items() if k not in ("kind", "mu", "eta")}
-    if spectrum is not None and "kernel" in payload:
+    if graph is not None and "kernel" in payload:
         payload["kernel"] = _build(_KERNEL_KINDS, payload["kernel"],
-                                   "strategy.kernel", spectrum)
+                                   "strategy.kernel", graph)
     return StrategyConfig(
         kind=spec.get("kind"),
         mu=float(spec["mu"]),
@@ -674,9 +669,9 @@ def parse_config(doc: dict, base_dir: str | None = None) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")
     return ExperimentConfig(
-        seed=seed, iters=iters, runs=runs,
-        graph=dict(doc["graph"]), model=dict(doc["model"]),
-        strategy=dict(doc["strategy"]),
+        seed=seed, iters=iters, runs=runs, graph=copy.deepcopy(doc["graph"]),
+        model=copy.deepcopy(doc["model"]),
+        strategy=copy.deepcopy(doc["strategy"]),
         parallel=parallel, record_every=record_every, steady_window=window,
         eta_grid=eta_grid, out=out, base_dir=base_dir,
     )
@@ -701,11 +696,14 @@ class ResolvedExperiment:
 
     config: ExperimentConfig
     graph: Graph
-    spectrum: Spectrum
     model: StreamModel
     strategy: Strategy
     theory: dict | None
     w_star: np.ndarray | None
+
+    @property
+    def spectrum(self) -> Spectrum:
+        return self.graph.spectrum
 
 
 def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args):
@@ -716,8 +714,7 @@ def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args):
         raise ConfigError(f"{where}: {exc}")
 
 
-def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
-                   model: StreamModel,
+def _attach_theory(config: ExperimentConfig, graph: Graph, model: StreamModel,
                    strategy: Strategy) -> tuple[dict | None, np.ndarray | None]:
     """Closed-form predictions where they apply, plus the reference point W*
     used for variance-type trajectories."""
@@ -726,8 +723,7 @@ def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
     m = model.truth.uniform_size
     truth_mat = model.truth.as_matrix()
     base = dict(mu=strategy.mu, eta=strategy.eta, m=m,
-                noise_var=model.noise_var, r_u=model.r_u, spectrum=spectrum,
-                truth=truth_mat)
+                noise_var=model.noise_var, r_u=model.r_u, truth=truth_mat)
     noncoop = theory_mod.msd_noncooperative(
         theory_mod.TheoryInputs(**{**base, "eta": 0.0})
     )
@@ -741,7 +737,8 @@ def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
         theory["msd"] = noncoop.network
         w_star = truth_mat
     elif closed_form == "smoothness":
-        inputs = theory_mod.TheoryInputs(**base, kernel=strategy.kernel)
+        inputs = theory_mod.TheoryInputs(**base, spectrum=graph.spectrum,
+                                         kernel=strategy.kernel)
         var = theory_mod.variance_smoothness(inputs)
         bias = theory_mod.bias_smoothness(inputs)
         theory["variance"] = {"total": var.total,
@@ -773,19 +770,17 @@ def _attach_theory(config: ExperimentConfig, graph: Graph, spectrum: Spectrum,
     return theory, w_star
 
 
-def resolve_pieces(
-    config: ExperimentConfig,
-) -> tuple[Graph, Spectrum, StreamModel]:
-    """Graph, spectrum, and stream model only (no strategy construction).
+def resolve_pieces(config: ExperimentConfig) -> tuple[Graph, StreamModel]:
+    """Graph and stream model only (no strategy construction).
 
     Lets callers inspect user-supplied strategy ingredients (for example a
     combination matrix that may violate feasibility) before the strict
-    validation in build_strategy runs.
+    validation in build_strategy runs. Only a "smooth" truth reads
+    graph.spectrum here, which decomposes the Laplacian on first read.
     """
     graph = _build(_GRAPH_KINDS, config.graph, "graph", config)
-    spectrum = build_laplacian(graph)
     truth = _build(_TRUTH_KINDS, config.model["truth"], "model.truth", config,
-                   spectrum)
+                   graph)
     if truth.n_agents != graph.n_agents:
         raise ConfigError(
             f"truth has {truth.n_agents} blocks but the graph has "
@@ -796,7 +791,7 @@ def resolve_pieces(
         raise ConfigError(
             f"model.m = {m} but blocks have length {truth.uniform_size}")
     model = _build(_MODEL_KINDS, config.model, "model", truth)
-    return graph, spectrum, model
+    return graph, model
 
 
 def resolve(config: ExperimentConfig) -> ResolvedExperiment:
@@ -805,18 +800,15 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
     Deterministic in the config alone; raises ConfigError for any
     inconsistency the schema-level validation cannot see.
     """
-    graph, spectrum, model = resolve_pieces(config)
-    strategy_config = _strategy_config(config.strategy, spectrum)
+    graph, model = resolve_pieces(config)
+    strategy_config = _strategy_config(config.strategy, graph)
     try:
-        strategy = build_strategy(strategy_config, graph, model,
-                                  spectrum=spectrum)
+        strategy = build_strategy(strategy_config, graph, model)
     except ValueError as exc:
         raise ConfigError(f"strategy: {exc}")
-    theory, w_star = _attach_theory(config, graph, spectrum, model, strategy)
-    return ResolvedExperiment(
-        config=config, graph=graph, spectrum=spectrum, model=model,
-        strategy=strategy, theory=theory, w_star=w_star,
-    )
+    theory, w_star = _attach_theory(config, graph, model, strategy)
+    return ResolvedExperiment(config=config, graph=graph, model=model,
+                              strategy=strategy, theory=theory, w_star=w_star)
 
 
 def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
@@ -827,7 +819,8 @@ def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     resolve refuses a step on, computed by the same functions. Where every
     condition holds, the kind's own self-tests follow; they only report.
     """
-    graph, spectrum, model = resolve_pieces(config)
+    graph, model = resolve_pieces(config)
+    spectrum = graph.spectrum
     residual = np.linalg.norm(
         spectrum.laplacian @ spectrum.eigenvectors
         - spectrum.eigenvectors * spectrum.eigenvalues
@@ -840,10 +833,10 @@ def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
         checks.append(("uniform_blocks", False,
                        "strategy needs uniform block sizes"))
     else:
-        strategy = entry.build(_strategy_config(config.strategy, spectrum),
-                               graph, model, spectrum)
-        conditions = entry.conditions(strategy, spectrum)
+        strategy = entry.build(_strategy_config(config.strategy, graph),
+                               graph, model)
+        conditions = entry.conditions(strategy)
         checks += conditions
         if all(ok for _, ok, _ in conditions):
-            checks += entry.checks(strategy, spectrum, np.random.default_rng(0))
+            checks += entry.checks(strategy, np.random.default_rng(0))
     return [(name, bool(passed), detail) for name, passed, detail in checks]

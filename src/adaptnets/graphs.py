@@ -156,6 +156,10 @@ class Graph:
     def is_connected(self) -> bool:
         return _connected(self.neighbor_lists)
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return build_laplacian(self)
+
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[Sequence]) -> "Graph":
         """Build a graph from an edge list [[k, l, weight], ...].

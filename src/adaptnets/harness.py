@@ -25,6 +25,7 @@ deterministically, from the pickled config.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -407,12 +408,12 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         steady_wo=steady_wo,
         steady_wstar=steady_ws,
         per_agent_msd=per_agent,
-        theory=resolved.theory,
+        theory=copy.deepcopy(resolved.theory),
         n_runs=config.runs,
         n_agents=resolved.graph.n_agents,
         seed=config.seed,
         config_hash=config.config_hash(),
-        effective_config=config.canonical(),
+        effective_config=json.loads(config.canonical_json()),
         wall_time=wall,
         warnings=tuple(warnings),
     )

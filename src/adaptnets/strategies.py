@@ -66,10 +66,8 @@ from .graphs import (
     FeasibilityReport,
     Graph,
     SpectralKernel,
-    Spectrum,
     Subspace,
     apply_spectral_kernel,
-    build_laplacian,
     check_feasibility,
     cluster_subspace,
     consensus_subspace,
@@ -658,7 +656,7 @@ def _no_rows(*args) -> list:
 
 # -- conditions: the rows a sound social step needs -------------------------
 
-def _weight_conditions(strategy, spectrum) -> list:
+def _weight_conditions(strategy) -> list:
     """Scalar combination weights A on the graph: N x N, nonnegative, rows
     and columns summing to 1 and a_kl = 0 unless l is k or a neighbor of k;
     clustered weights besides put no weight across clusters."""
@@ -692,10 +690,11 @@ def _weight_conditions(strategy, spectrum) -> list:
     return conditions
 
 
-def _stability_conditions(strategy, spectrum) -> list:
+def _stability_conditions(strategy) -> list:
     """mu*eta * max r(lambda) <= 2, with r(lambda) = lambda without a kernel,
     as mu*eta <= 2 / max r(lambda); no bound where max r(lambda) <= 0."""
     mu_eta = strategy.mu * strategy.eta
+    spectrum = strategy.graph.spectrum
     if strategy.kernel is None:
         peak, name = spectrum.lam_max, "lambda_max"
     else:
@@ -707,7 +706,7 @@ def _stability_conditions(strategy, spectrum) -> list:
     return [("stability", ok, detail if ok else f"unstable social step: {detail}")]
 
 
-def _feasibility_conditions(strategy, spectrum) -> list:
+def _feasibility_conditions(strategy) -> list:
     """The flags of check_feasibility's report on the combination weights
     and the subspace they must project onto."""
     report = strategy.feasibility
@@ -723,13 +722,13 @@ def _feasibility_conditions(strategy, spectrum) -> list:
 
 # -- noncooperative ---------------------------------------------------------
 
-def _build_noncooperative(config, graph, model, spectrum) -> Strategy:
+def _build_noncooperative(config, graph, model) -> Strategy:
     return Strategy(config, graph, social_noncooperative, model.truth.block_sizes)
 
 
 # -- diffusion --------------------------------------------------------------
 
-def _build_diffusion(config, graph, model, spectrum) -> Strategy:
+def _build_diffusion(config, graph, model) -> Strategy:
     combo = _resolve_combination(config.payload.get("weights"), graph)
     if not combo.is_scalar:
         raise ValueError("diffusion expects scalar combination weights")
@@ -741,7 +740,7 @@ def _build_diffusion(config, graph, model, spectrum) -> Strategy:
     )
 
 
-def _check_diffusion(strategy, spectrum, rng) -> list:
+def _check_diffusion(strategy, rng) -> list:
     # the conditions make A doubly stochastic, so A^i converges to P_U
     # exactly where rho(A - P_U) < 1: the rate the theory reads
     psi = _probe(strategy, rng)
@@ -757,37 +756,37 @@ def _check_diffusion(strategy, spectrum, rng) -> list:
 
 # -- laplacian_reg and spectral_reg -----------------------------------------
 
-def _build_laplacian(config, graph, model, spectrum) -> Strategy:
+def _build_laplacian(config, graph, model) -> Strategy:
     mu_eta = config.mu * config.eta
     return Strategy(config, graph, lambda psi: social_smooth(psi, graph, mu_eta),
                     model.truth.block_sizes)
 
 
-def _build_spectral(config, graph, model, spectrum) -> Strategy:
+def _build_spectral(config, graph, model) -> Strategy:
     mu_eta = config.mu * config.eta
     kernel = config.payload["kernel"]
     if not isinstance(kernel, SpectralKernel):
         kernel = SpectralKernel.polynomial(kernel)
-    kernel.validate_on(spectrum)
+    kernel.validate_on(graph.spectrum)
     coeffs = kernel.coefficients
     return Strategy(config, graph,
                     lambda psi: social_spectral(psi, graph, coeffs, mu_eta),
                     model.truth.block_sizes, kernel=kernel)
 
 
-def _check_laplacian(strategy, spectrum, rng) -> list:
+def _check_laplacian(strategy, rng) -> list:
     psi = _probe(strategy, rng)
     mu_eta = strategy.mu * strategy.eta
-    dense = psi - mu_eta * (spectrum.laplacian @ psi)
+    dense = psi - mu_eta * (strategy.graph.spectrum.laplacian @ psi)
     err = float(np.max(np.abs(strategy.social(psi) - dense)))
     return [("smooth_matches_dense", err <= 1e-12, f"max_err={err:.2e}")]
 
 
-def _check_spectral(strategy, spectrum, rng) -> list:
+def _check_spectral(strategy, rng) -> list:
     psi = _probe(strategy, rng)
     mu_eta = strategy.mu * strategy.eta
-    kernel = strategy.kernel
-    dense = psi - mu_eta * (apply_spectral_kernel(kernel, spectrum) @ psi)
+    r_of_l = apply_spectral_kernel(strategy.kernel, strategy.graph.spectrum)
+    dense = psi - mu_eta * (r_of_l @ psi)
     denom = max(float(np.max(np.abs(dense))), 1.0)
     err = float(np.max(np.abs(strategy.social(psi) - dense))) / denom
     linear = social_spectral(psi, strategy.graph, (0.0, 1.0), mu_eta)
@@ -801,7 +800,7 @@ def _check_spectral(strategy, spectrum, rng) -> list:
 
 # -- prox_l1 ----------------------------------------------------------------
 
-def _build_prox_l1(config, graph, model, spectrum) -> Strategy:
+def _build_prox_l1(config, graph, model) -> Strategy:
     mu_eta = config.mu * config.eta
     reg = _edge_regularizer_from(config.payload.get("rho"), graph, "l1")
     return Strategy(config, graph,
@@ -809,7 +808,7 @@ def _build_prox_l1(config, graph, model, spectrum) -> Strategy:
                     model.truth.block_sizes, regularizer=reg)
 
 
-def _check_prox_l1(strategy, spectrum, rng) -> list:
+def _check_prox_l1(strategy, rng) -> list:
     psi = _probe(strategy, rng)
     n, m = psi.shape
     gamma = strategy.mu * strategy.eta
@@ -836,7 +835,7 @@ def _check_prox_l1(strategy, spectrum, rng) -> list:
 
 # -- subspace_projection ----------------------------------------------------
 
-def _build_subspace(config, graph, model, spectrum) -> Strategy:
+def _build_subspace(config, graph, model) -> Strategy:
     sizes = model.truth.block_sizes
     m = model.truth.uniform_size
     sub = config.payload.get("subspace", "consensus")
@@ -869,7 +868,7 @@ def _build_subspace(config, graph, model, spectrum) -> Strategy:
 
 # -- overlapping ------------------------------------------------------------
 
-def _build_overlapping(config, graph, model, spectrum) -> Strategy:
+def _build_overlapping(config, graph, model) -> Strategy:
     interest = config.payload["interests"]
     if not isinstance(interest, InterestMap):
         ints = tuple(tuple(v) for v in interest)
@@ -887,7 +886,7 @@ def _build_overlapping(config, graph, model, spectrum) -> Strategy:
     )
 
 
-def _check_overlapping(strategy, spectrum, rng) -> list:
+def _check_overlapping(strategy, rng) -> list:
     interest = strategy.interest
     ok, detail = True, ""
     for j, weights in strategy.var_weights.items():
@@ -906,7 +905,7 @@ def _check_overlapping(strategy, spectrum, rng) -> list:
 
 # -- clustered --------------------------------------------------------------
 
-def _build_clustered(config, graph, model, spectrum) -> Strategy:
+def _build_clustered(config, graph, model) -> Strategy:
     """Diffusion inside each cluster; with eta > 0, then the l1 prox or the
     Laplacian step of the penalty on the inter-cluster edges."""
     part = ClusterPartition(tuple(config.payload["clusters"]))
@@ -949,12 +948,15 @@ def _build_clustered(config, graph, model, spectrum) -> Strategy:
 class StrategyKind:
     """One cooperation rule, declared once.
 
-    build               (config, graph, model, spectrum) -> Strategy: the
-                        pieces and the social step
-    checks              (strategy, spectrum, rng) -> [(name, passed, detail)]:
-                        the self-tests of `adaptnets check`, run on a step
-                        that meets its conditions; they only report
-    conditions          (strategy, spectrum) -> [(name, passed, detail)]:
+    Only laplacian_reg and spectral_reg read graph.spectrum, which
+    decomposes the Laplacian on first read; the other kinds never do.
+
+    build               (config, graph, model) -> Strategy: the pieces and
+                        the social step
+    checks              (strategy, rng) -> [(name, passed, detail)]: the
+                        self-tests of `adaptnets check`, run on a step that
+                        meets its conditions; they only report
+    conditions          (strategy) -> [(name, passed, detail)]:
                         what a sound step needs (weights on the graph,
                         stability, feasibility), each computed once here;
                         build_strategy refuses a step that fails a row, and
@@ -971,7 +973,7 @@ class StrategyKind:
 
     build: Callable[..., Strategy]
     checks: Callable[..., list] = _no_rows
-    conditions: Callable[[Strategy, Spectrum], list] = _no_rows
+    conditions: Callable[[Strategy], list] = _no_rows
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     uses_eta: bool = False
@@ -1006,8 +1008,8 @@ STRATEGY_KINDS: dict[str, StrategyKind] = {
 }
 
 
-def build_strategy(config: StrategyConfig, graph: Graph, model: StreamModel,
-                   spectrum: Spectrum | None = None) -> Strategy:
+def build_strategy(config: StrategyConfig, graph: Graph,
+                   model: StreamModel) -> Strategy:
     """Assemble a Strategy with its kind's builder, then refuse it with one
     ValueError naming every condition row (StrategyKind.conditions) it fails.
 
@@ -1023,12 +1025,9 @@ def build_strategy(config: StrategyConfig, graph: Graph, model: StreamModel,
     entry = STRATEGY_KINDS[config.kind]
     if not entry.blockwise and model.truth.uniform_size is None:
         raise ValueError(f"kind {config.kind!r} requires uniform block sizes")
-    if spectrum is None:
-        spectrum = build_laplacian(graph)
-    strategy = entry.build(config, graph, model, spectrum)
+    strategy = entry.build(config, graph, model)
     failed = [f"{name} ({detail})" if detail else name
-              for name, ok, detail in entry.conditions(strategy, spectrum)
-              if not ok]
+              for name, ok, detail in entry.conditions(strategy) if not ok]
     if failed:
         raise ValueError(f"{config.kind} step fails its conditions: "
                          + "; ".join(failed))

@@ -47,9 +47,9 @@ class TheoryInputs:
     """Everything the closed-form predictors consume.
 
     noise_var holds the per-agent gradient-noise variances sigma_{v,k}^2.
-    kernel = None means the plain Laplacian penalty r(lambda) = lambda.
-    truth is the (N, M) task matrix W^o (needed by bias and filter bounds);
-    subspace is needed by msd_projection.
+    Only the smoothness predictors need the spectrum; kernel = None is the
+    plain Laplacian penalty r(lambda) = lambda. truth is the (N, M) task
+    matrix W^o (bias and filter bounds); subspace is msd_projection's.
     """
 
     mu: float
@@ -57,7 +57,7 @@ class TheoryInputs:
     m: int
     noise_var: np.ndarray
     r_u: np.ndarray
-    spectrum: Spectrum
+    spectrum: Spectrum | None = None
     kernel: SpectralKernel | None = None
     truth: np.ndarray | None = None
     subspace: Subspace | None = None
@@ -68,7 +68,7 @@ class TheoryInputs:
         if not (self.eta >= 0.0 and np.isfinite(self.eta)):
             raise ValueError("eta must be >= 0")
         var = np.array(self.noise_var, dtype=float).ravel()
-        if var.size != self.spectrum.n_agents:
+        if self.spectrum is not None and var.size != self.spectrum.n_agents:
             raise ValueError("noise_var length must match the number of agents")
         if np.any(var < 0.0):
             raise ValueError("noise variances must be >= 0")
@@ -86,13 +86,15 @@ class TheoryInputs:
             truth = np.array(self.truth, dtype=float)
             if truth.ndim == 1:
                 truth = truth[:, None]
-            if truth.shape != (self.spectrum.n_agents, self.m):
+            if truth.shape != (var.size, self.m):
                 raise ValueError("truth must be an (N, M) matrix")
             truth.flags.writeable = False
             object.__setattr__(self, "truth", truth)
 
     def kernel_values(self) -> np.ndarray:
         """r(lambda_m) on the spectrum; identity kernel when none is set."""
+        if self.spectrum is None:
+            raise ValueError("the smoothness predictors need a spectrum")
         lam = self.spectrum.eigenvalues
         if self.kernel is None:
             return lam.copy()
@@ -155,9 +157,9 @@ def variance_smoothness(inputs: TheoryInputs) -> VariancePrediction:
     Monotone nonincreasing in eta; at eta = 0 the sum over modes equals the
     noncooperative network MSD.
     """
+    kern = inputs.kernel_values()
     spec = inputs.spectrum
     n = spec.n_agents
-    kern = inputs.kernel_values()
     lam_u = inputs.r_u_eigenvalues()
     weights = (spec.eigenvectors ** 2).T @ inputs.noise_var      # (N,)
     ratios = np.array([

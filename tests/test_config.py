@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from adaptnets import compare_theory, run_experiment
+from adaptnets import compare_theory, config as config_mod, run_experiment
 from adaptnets.config import (
     ConfigError,
     ExperimentConfig,
@@ -412,6 +412,30 @@ def test_parsed_configs_hash_by_canonical_form():
     assert len({a, b, parse_config(doc(seed=8))}) == 2
 
 
+def test_each_serialized_form_is_made_once(monkeypatch):
+    # two hashes, two config_hash calls and a run serialize each form once
+    real = json.dumps
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    config = parse_config(doc(parallel=2))
+    monkeypatch.setattr(config_mod.json, "dumps", counted)
+    first = hash(config)
+    assert hash(config) == first
+    digest = config.config_hash()
+    assert config.config_hash() == digest
+    assert run_experiment(config, parallel=1).config_hash == digest
+    assert config.canonical_json() == made[0]
+    # the canonical form and the identity form without parallel and out
+    assert len(made) == 2 and '"parallel"' not in made[1]
+    monkeypatch.setattr(config_mod.json, "dumps", real)
+    fresh = parse_config(doc(parallel=2))
+    assert (hash(fresh), fresh.config_hash()) == (first, digest)
+
+
 def test_with_overrides():
     cfg = parse_config(doc())
     bumped = cfg.with_overrides(mu=0.05, eta=2.0, seed=99, runs=7)
@@ -726,7 +750,8 @@ def test_build_strategy_refuses_exactly_the_rows_check_fails(seed, n, data):
                graph={"kind": "geometric", "n": n, "radius": 0.75},
                model={"kind": "mse", "m": 2, "noise_var": 0.1,
                       "truth": {"kind": "constant"}})
-    graph, spectrum, model = resolve_pieces(parse_config(base))
+    graph, model = resolve_pieces(parse_config(base))
+    spectrum = graph.spectrum
     kind = data.draw(st.sampled_from(
         ["diffusion", "clustered", "laplacian_reg", "spectral_reg"]))
     strategy = {"kind": kind, "mu": 0.01}
@@ -765,7 +790,7 @@ def test_build_strategy_refuses_exactly_the_rows_check_fails(seed, n, data):
         payload["kernel"] = coefficients
     config = StrategyConfig(kind, 0.01, strategy.get("eta", 0.0), payload)
     try:
-        build_strategy(config, graph, model, spectrum)
+        build_strategy(config, graph, model)
     except ValueError as exc:
         assert failed, str(exc)
         assert all(name in str(exc) for name in failed), (failed, str(exc))

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from adaptnets import config as config_mod, harness, strategies, streaming
+from adaptnets import (config as config_mod, graphs as graphs_mod, harness,
+                       strategies, streaming)
 from adaptnets.config import (
     ConfigError,
     data_stream,
@@ -468,6 +469,35 @@ def test_run_of_a_parsed_config_parses_nothing(monkeypatch):
     harness._resolved.cache_clear()
     run_experiment(cfg, parallel=1)
     assert calls == []
+
+
+def test_results_share_no_state_with_the_cache_or_the_config():
+    cfg = parse_config(base_config(
+        iters=200, runs=2, graph={"kind": "geometric", "n": 10, "radius": 0.6},
+        strategy={"kind": "laplacian_reg", "mu": 0.01, "eta": 0.5}))
+    key = hash(cfg)
+    r1 = run_experiment(cfg)
+    theory = json.loads(json.dumps(r1.theory))
+    r1.theory["msd"] = -1.0
+    r1.theory["variance"]["modes"].clear()
+    r2 = run_experiment(cfg)
+    assert r2.theory == theory
+    r2.effective_config["graph"]["radius"] = 0.9
+    r2.effective_config["strategy"]["eta"] = 2.0
+    assert cfg.graph["radius"] == 0.6 and cfg.strategy["eta"] == 0.5
+    assert hash(cfg) == key
+    assert run_experiment(cfg).effective_config == cfg.canonical()
+
+
+def test_the_parsed_document_does_not_reach_the_config():
+    doc = base_config(iters=50, runs=1)
+    cfg = parse_config(doc)
+    key, before = hash(cfg), run_experiment(cfg)
+    doc["model"]["truth"]["modes"] = 6
+    doc["strategy"]["mu"] = 0.5
+    assert cfg.model["truth"]["modes"] == 3 and cfg.strategy["mu"] == 0.01
+    assert hash(cfg) == key
+    assert np.array_equal(run_experiment(cfg).msd_wo, before.msd_wo)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,3 +1096,47 @@ def test_prox_plans_are_built_by_steps_once_per_row_count(strategy,
     assert built == [6] and plans[6] is first
     harness._simulate_chunk(res, range(2, 3))
     assert built == [6, 2] and sorted(plans) == [2, 6]
+
+
+# the kinds that read the Laplacian's spectrum; of the truths, "smooth" does
+_SPECTRAL_KINDS = {"laplacian_reg", "spectral_reg"}
+
+
+def _count_decompositions(monkeypatch, cfg) -> tuple[int, int]:
+    """Laplacian decompositions and resolves made by a resolve(cfg) and a
+    run_experiment(cfg) from a cold cache."""
+    decompositions, resolves = [], []
+    real_decompose, real_resolve = graphs_mod.build_laplacian, harness.resolve
+
+    def decompose(graph):
+        decompositions.append(graph)
+        return real_decompose(graph)
+
+    def counted_resolve(config):
+        resolves.append(config)
+        return real_resolve(config)
+
+    monkeypatch.setattr(graphs_mod, "build_laplacian", decompose)
+    monkeypatch.setattr(harness, "resolve", counted_resolve)
+    harness._resolved.cache_clear()
+    counted_resolve(cfg)
+    run_experiment(cfg, parallel=1)
+    return len(decompositions), len(resolves)
+
+
+@pytest.mark.parametrize("truth", ["piecewise", "smooth"])
+@pytest.mark.parametrize("strategy", sorted(ENGINE_STRATEGIES))
+def test_only_spectral_kinds_and_truths_decompose(strategy, truth,
+                                                  monkeypatch):
+    doc = _engine_case(strategy, "mse", "geometric").canonical()
+    if truth == "smooth":
+        doc["model"] = {**doc["model"], "truth": {"kind": "smooth", "modes": 3}}
+    decompositions, resolves = _count_decompositions(
+        monkeypatch, parse_config(doc))
+    assert resolves == 2
+    spectral = truth == "smooth" or strategy in _SPECTRAL_KINDS
+    assert decompositions == (resolves if spectral else 0)
+
+
+def test_overlapping_never_decomposes(monkeypatch):
+    assert _count_decompositions(monkeypatch, _ragged_case(1)) == (0, 2)

@@ -1,7 +1,7 @@
 """Module boundaries: no module uses another adaptnets module's private
 names, no module branches on a tuple-shaped network state, only
-Subspace.agent_basis reads an agent basis by strides, and every name a
-module's __all__ lists exists."""
+Subspace.agent_basis reads an agent basis by strides, only Graph.spectrum
+decomposes a Laplacian, and every name a module's __all__ lists exists."""
 
 import ast
 import importlib
@@ -166,3 +166,51 @@ def test_every_name_in_all_exists():
                for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == [], "stale names in __all__: " + ", ".join(missing)
+
+
+def _laplacian_builds(path: Path) -> list[str]:
+    """Calls of build_laplacian outside Graph.spectrum: the Laplacian is
+    decomposed once per graph, on the first read of its spectrum, and only
+    where something reads it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exempt = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Graph":
+            for fn in cls.body:
+                if getattr(fn, "name", None) == "spectrum":
+                    exempt.update(id(node) for node in ast.walk(fn))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in exempt:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name == "build_laplacian":
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_only_graph_spectrum_builds_the_laplacian():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) >= 8
+    found = [use for path in files for use in _laplacian_builds(path)]
+    assert found == [], "build_laplacian called in src:\n" + "\n".join(found)
+
+
+def test_laplacian_build_detection(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "spectrum = build_laplacian(graph)\n"
+        "other = graphs.build_laplacian(graph)\n"
+        "name = build_laplacian\n"
+        "class Graph:\n"
+        "    def spectrum(self):\n"
+        "        return build_laplacian(self)\n"
+        "    def other(self):\n"
+        "        return build_laplacian(self)\n"
+    )
+    assert _laplacian_builds(source) == [
+        "sample.py:1 build_laplacian(graph)",
+        "sample.py:2 graphs.build_laplacian(graph)",
+        "sample.py:8 build_laplacian(self)",
+    ]

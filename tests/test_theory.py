@@ -262,6 +262,24 @@ def test_msd_projection_heterogeneous_noise():
     assert msd_projection(inputs) == pytest.approx(expected, rel=1e-12)
 
 
+def test_noncooperative_and_projection_need_no_spectrum():
+    # the agent count comes from the noise and the truth
+    n, var = 6, np.linspace(0.05, 0.3, 6)
+    truth = np.ones((n, 2))
+    kw = dict(mu=0.01, eta=0.0, m=2, noise_var=var, r_u=np.eye(2),
+              truth=truth, subspace=consensus_subspace(n, 2))
+    bare = TheoryInputs(**kw)
+    full = TheoryInputs(**kw, spectrum=build_laplacian(ring_graph(n)))
+    assert np.array_equal(msd_noncooperative(bare).per_agent,
+                          msd_noncooperative(full).per_agent)
+    assert msd_projection(bare) == msd_projection(full)
+    with pytest.raises(ValueError, match="truth must be"):
+        TheoryInputs(**{**kw, "truth": np.ones((n + 1, 2))})
+    for predictor in (variance_smoothness, bias_smoothness, filter_bound):
+        with pytest.raises(ValueError, match="need a spectrum"):
+            predictor(bare)
+
+
 def test_msd_projection_requires_semi_orthogonal():
     from adaptnets.graphs import Subspace
 
