@@ -16,6 +16,8 @@ keys, the JSON type of each and their builders; parse_config checks every
 key against it. Resolution is deterministic: the graph
 and the true task field are derived from dedicated random streams spawned
 from the base seed, so every process reconstructs the identical experiment.
+theory.closed_forms decides which closed forms resolve attaches, from the
+form the strategy's kind names in strategies.STRATEGY_KINDS.
 """
 
 from __future__ import annotations
@@ -30,15 +32,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import theory as theory_mod
 from .graphs import (
     Graph,
     ClusterPartition,
     SpectralKernel,
     Spectrum,
     complete_graph,
-    mixes,
-    mixing_rho,
     random_geometric_graph,
     ring_graph,
     star_graph,
@@ -51,6 +50,7 @@ from .strategies import (
     StrategyConfig,
     build_strategy,
 )
+from .theory import closed_forms
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -665,6 +665,8 @@ def parse_config(doc: dict, base_dir: str | None = None) -> ExperimentConfig:
         eta_grid = tuple(float(v) for v in grid)
         if any(v < 0.0 for v in eta_grid):
             raise ConfigError("eta_grid entries must be >= 0")
+        if not all(np.isfinite(eta_grid)):
+            raise ConfigError("eta_grid entries must be finite")
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")
@@ -714,62 +716,6 @@ def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args):
         raise ConfigError(f"{where}: {exc}")
 
 
-def _attach_theory(config: ExperimentConfig, graph: Graph, model: StreamModel,
-                   strategy: Strategy) -> tuple[dict | None, np.ndarray | None]:
-    """Closed-form predictions where they apply, plus the reference point W*
-    used for variance-type trajectories."""
-    if model.kind != "mse" or model.r_u is None:
-        return None, None
-    m = model.truth.uniform_size
-    truth_mat = model.truth.as_matrix()
-    base = dict(mu=strategy.mu, eta=strategy.eta, m=m,
-                noise_var=model.noise_var, r_u=model.r_u, truth=truth_mat)
-    noncoop = theory_mod.msd_noncooperative(
-        theory_mod.TheoryInputs(**{**base, "eta": 0.0})
-    )
-    theory: dict[str, Any] = {
-        "msd_nc": noncoop.network,
-        "msd_nc_per_agent": noncoop.per_agent.tolist(),
-    }
-    w_star: np.ndarray | None = None
-    closed_form = STRATEGY_KINDS[strategy.kind].theory
-    if closed_form == "noncooperative":
-        theory["msd"] = noncoop.network
-        w_star = truth_mat
-    elif closed_form == "smoothness":
-        inputs = theory_mod.TheoryInputs(**base, spectrum=graph.spectrum,
-                                         kernel=strategy.kernel)
-        var = theory_mod.variance_smoothness(inputs)
-        bias = theory_mod.bias_smoothness(inputs)
-        theory["variance"] = {"total": var.total,
-                              "modes": var.per_mode.tolist()}
-        theory["bias"] = {"total": bias.total,
-                          "modes": bias.per_mode.tolist()}
-        theory["msd"] = var.total + bias.total / graph.n_agents
-        w_star = bias.w_star
-        if strategy.kernel is not None:
-            try:
-                bound = theory_mod.filter_bound(inputs)
-                theory["filter_ratios"] = bound.ratios.tolist()
-            except ValueError:
-                pass
-    elif closed_form == "projection" and strategy.subspace is not None:
-        # weights that never mix across a bridge split the network: the
-        # projection closed form holds only where A^i converges to P_U
-        report = strategy.feasibility
-        rho = (report.rho if report is not None
-               else mixing_rho(strategy.combination, strategy.subspace))
-        if mixes(rho):
-            try:
-                theory["msd"] = theory_mod.msd_projection(
-                    theory_mod.TheoryInputs(**base, subspace=strategy.subspace))
-                theory["msd_projection"] = theory["msd"]
-                w_star = truth_mat
-            except ValueError:
-                pass
-    return theory, w_star
-
-
 def resolve_pieces(config: ExperimentConfig) -> tuple[Graph, StreamModel]:
     """Graph and stream model only (no strategy construction).
 
@@ -806,7 +752,7 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
         strategy = build_strategy(strategy_config, graph, model)
     except ValueError as exc:
         raise ConfigError(f"strategy: {exc}")
-    theory, w_star = _attach_theory(config, graph, model, strategy)
+    theory, w_star = closed_forms(strategy, model)
     return ResolvedExperiment(config=config, graph=graph, model=model,
                               strategy=strategy, theory=theory, w_star=w_star)
 

@@ -270,10 +270,10 @@ def random_geometric_graph(
     With require_connected the positions are redrawn (from the same stream)
     until the graph is connected; gives up after max_tries draws.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise ValueError("radius must be positive")
     width = radius / 2.0 if kernel_width is None else float(kernel_width)
-    if width <= 0.0:
+    if not width > 0.0:
         raise ValueError("kernel_width must be positive")
     for _ in range(max_tries):
         pos = rng.random((n, 2))
@@ -577,13 +577,15 @@ class SpectralKernel:
     def __call__(self, lam) -> np.ndarray:
         return _poly.polyval(np.asarray(lam, dtype=float), self.coefficients)
 
-    def validate_on(self, spectrum: Spectrum) -> None:
+    def validate_on(self, spectrum: Spectrum) -> np.ndarray:
+        """r(lambda) on the spectrum; a ValueError where it is negative."""
         vals = self(spectrum.eigenvalues)
         low = float(np.min(vals))
         if low < -_KERNEL_NEGATIVE_TOL * max(1.0, float(np.max(np.abs(vals)))):
             raise ValueError(
                 f"kernel is negative on the spectrum (min r(lambda) = {low:.3e})"
             )
+        return vals
 
 
 def chebyshev_fit(
@@ -623,8 +625,7 @@ def chebyshev_fit(
 
 def apply_spectral_kernel(kernel: SpectralKernel, spectrum: Spectrum) -> np.ndarray:
     """Dense r(L) = V diag(r(lambda)) V^T. Kernel must be >= 0 on the spectrum."""
-    kernel.validate_on(spectrum)
-    vals = kernel(spectrum.eigenvalues)
+    vals = kernel.validate_on(spectrum)
     vecs = spectrum.eigenvectors
     return (vecs * vals) @ vecs.T
 

@@ -28,10 +28,10 @@ exactly as it would be alone.
 Each kind is declared once, as a StrategyKind entry in STRATEGY_KINDS, and
 everything that needs to know a kind reads that entry: StrategyConfig and
 the config schema (its keys, whether it uses eta), build_strategy (its
-builder and the conditions it refuses a step on), the eta sweep (eta), the
-closed forms resolve attaches (theory) and `adaptnets check` (the same
-conditions, then its self-tests). A kind's keys are the same names in a
-config document's "strategy" object and in StrategyConfig.payload.
+builder and the conditions it refuses a step on), the eta sweep (eta),
+theory.closed_forms (theory) and `adaptnets check` (the same conditions,
+then its self-tests). A kind's keys are the same names in a config
+document's "strategy" object and in StrategyConfig.payload.
 
 Reductions (special cases that must agree bit-identically under a shared
 RNG stream):
@@ -691,14 +691,14 @@ def _weight_conditions(strategy) -> list:
 
 
 def _stability_conditions(strategy) -> list:
-    """mu*eta * max r(lambda) <= 2, with r(lambda) = lambda without a kernel,
-    as mu*eta <= 2 / max r(lambda); no bound where max r(lambda) <= 0."""
+    """mu*eta <= 2 / max r(lambda), with r(lambda) = lambda without a kernel
+    and validated >= 0 with one; no bound where max r(lambda) <= 0."""
     mu_eta = strategy.mu * strategy.eta
     spectrum = strategy.graph.spectrum
     if strategy.kernel is None:
         peak, name = spectrum.lam_max, "lambda_max"
     else:
-        peak = float(np.max(strategy.kernel(spectrum.eigenvalues)))
+        peak = float(np.max(strategy.kernel.validate_on(spectrum)))
         name = "max r(lambda)"
     bound = 2.0 / peak if peak > 0.0 else np.inf
     ok = mu_eta <= bound + _STABILITY_SLACK
@@ -767,7 +767,6 @@ def _build_spectral(config, graph, model) -> Strategy:
     kernel = config.payload["kernel"]
     if not isinstance(kernel, SpectralKernel):
         kernel = SpectralKernel.polynomial(kernel)
-    kernel.validate_on(graph.spectrum)
     coeffs = kernel.coefficients
     return Strategy(config, graph,
                     lambda psi: social_spectral(psi, graph, coeffs, mu_eta),
@@ -966,9 +965,9 @@ class StrategyKind:
                         the eta sweep takes exactly these kinds)
     blockwise           whether agents may estimate blocks of different
                         sizes; the state is zero-padded to the largest
-    theory              the closed form resolve attaches: "noncooperative",
-                        "smoothness", "projection" (onto Strategy.subspace)
-                        or None
+    theory              the closed form theory.closed_forms attaches:
+                        "noncooperative", "smoothness", "projection" (onto
+                        Strategy.subspace) or None
     """
 
     build: Callable[..., Strategy]

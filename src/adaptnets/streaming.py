@@ -170,7 +170,7 @@ def synth_smooth_tasks(
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if bandwidth < 0.0:
+    if not bandwidth >= 0.0:
         raise ValueError("bandwidth must be nonnegative")
     lam = spectrum.eigenvalues
     coeffs = rng.standard_normal((spectrum.n_agents, m))
@@ -198,7 +198,8 @@ class StreamModel:
     agent. noise_var = 0 is the noiseless limit used by convergence checks.
 
     kind "logistic": labels gamma = +/-1 with P(gamma=1 | h) =
-    sigmoid(h^T w_k^o), Gaussian regressors h, ridge coefficient reg >= 0.
+    sigmoid(h^T w_k^o), Gaussian regressors h, finite ridge coefficient
+    reg >= 0.
     """
 
     kind: str
@@ -218,6 +219,8 @@ class StreamModel:
                 raise ValueError("shared r_u requires uniform block sizes")
             if r_u.shape != (m, m):
                 raise ValueError(f"r_u must be ({m}, {m}), got {r_u.shape}")
+            if not np.all(np.isfinite(r_u)):
+                raise ValueError("r_u entries must be finite")
             if not is_symmetric(r_u):
                 raise ValueError("r_u must be symmetric")
             r_u = 0.5 * (r_u + r_u.T)
@@ -242,6 +245,8 @@ class StreamModel:
         else:
             if self.reg < 0.0:
                 raise ValueError("logistic ridge coefficient must be >= 0")
+            if not np.isfinite(self.reg):
+                raise ValueError("logistic ridge coefficient must be finite")
 
     @property
     def n_agents(self) -> int:

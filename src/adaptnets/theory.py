@@ -14,18 +14,26 @@ first-order in the step-size mu:
 
 Variance- and bias-type quantities accept an optional spectral kernel; the
 plain Laplacian penalty corresponds to r(lambda) = lambda.
+
+closed_forms decides which of them a strategy gets, from the form its kind
+names in strategies.STRATEGY_KINDS; no other module calls a predictor.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .graphs import (SpectralKernel, Spectrum, Subspace, graph_fourier,
-                     is_symmetric)
+                     is_symmetric, mixes, mixing_rho)
+from .streaming import StreamModel
+from .strategies import STRATEGY_KINDS, Strategy
 
 __all__ = [
+    "closed_forms",
     "TheoryInputs",
     "NoncoopPrediction",
     "VariancePrediction",
@@ -91,20 +99,23 @@ class TheoryInputs:
             truth.flags.writeable = False
             object.__setattr__(self, "truth", truth)
 
+    @cached_property
     def kernel_values(self) -> np.ndarray:
         """r(lambda_m) on the spectrum; identity kernel when none is set."""
         if self.spectrum is None:
             raise ValueError("the smoothness predictors need a spectrum")
-        lam = self.spectrum.eigenvalues
         if self.kernel is None:
-            return lam.copy()
-        self.kernel.validate_on(self.spectrum)
-        return np.maximum(self.kernel(lam), 0.0)
+            return self.spectrum.eigenvalues
+        vals = np.maximum(self.kernel.validate_on(self.spectrum), 0.0)
+        vals.flags.writeable = False
+        return vals
 
+    @cached_property
     def r_u_eigenvalues(self) -> np.ndarray:
         vals = np.linalg.eigvalsh(self.r_u)
         if vals[0] <= 0.0:
             raise ValueError("r_u must be positive definite")
+        vals.flags.writeable = False
         return vals
 
 
@@ -157,10 +168,10 @@ def variance_smoothness(inputs: TheoryInputs) -> VariancePrediction:
     Monotone nonincreasing in eta; at eta = 0 the sum over modes equals the
     noncooperative network MSD.
     """
-    kern = inputs.kernel_values()
+    kern = inputs.kernel_values
     spec = inputs.spectrum
     n = spec.n_agents
-    lam_u = inputs.r_u_eigenvalues()
+    lam_u = inputs.r_u_eigenvalues
     weights = (spec.eigenvectors ** 2).T @ inputs.noise_var      # (N,)
     ratios = np.array([
         np.sum(lam_u / (lam_u + inputs.eta * kern[m])) for m in range(n)
@@ -181,7 +192,7 @@ def bias_smoothness(inputs: TheoryInputs) -> BiasPrediction:
     if inputs.truth is None:
         raise ValueError("bias_smoothness needs the true task field")
     spec = inputs.spectrum
-    kern = inputs.kernel_values()
+    kern = inputs.kernel_values
     coeffs = graph_fourier(inputs.truth, spec)                   # (N, M)
     star_coeffs = np.empty_like(coeffs)
     per_mode = np.empty(spec.n_agents)
@@ -235,7 +246,7 @@ def filter_bound(inputs: TheoryInputs) -> FilterBoundReport:
 
     and reports the per-mode ratios and norms.
     """
-    kern = inputs.kernel_values()
+    kern = inputs.kernel_values
     if np.any(np.diff(kern) < -_MONOTONE_ATOL * max(1.0, float(kern.max()))):
         raise ValueError("filter bound requires a kernel nondecreasing "
                          "on the spectrum")
@@ -243,7 +254,7 @@ def filter_bound(inputs: TheoryInputs) -> FilterBoundReport:
     spec = inputs.spectrum
     truth_coeffs = graph_fourier(inputs.truth, spec)
     star_coeffs = graph_fourier(bias.w_star, spec)
-    lam_u_max = float(inputs.r_u_eigenvalues()[-1])
+    lam_u_max = float(inputs.r_u_eigenvalues[-1])
     ratios = lam_u_max / (lam_u_max + inputs.eta * kern)
     truth_norms = np.linalg.norm(truth_coeffs, axis=1)
     coeff_norms = np.linalg.norm(star_coeffs, axis=1)
@@ -251,3 +262,47 @@ def filter_bound(inputs: TheoryInputs) -> FilterBoundReport:
                         + _BOUND_SLACK * max(1.0, truth_norms.max())))
     return FilterBoundReport(ratios=ratios, coeff_norms=coeff_norms,
                              truth_norms=truth_norms, holds=holds)
+
+
+def closed_forms(strategy: Strategy, model: StreamModel
+                 ) -> tuple[dict | None, np.ndarray | None]:
+    """Predictions for strategy on model (mse with a shared R_u only) and the
+    W* of variance-type trajectories: msd_nc, then the form StrategyKind.theory
+    names. Only the smoothness form reads the graph's spectrum."""
+    if model.kind != "mse" or model.r_u is None:
+        return None, None
+    form = STRATEGY_KINDS[strategy.kind].theory
+    inputs = TheoryInputs(
+        mu=strategy.mu, eta=strategy.eta, m=model.truth.uniform_size,
+        noise_var=model.noise_var, r_u=model.r_u,
+        truth=model.truth.as_matrix(), kernel=strategy.kernel,
+        spectrum=strategy.graph.spectrum if form == "smoothness" else None,
+        subspace=strategy.subspace)
+    noncoop = msd_noncooperative(inputs)
+    theory = {"msd_nc": noncoop.network,
+              "msd_nc_per_agent": noncoop.per_agent.tolist()}
+    w_star = None
+    if form == "noncooperative":
+        theory["msd"] = noncoop.network
+        w_star = inputs.truth
+    elif form == "smoothness":
+        var = variance_smoothness(inputs)
+        bias = bias_smoothness(inputs)
+        for name, part in (("variance", var), ("bias", bias)):
+            theory[name] = {"total": part.total, "modes": part.per_mode.tolist()}
+        theory["msd"] = var.total + bias.total / strategy.graph.n_agents
+        w_star = bias.w_star
+        if strategy.kernel is not None:
+            with suppress(ValueError):
+                theory["filter_ratios"] = filter_bound(inputs).ratios.tolist()
+    elif form == "projection" and strategy.subspace is not None:
+        # weights that never mix across a bridge split the network: the
+        # projection closed form holds only where A^i converges to P_U
+        report = strategy.feasibility
+        rho = (report.rho if report is not None
+               else mixing_rho(strategy.combination, strategy.subspace))
+        if mixes(rho):
+            with suppress(ValueError):
+                theory["msd"] = theory["msd_projection"] = msd_projection(inputs)
+                w_star = inputs.truth
+    return theory, w_star

@@ -255,6 +255,20 @@ def test_sweep_needs_grid(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_sweep_refuses_a_non_finite_eta_before_any_runs(tmp_path, capsys,
+                                                        monkeypatch, bad):
+    from adaptnets import harness
+    ran = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda config: ran.append(config))
+    cfg = write_config(tmp_path, eta_grid=[0.5, bad])
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")])
+    assert rc == EXIT_CONFIG
+    assert "eta_grid entries must be finite" in capsys.readouterr().err
+    assert ran == []
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -582,6 +596,9 @@ def test_misshaped_rho_exits_2_before_any_draw(tmp_path, capsys, monkeypatch,
 
 
 _SPECTRAL = {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5}
+_LOGISTIC = {"kind": "logistic", "m": 2, "truth": {"kind": "constant"}}
+# json.dumps writes these as the NaN and Infinity tokens json.load reads
+_NAN, _INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("key, overrides", [
@@ -620,6 +637,21 @@ _SPECTRAL = {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5}
     ("config: strategy.kernel: kernel is negative on the spectrum",
      {"strategy": {**_SPECTRAL, "kernel": {"kind": "heat", "rate": -1.0,
                                            "degree": 3}}}),
+    # JSON's NaN and Infinity fail the range check where its rule lives
+    ("eta_grid entries must be finite", {"eta_grid": [0.5, _NAN]}),
+    ("eta_grid entries must be finite", {"eta_grid": [0.5, _INF]}),
+    ("model: logistic ridge coefficient must be finite",
+     {"model": {**_LOGISTIC, "reg": _NAN}}),
+    ("model: logistic ridge coefficient must be finite",
+     {"model": {**_LOGISTIC, "reg": _INF}}),
+    ("model: r_u entries must be finite",
+     {"model": {**_MODEL, "r_u": [[1.0, 0.0], [0.0, _NAN]],
+                "truth": {"kind": "constant"}}}),
+    ("model.truth: bandwidth must be nonnegative",
+     {"model": {**_MODEL, "truth": {"kind": "smooth", "bandwidth": _NAN}}}),
+    ("graph: radius must be positive", {"graph": {**_GEOMETRIC, "radius": _NAN}}),
+    ("graph: kernel_width must be positive",
+     {"graph": {**_GEOMETRIC, "kernel_width": _NAN}}),
 ])
 def test_keys_checked_at_parse_exit_2_and_name_the_key(tmp_path, capsys,
                                                        monkeypatch, key,

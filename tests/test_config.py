@@ -155,6 +155,23 @@ def test_parse_smooth_truth_rejects_modes_and_bandwidth():
         parse_config(bad)
 
 
+def test_infinity_keeps_its_meaning_where_it_has_one():
+    # NaN is refused at each of these keys; Infinity means something there
+    inf = float("inf")
+    fields = []
+    for truth in ({"kind": "smooth", "bandwidth": inf}, {"kind": "smooth"}):
+        _, model = resolve_pieces(parse_config(doc(model={
+            "kind": "mse", "m": 2, "noise_var": 0.1, "truth": truth})))
+        fields.append(model.truth.as_matrix())
+    # a bandwidth of Infinity keeps every mode, as no bandwidth does
+    assert np.array_equal(fields[0], fields[1])
+    # a radius of Infinity links every pair; a kernel width of Infinity
+    # gives them unit weights
+    graph, _ = resolve_pieces(parse_config(doc(graph={
+        "kind": "geometric", "n": 6, "radius": inf, "kernel_width": inf})))
+    assert np.array_equal(graph.adjacency, 1.0 - np.eye(6))
+
+
 def test_parse_eta_grid():
     cfg = parse_config(doc(eta_grid=[0.0, 0.5, 2]))
     assert cfg.eta_grid == (0.0, 0.5, 2.0)

@@ -351,6 +351,22 @@ def test_eta_sweep_uses_config_grid():
     assert all(np.isfinite(p.var_theory) for p in points)
 
 
+def test_eta_sweep_runs_models_without_closed_forms():
+    # a logistic model gets no closed form: its simulated MSD is still
+    # swept, and the theory columns are NaN
+    cfg = base_config(iters=300, runs=2, graph={"kind": "ring", "n": 8},
+                      model={"kind": "logistic", "m": 2,
+                             "truth": {"kind": "smooth", "modes": 3,
+                                       "scale": 0.5}},
+                      strategy={"kind": "laplacian_reg", "mu": 0.01,
+                                "eta": 1.0})
+    points = eta_sweep(cfg, etas=[0.0, 0.5])
+    assert [p.eta for p in points] == [0.0, 0.5]
+    assert all(np.isfinite(p.msd_sim) for p in points)
+    assert all(np.isnan(p.var_theory) and np.isnan(p.bias_theory)
+               for p in points)
+
+
 def test_eta_sweep_rejects_wrong_strategy():
     with pytest.raises(ConfigError):
         eta_sweep(base_config(), etas=[0.0, 1.0])

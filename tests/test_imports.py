@@ -1,7 +1,8 @@
 """Module boundaries: no module uses another adaptnets module's private
 names, no module branches on a tuple-shaped network state, only
 Subspace.agent_basis reads an agent basis by strides, only Graph.spectrum
-decomposes a Laplacian, and every name a module's __all__ lists exists."""
+decomposes a Laplacian, only theory.py calls the closed-form predictors,
+and every name a module's __all__ lists exists."""
 
 import ast
 import importlib
@@ -213,4 +214,47 @@ def test_laplacian_build_detection(tmp_path):
         "sample.py:1 build_laplacian(graph)",
         "sample.py:2 graphs.build_laplacian(graph)",
         "sample.py:8 build_laplacian(self)",
+    ]
+
+
+# TheoryInputs and the predictors that read it
+THEORY_CALLS = {"TheoryInputs", "msd_noncooperative", "variance_smoothness",
+                "bias_smoothness", "msd_projection", "filter_bound"}
+
+
+def _theory_calls(path: Path) -> list[str]:
+    """Calls of a closed-form predictor or of TheoryInputs in one source
+    file: theory.closed_forms decides which predictions a strategy gets, so
+    only theory.py calls them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in THEORY_CALLS:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(func)}")
+    return found
+
+
+def test_only_theory_calls_the_predictors():
+    files = sorted(path for path in PACKAGE.glob("*.py")
+                   if path.name != "theory.py")
+    assert len(files) >= 8
+    found = [use for path in files for use in _theory_calls(path)]
+    assert found == [], "theory predictors called in src:\n" + "\n".join(found)
+
+
+def test_theory_call_detection(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "inputs = theory_mod.TheoryInputs(mu=0.01)\n"
+        "msd = msd_projection(inputs)\n"
+        "predict = filter_bound\n"
+        "theory, w_star = closed_forms(strategy, model)\n"
+    )
+    assert _theory_calls(source) == [
+        "sample.py:1 theory_mod.TheoryInputs",
+        "sample.py:2 msd_projection",
     ]

@@ -1,8 +1,11 @@
 """Closed-form steady-state predictions and their structural identities."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from adaptnets.config import parse_config, resolve
 from adaptnets.graphs import (
     ClusterPartition,
     Graph,
@@ -405,3 +408,48 @@ def test_negative_kernel_rejected_on_use():
                           r_u=np.eye(1), spectrum=spec, kernel=kernel)
     with pytest.raises(ValueError, match="negative"):
         variance_smoothness(inputs)
+
+
+# ---------------------------------------------------------------------------
+# closed_forms: each spectral input computed once per resolve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel", [
+    {"kind": "polynomial", "coefficients": [0.0, 1.0, 0.3]},
+    {"kind": "heat", "rate": 0.4, "degree": 4},
+])
+def test_one_spectral_resolve_computes_each_kernel_fact_once(monkeypatch,
+                                                              kernel):
+    # the kernel-kind builder, the stability row and TheoryInputs each
+    # validate the kernel once, and each takes r(lambda) from that check;
+    # the variance, bias and filter predictors share one TheoryInputs
+    counts = Counter()
+
+    def counted(name, fn, when=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[name] += bool(when(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SpectralKernel, "validate_on",
+                        counted("validate", SpectralKernel.validate_on))
+    monkeypatch.setattr(SpectralKernel, "__call__",
+                        counted("evaluate", SpectralKernel.__call__))
+    monkeypatch.setattr(TheoryInputs, "__post_init__",
+                        counted("inputs", TheoryInputs.__post_init__))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("eigvalsh_r_u", np.linalg.eigvalsh,
+                                lambda a, *rest: np.shape(a) == (2, 2)))
+    res = resolve(parse_config({
+        "schema": 1, "seed": 1, "iters": 10, "runs": 1,
+        "graph": {"kind": "ring", "n": 8},
+        "model": {"kind": "mse", "m": 2, "noise_var": 0.1,
+                  "truth": {"kind": "smooth", "modes": 3}},
+        "strategy": {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5,
+                     "kernel": kernel},
+    }))
+    assert "filter_ratios" in res.theory
+    assert counts["validate"] <= 3
+    assert counts["evaluate"] <= 3
+    assert counts["inputs"] == 1
+    assert counts["eigvalsh_r_u"] == 1
