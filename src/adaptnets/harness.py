@@ -8,8 +8,13 @@ it. The streams of a chunk are seeded in one batched pass, bit-identical
 to numpy's SeedSequence with the same spawn keys. Serial and parallel
 execution produce bit-identical aggregates: the runs are cut into one
 contiguous group per process, the calling process steps the first group
-while forked workers step the others (each handed its run indices and the
-parsed config), and results are combined in run order. A process
+while worker processes step the others, and results are combined in run
+order. Each worker is a plain multiprocessing.Process, under whatever
+start method is set, handed its run indices, the parsed config and the
+write end of its own pipe, over which it sends back its part or its
+error. The first error in group order is raised, after the pipes are
+closed and every other worker is stopped and reaped; a worker that dies
+without a reply is named by its runs and exit code. A process
 holds one chunk at a time, so memory is about processes x CHUNK_BYTES.
 The process count is the config's parallel key, which `adaptnets run
 --parallel` overrides like any other key; run_experiment's parallel
@@ -29,6 +34,7 @@ import copy
 import json
 import math
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -336,6 +342,77 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
     }
 
 
+def _worker(group, conn) -> None:
+    """Step one group of runs in a worker process and send back
+    (True, part) or (False, (error, its traceback as text)) over conn. An
+    error that would not come back whole is sent as a RuntimeError naming
+    its type and message."""
+    try:
+        reply = (True, group())
+    except Exception as exc:
+        import traceback
+
+        trace = "".join(traceback.format_exception(exc))
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception as why:
+            exc = RuntimeError(
+                f"{type(exc).__module__}.{type(exc).__qualname__}: {exc} "
+                f"(the error itself could not be sent: {why!r})")
+        reply = (False, (exc, trace))
+    conn.send(reply)
+    conn.close()
+
+
+def _run_groups(groups: list, bounds: list) -> list[dict]:
+    """The parts of groups, in order: worker processes step groups
+    1 .. P - 1, each sending its part over its own pipe, while this process
+    steps group 0. The lowest group's error is the one raised, the
+    divergence of the lowest run; once it is known, the pipes are closed
+    and the other workers stopped. No worker outlives the call."""
+    import multiprocessing
+
+    procs, conns = [], []
+    try:
+        for group in groups[1:]:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_worker,
+                                           args=(group, writer), daemon=True)
+            proc.start()
+            # the worker holds the only write end, so its death reads as EOF
+            writer.close()
+            procs.append(proc)
+            conns.append(reader)
+        parts = [groups[0]()]
+        for proc, conn, first, stop in zip(procs, conns, bounds[1:],
+                                           bounds[2:]):
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"worker for runs {first}..{stop - 1} exited with code "
+                    f"{proc.exitcode} without a reply") from None
+            if not ok:
+                error, trace = value
+                raise error from RuntimeError(
+                    f"in the worker for runs {first}..{stop - 1}:\n{trace}")
+            parts.append(value)
+        return parts
+    except BaseException:
+        # closed first, so that no worker blocked on a write holds the join
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+
+
 @lru_cache(maxsize=8)
 def _resolved(config: ExperimentConfig) -> ResolvedExperiment:
     return resolve(config)
@@ -363,14 +440,10 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
               for first, stop in zip(bounds, bounds[1:])]
     if processes > 1:
         # loaded here, untimed, so that serial runs never load it
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing  # noqa: F401
     t0 = time.perf_counter()
     if processes > 1:
-        # workers step groups 1 .. processes - 1 while this process steps
-        # group 0; a divergence in group 0 is the lowest run's, and raises
-        with ProcessPoolExecutor(max_workers=processes - 1) as ex:
-            futures = [ex.submit(group) for group in groups[1:]]
-            parts = [groups[0]()] + [f.result() for f in futures]
+        parts = _run_groups(groups, bounds)
     else:
         parts = [groups[0]()]
     wall = time.perf_counter() - t0

@@ -237,20 +237,23 @@ def msd_projection(inputs: TheoryInputs) -> float:
     return float(0.5 * inputs.mu * inputs.m / sub.n_agents * contrib.sum())
 
 
-def filter_bound(inputs: TheoryInputs) -> FilterBoundReport:
+def filter_bound(inputs: TheoryInputs,
+                 bias: BiasPrediction | None = None) -> FilterBoundReport:
     """Low-pass bound on the spectral coefficients of W*.
 
     Requires r nondecreasing on the spectrum. Checks, mode by mode,
 
         ||w_m^*|| <= lam_u_max / (lam_u_max + eta r(lambda_m)) * ||w_m^o||
 
-    and reports the per-mode ratios and norms.
+    and reports the per-mode ratios and norms. bias is
+    bias_smoothness(inputs), solved here when not given.
     """
     kern = inputs.kernel_values
     if np.any(np.diff(kern) < -_MONOTONE_ATOL * max(1.0, float(kern.max()))):
         raise ValueError("filter bound requires a kernel nondecreasing "
                          "on the spectrum")
-    bias = bias_smoothness(inputs)
+    if bias is None:
+        bias = bias_smoothness(inputs)
     spec = inputs.spectrum
     truth_coeffs = graph_fourier(inputs.truth, spec)
     star_coeffs = graph_fourier(bias.w_star, spec)
@@ -294,7 +297,8 @@ def closed_forms(strategy: Strategy, model: StreamModel
         w_star = bias.w_star
         if strategy.kernel is not None:
             with suppress(ValueError):
-                theory["filter_ratios"] = filter_bound(inputs).ratios.tolist()
+                report = filter_bound(inputs, bias)
+                theory["filter_ratios"] = report.ratios.tolist()
     elif form == "projection" and strategy.subspace is not None:
         # weights that never mix across a bridge split the network: the
         # projection closed form holds only where A^i converges to P_U

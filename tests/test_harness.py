@@ -1,10 +1,14 @@
 """Monte Carlo harness: windows, aggregation, determinism, persistence."""
 
-import concurrent.futures
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -142,7 +146,7 @@ def test_infeasible_config_fails_before_any_run(monkeypatch):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "_simulate_runs", no_run)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    monkeypatch.setattr(multiprocessing, "Process", no_run)
     cfg = base_config(runs=2, strategy={
         "kind": "subspace_projection", "mu": 0.01,
         "weights": np.eye(10).tolist()})
@@ -209,21 +213,123 @@ def test_parallel_divergence_reaches_the_caller():
 def test_parallel_starts_one_worker_fewer_than_processes(monkeypatch):
     # the calling process steps the first group of runs itself
     started = []
-    real = concurrent.futures.ProcessPoolExecutor
 
-    class Recorded(real):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    class Recorded(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(multiprocessing, "Process", Recorded)
     cfg = base_config(iters=100, runs=3)
     run_experiment(cfg, parallel=1)
     assert started == []
     for parallel in (2, 3):
         started.clear()
         run_experiment(cfg, parallel=parallel)
-        assert started == [parallel - 1]
+        assert len(started) == parallel - 1
+
+
+# ---------------------------------------------------------------------------
+# Worker processes: the first error stops the rest, and none outlives a call
+# ---------------------------------------------------------------------------
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched harness only when forked")
+
+
+def _patched_groups(monkeypatch, worker_group):
+    """Group 0 (runs 0..1) runs for real; any other group calls
+    worker_group(first, stop) in its worker."""
+    real = harness._simulate_runs
+
+    def simulate(config, first, stop):
+        if first == 0:
+            return real(config, first, stop)
+        return worker_group(first, stop)
+
+    monkeypatch.setattr(harness, "_simulate_runs", simulate)
+
+
+@fork_only
+def test_first_error_stops_and_reaps_the_other_workers(monkeypatch):
+    def simulate(config, first, stop):
+        if first == 0:
+            raise ValueError("group 0 failed")
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "_simulate_runs", simulate)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="group 0 failed"):
+        run_experiment(base_config(iters=50, runs=4), parallel=2)
+    assert time.monotonic() - t0 < 10
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_worker_that_dies_without_a_reply_is_named(monkeypatch):
+    _patched_groups(monkeypatch, lambda first, stop: os._exit(7))
+    with pytest.raises(RuntimeError,
+                       match=r"worker for runs 2\.\.3 exited with code 7 "):
+        run_experiment(base_config(iters=50, runs=4), parallel=2)
+    assert multiprocessing.active_children() == []
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+@fork_only
+def test_an_error_that_will_not_pickle_reaches_the_caller(monkeypatch):
+    def fail(first, stop):
+        raise _Unpicklable(f"runs {first}..{stop - 1} failed")
+
+    _patched_groups(monkeypatch, fail)
+    with pytest.raises(RuntimeError,
+                       match=r"_Unpicklable: runs 2\.\.3 failed"):
+        run_experiment(base_config(iters=50, runs=4), parallel=2)
+    assert multiprocessing.active_children() == []
+
+
+def _in_fresh_interpreter(code: str) -> str:
+    source = os.path.dirname(os.path.dirname(harness.__file__))
+    path = filter(None, [source, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("parallel, loaded", [
+    (1, []), (2, ["multiprocessing"])])
+def test_worker_modules_load_only_for_parallel_runs(parallel, loaded):
+    cfg = json.dumps(base_config(iters=50, runs=2))
+    found = _in_fresh_interpreter(
+        "import json, sys\n"
+        "from adaptnets import run_experiment\n"
+        f"run_experiment(json.loads({cfg!r}), parallel={parallel})\n"
+        "print(json.dumps([m for m in ('multiprocessing', "
+        "'concurrent.futures') if m in sys.modules]))\n")
+    assert json.loads(found) == loaded
+
+
+def test_spawned_workers_give_the_serial_numbers():
+    cfg = json.dumps(base_config(iters=200, runs=3))
+    found = _in_fresh_interpreter(
+        "import json, multiprocessing\n"
+        "import numpy as np\n"
+        "from adaptnets import run_experiment\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        f"cfg = json.loads({cfg!r})\n"
+        "serial = run_experiment(cfg, parallel=1)\n"
+        "spawned = run_experiment(cfg, parallel=2)\n"
+        "print(json.dumps([np.array_equal(serial.msd_wo, spawned.msd_wo), "
+        "np.array_equal(serial.per_agent_msd, spawned.per_agent_msd), "
+        "multiprocessing.active_children() == []]))\n")
+    assert json.loads(found) == [True, True, True]
 
 
 def test_overlapping_divergence_names_worst_agents():
@@ -987,6 +1093,10 @@ def test_a_worker_divergence_reaches_the_caller():
         run_experiment(cfg, parallel=2)
     assert info.value.run == 1
     assert _same_divergence(info.value, ref)
+    # the worker's traceback comes along as the cause
+    cause = str(info.value.__cause__)
+    assert cause.startswith("in the worker for runs 1..1:")
+    assert "in _simulate_chunk" in cause
 
 
 def test_runs_stepped_past_divergence_raise_no_warnings():

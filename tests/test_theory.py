@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from adaptnets import theory as theory_mod
 from adaptnets.config import parse_config, resolve
 from adaptnets.graphs import (
     ClusterPartition,
@@ -453,3 +454,32 @@ def test_one_spectral_resolve_computes_each_kernel_fact_once(monkeypatch,
     assert counts["evaluate"] <= 3
     assert counts["inputs"] == 1
     assert counts["eigvalsh_r_u"] == 1
+
+
+def test_one_spectral_resolve_solves_w_star_once(monkeypatch):
+    # the bias and the filter bound read one W*: the N per-mode m x m
+    # systems are solved once per resolve (two solves per mode)
+    counts = Counter()
+    real_bias, real_solve = theory_mod.bias_smoothness, np.linalg.solve
+
+    def bias(*args, **kwargs):
+        counts["bias"] += 1
+        return real_bias(*args, **kwargs)
+
+    def solve(a, b):
+        counts["solve"] += np.shape(a) == (2, 2)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(theory_mod, "bias_smoothness", bias)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    res = resolve(parse_config({
+        "schema": 1, "seed": 1, "iters": 10, "runs": 1,
+        "graph": {"kind": "ring", "n": 8},
+        "model": {"kind": "mse", "m": 2, "noise_var": 0.1,
+                  "truth": {"kind": "smooth", "modes": 3}},
+        "strategy": {"kind": "spectral_reg", "mu": 0.01, "eta": 0.5,
+                     "kernel": {"kind": "polynomial",
+                                "coefficients": [0.0, 1.0, 0.3]}},
+    }))
+    assert "filter_ratios" in res.theory
+    assert counts == {"bias": 1, "solve": 2 * 8}
