@@ -48,6 +48,7 @@ from .strategies import (
     InterestMap,
     Strategy,
     StrategyConfig,
+    assess_strategy,
     build_strategy,
 )
 from .theory import closed_forms
@@ -760,10 +761,10 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
 def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     """The self-tests of `adaptnets check`, as (name, passed, detail).
 
-    Checks the Laplacian eigendecomposition, then reports the strategy
-    kind's condition rows on the pieces its builder assembles: the rows
-    resolve refuses a step on, computed by the same functions. Where every
-    condition holds, the kind's own self-tests follow; they only report.
+    Checks the Laplacian eigendecomposition, then reports the condition
+    rows of strategies.assess_strategy: the rows resolve refuses a step
+    on, from the same call. Where every condition holds, the kind's own
+    self-tests follow; they only report.
     """
     graph, model = resolve_pieces(config)
     spectrum = graph.spectrum
@@ -774,15 +775,10 @@ def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     checks = [("spectrum_residual",
                residual <= 1e-10 * max(1.0, spectrum.lam_max) * graph.n_agents,
                f"residual={residual:.2e}")]
-    entry = STRATEGY_KINDS[config.strategy["kind"]]
-    if model.truth.uniform_size is None and not entry.blockwise:
-        checks.append(("uniform_blocks", False,
-                       "strategy needs uniform block sizes"))
-    else:
-        strategy = entry.build(_strategy_config(config.strategy, graph),
-                               graph, model)
-        conditions = entry.conditions(strategy)
-        checks += conditions
-        if all(ok for _, ok, _ in conditions):
-            checks += entry.checks(strategy, np.random.default_rng(0))
+    strategy, conditions = assess_strategy(
+        _strategy_config(config.strategy, graph), graph, model)
+    checks += conditions
+    if all(ok for _, ok, _ in conditions):
+        checks += STRATEGY_KINDS[strategy.kind].checks(
+            strategy, np.random.default_rng(0))
     return [(name, bool(passed), detail) for name, passed, detail in checks]

@@ -16,8 +16,7 @@ and the operations
     is_symmetric, build_laplacian, smoothness, graph_fourier,
     inverse_graph_fourier, metropolis_block, metropolis_weights,
     laplacian_weights, apply_spectral_kernel, chebyshev_fit,
-    consensus_subspace, cluster_subspace, projector, check_feasibility,
-    mixes, mixing_rho
+    consensus_subspace, cluster_subspace, projector, check_feasibility
 
 plus generators (ring, star, complete, random geometric) and JSON I/O.
 
@@ -61,8 +60,6 @@ __all__ = [
     "cluster_subspace",
     "projector",
     "check_feasibility",
-    "mixes",
-    "mixing_rho",
     "ring_graph",
     "star_graph",
     "complete_graph",
@@ -126,11 +123,19 @@ class Graph:
             raise ValueError("adjacency entries must be finite")
         if not is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
-        adj = 0.5 * (adj + adj.T)
+        # finite entries may still symmetrize, or sum to a degree, past the
+        # largest float; with every weight nonnegative, a finite degree
+        # means a finite row
+        with np.errstate(over="ignore", invalid="ignore"):
+            adj = 0.5 * (adj + adj.T)
+            overflow = ~np.isfinite(adj.sum(axis=1))
         if np.any(np.diag(adj) != 0.0):
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
         if np.any(adj < 0.0):
             raise ValueError("edge weights must be nonnegative")
+        if overflow.any():
+            raise ValueError(f"edge weights overflow: the weighted degree of "
+                             f"agent {int(np.argmax(overflow))} is not finite")
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
 
@@ -775,24 +780,6 @@ class FeasibilityReport:
         return [name for name in self.flags if not getattr(self, name)]
 
 
-def mixes(rho: float) -> bool:
-    """Whether A^i converges to P_U: rho(A - P_U) < 1, with a margin of
-    SPECTRAL_RADIUS_SLACK since rho = 1 in exact arithmetic may round
-    below it."""
-    return rho < 1.0 - SPECTRAL_RADIUS_SLACK
-
-
-def mixing_rho(combination: CombinationMatrix, subspace: Subspace) -> float:
-    """rho(A - P_U) of scalar (N x N) weights A on a subspace with a
-    semi-orthogonal agent basis U_N: one eigvals of the pair (A, U_N),
-    since (A x I_M) - P_U = (A - U_N U_N^T) x I_M has its eigenvalues."""
-    agent = subspace.agent_basis
-    if agent is None:
-        raise ValueError("mixing_rho needs a basis U_N x I_M")
-    gap = combination.matrix - agent @ agent.T
-    return float(np.max(np.abs(np.linalg.eigvals(gap))))
-
-
 def check_feasibility(
     combination: CombinationMatrix,
     subspace: Subspace,
@@ -800,10 +787,12 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Verify that combination weights realize a projection-type social step.
 
-    Checks A U = U, U^T A = U^T, rho(A - P_U) < 1 (with slack 1e-8) and
-    that nonzero blocks respect the graph sparsity (A_{kl} = 0 for l not in
-    N_k u {k}); entries count as zero up to _FEASIBILITY_TOL relative to
-    max(1, max |a_kl|). A matrix that fixes the subspace on both sides has
+    Checks A U = U, U^T A = U^T, rho(A - P_U) < 1 and that nonzero blocks
+    respect the graph sparsity (A_{kl} = 0 for l not in N_k u {k}); entries
+    count as zero up to _FEASIBILITY_TOL relative to max(1, max |a_kl|),
+    and rho must stay SPECTRAL_RADIUS_SLACK below 1, since rho = 1 in exact
+    arithmetic may round below it. This is the one place rho(A - P_U) is
+    computed. A matrix that fixes the subspace on both sides has
     (A - P_U)^i = A^i - P_U, so A^i -> P_U exactly when rho(A - P_U) < 1
     (Nassif, Vlaski & Sayed, IEEE TSP 2020): the four flags decide
     feasibility, and no matrix power is taken.
@@ -851,7 +840,7 @@ def check_feasibility(
     return FeasibilityReport(
         right_fixed=right,
         left_fixed=left,
-        spectral=mixes(rho),
+        spectral=rho < 1.0 - SPECTRAL_RADIUS_SLACK,
         sparsity=sparsity,
         rho=rho,
     )

@@ -264,7 +264,7 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
     n_rec = horizon // every
     traj_wo = np.empty((len(runs), n_rec))
     traj_ws = np.empty((len(runs), n_rec)) if wstar_ref is not None else None
-    window_start = horizon - math.ceil(cfg.steady_window * horizon)
+    window_start = _window_start(horizon, cfg.steady_window)
     agent_acc = np.zeros((len(runs), n))
     states = np.empty((_RECORD_BLOCK,) + w.shape)
     diverged = {}   # run position -> (iteration, value, agent errors)
@@ -613,6 +613,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _or_null(value: float) -> float | None:
+    """value, or None where it is NaN (a column with no value): JSON has
+    no NaN, and json.dump would write a bare token strict parsers refuse."""
+    return None if math.isnan(value) else value
+
+
 def _steady_dict(s: SteadyState | None) -> dict | None:
     if s is None:
         return None
@@ -655,7 +661,9 @@ def save_result(result: ExperimentResult, outdir) -> tuple[str, str]:
 
 
 def save_sweep(points: list[SweepPoint], outdir) -> tuple[str, str]:
-    """Write sweep.csv (headline columns) and sweep.json (full detail)."""
+    """Write sweep.csv (headline columns) and sweep.json (full detail).
+    sweep.json holds null where a column has no value; sweep.csv, like
+    SweepPoint, holds nan."""
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "sweep.csv")
     json_path = os.path.join(outdir, "sweep.json")
@@ -671,8 +679,10 @@ def save_sweep(points: list[SweepPoint], outdir) -> tuple[str, str]:
         "min_msd_sim": best.msd_sim,
         "points": [{
             "eta": p.eta, "msd_sim": p.msd_sim, "msd_stderr": p.msd_stderr,
-            "var_sim": p.var_sim, "var_stderr": p.var_stderr,
-            "var_theory": p.var_theory, "bias_theory": p.bias_theory,
+            "var_sim": _or_null(p.var_sim),
+            "var_stderr": _or_null(p.var_stderr),
+            "var_theory": _or_null(p.var_theory),
+            "bias_theory": _or_null(p.bias_theory),
             "settled": p.settled,
         } for p in points],
     }

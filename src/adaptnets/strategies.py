@@ -27,11 +27,11 @@ exactly as it would be alone.
 
 Each kind is declared once, as a StrategyKind entry in STRATEGY_KINDS, and
 everything that needs to know a kind reads that entry: StrategyConfig and
-the config schema (its keys, whether it uses eta), build_strategy (its
-builder and the conditions it refuses a step on), the eta sweep (eta),
-theory.closed_forms (theory) and `adaptnets check` (the same conditions,
-then its self-tests). A kind's keys are the same names in a config
-document's "strategy" object and in StrategyConfig.payload.
+the config schema (its keys, whether it uses eta), assess_strategy (its
+builder and its conditions, which build_strategy refuses a step on and
+`adaptnets check` reports before the kind's self-tests), the eta sweep
+(eta) and theory.closed_forms (theory). A kind's keys are the same names
+in a config document's "strategy" object and in StrategyConfig.payload.
 
 Reductions (special cases that must agree bit-identically under a shared
 RNG stream):
@@ -75,8 +75,6 @@ from .graphs import (
     laplacian_weights,
     metropolis_block,
     metropolis_weights,
-    mixes,
-    mixing_rho,
 )
 from .streaming import StreamModel, network_gradient, pad_blocks
 
@@ -87,6 +85,7 @@ __all__ = [
     "EdgeRegularizer",
     "InterestMap",
     "Strategy",
+    "assess_strategy",
     "build_strategy",
     "self_learn",
     "social_noncooperative",
@@ -115,7 +114,7 @@ class StrategyConfig:
 
     mu > 0 is the gradient step-size, eta >= 0 the regularization strength
     (must be 0 for kinds that have no regularizer). payload carries the
-    kind's keys (StrategyKind.required and .optional), see build_strategy.
+    kind's keys (StrategyKind.required and .optional), see assess_strategy.
     Compared and hashed by identity: payload values may be arrays.
     """
 
@@ -546,8 +545,7 @@ class Strategy:
     step from (None where the kind has no such piece). subspace is the
     subspace the social step projects onto, where it has one: the
     consensus subspace for diffusion, the cluster subspace for clustered
-    with eta = 0 and the constraint of subspace_projection. feasibility is
-    subspace_projection's check of its combination against that subspace.
+    with eta = 0 and the constraint of subspace_projection.
     """
 
     config: StrategyConfig
@@ -562,7 +560,14 @@ class Strategy:
     partition: ClusterPartition | None = None
     interest: InterestMap | None = None
     var_weights: Mapping[int, np.ndarray] | None = None
-    feasibility: FeasibilityReport | None = None
+
+    @cached_property
+    def feasibility(self) -> FeasibilityReport | None:
+        """check_feasibility of the combination against the subspace, run on
+        first read (None where the step lacks either): the one rho(A - P_U)."""
+        if self.combination is None or self.subspace is None:
+            return None
+        return check_feasibility(self.combination, self.subspace, self.graph)
 
     @property
     def kind(self) -> str:
@@ -744,12 +749,12 @@ def _check_diffusion(strategy, rng) -> list:
     # the conditions make A doubly stochastic, so A^i converges to P_U
     # exactly where rho(A - P_U) < 1: the rate the theory reads
     psi = _probe(strategy, rng)
-    rho = mixing_rho(strategy.combination, strategy.subspace)
+    report = strategy.feasibility
     mean_before = psi.mean(axis=0)
     mean_after = strategy.social(psi).mean(axis=0)
     drift = float(np.max(np.abs(mean_after - mean_before)))
     return [
-        ("semi_convergent", mixes(rho), f"rho={rho:.6f}"),
+        ("semi_convergent", report.spectral, f"rho={report.rho:.6f}"),
         ("mean_preserved", drift <= 1e-10, f"drift={drift:.2e}"),
     ]
 
@@ -861,8 +866,7 @@ def _build_subspace(config, graph, model) -> Strategy:
         block = combo.block_matrix(sizes)
         social = lambda psi: social_subspace(psi, block)
     return Strategy(config, graph, social, sizes, subspace=subspace,
-                    combination=combo,
-                    feasibility=check_feasibility(combo, subspace, graph))
+                    combination=combo)
 
 
 # -- overlapping ------------------------------------------------------------
@@ -957,9 +961,10 @@ class StrategyKind:
                         meets its conditions; they only report
     conditions          (strategy) -> [(name, passed, detail)]:
                         what a sound step needs (weights on the graph,
-                        stability, feasibility), each computed once here;
-                        build_strategy refuses a step that fails a row, and
-                        `adaptnets check` reports every row
+                        stability, feasibility), each computed once;
+                        assess_strategy returns them, build_strategy
+                        refuses a step that fails a row and `adaptnets
+                        check` reports every row
     required, optional  its strategy keys besides kind, mu and eta
     uses_eta            whether eta weighs a regularizer (else eta must be 0;
                         the eta sweep takes exactly these kinds)
@@ -1007,10 +1012,13 @@ STRATEGY_KINDS: dict[str, StrategyKind] = {
 }
 
 
-def build_strategy(config: StrategyConfig, graph: Graph,
-                   model: StreamModel) -> Strategy:
-    """Assemble a Strategy with its kind's builder, then refuse it with one
-    ValueError naming every condition row (StrategyKind.conditions) it fails.
+def assess_strategy(config: StrategyConfig, graph: Graph, model: StreamModel
+                    ) -> tuple[Strategy | None, list]:
+    """The acceptance sequence of a step, shared by build_strategy and
+    `adaptnets check`: the step its kind's builder assembles and the
+    kind's condition rows (StrategyKind.conditions) on it, as (name,
+    passed, detail). A kind that needs uniform blocks on a ragged task
+    field is not built: its one row is a failed uniform_blocks.
 
     payload holds the kind's keys with the values a config document gives
     them, except the kernel: a SpectralKernel or ascending polynomial
@@ -1023,10 +1031,19 @@ def build_strategy(config: StrategyConfig, graph: Graph,
         raise ValueError("model and graph disagree on the number of agents")
     entry = STRATEGY_KINDS[config.kind]
     if not entry.blockwise and model.truth.uniform_size is None:
-        raise ValueError(f"kind {config.kind!r} requires uniform block sizes")
+        return None, [("uniform_blocks", False,
+                       "strategy needs uniform block sizes")]
     strategy = entry.build(config, graph, model)
+    return strategy, entry.conditions(strategy)
+
+
+def build_strategy(config: StrategyConfig, graph: Graph,
+                   model: StreamModel) -> Strategy:
+    """The step assess_strategy assembles, refused with one ValueError
+    naming every condition row it fails."""
+    strategy, conditions = assess_strategy(config, graph, model)
     failed = [f"{name} ({detail})" if detail else name
-              for name, ok, detail in entry.conditions(strategy) if not ok]
+              for name, ok, detail in conditions if not ok]
     if failed:
         raise ValueError(f"{config.kind} step fails its conditions: "
                          + "; ".join(failed))

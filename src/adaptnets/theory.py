@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import (SpectralKernel, Spectrum, Subspace, graph_fourier,
-                     is_symmetric, mixes, mixing_rho)
+                     is_symmetric)
 from .streaming import StreamModel
 from .strategies import STRATEGY_KINDS, Strategy
 
@@ -299,13 +299,10 @@ def closed_forms(strategy: Strategy, model: StreamModel
             with suppress(ValueError):
                 report = filter_bound(inputs, bias)
                 theory["filter_ratios"] = report.ratios.tolist()
-    elif form == "projection" and strategy.subspace is not None:
+    elif form == "projection" and strategy.feasibility is not None:
         # weights that never mix across a bridge split the network: the
         # projection closed form holds only where A^i converges to P_U
-        report = strategy.feasibility
-        rho = (report.rho if report is not None
-               else mixing_rho(strategy.combination, strategy.subspace))
-        if mixes(rho):
+        if strategy.feasibility.spectral:
             with suppress(ValueError):
                 theory["msd"] = theory["msd_projection"] = msd_projection(inputs)
                 w_star = inputs.truth

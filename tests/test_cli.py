@@ -503,15 +503,10 @@ def test_check_and_run_agree_on_a_kernel_within_the_sign_tolerance(tmp_path):
         == EXIT_OK
 
 
-def test_check_reads_the_diffusion_mixing_rate_run_reads(tmp_path, capsys,
-                                                        monkeypatch):
+def test_check_reads_the_diffusion_mixing_rate_run_reads(tmp_path, capsys):
     # directed-ring averaging, a_kk = a_k,k+1 = 1/2, is doubly stochastic
-    # but not symmetric: diffusion's conditions read its mixing rate, not
-    # a feasibility report, in check as in run
-    def refuse(*args):
-        raise ValueError("check_feasibility called")
-
-    monkeypatch.setattr(strategies, "check_feasibility", refuse)
+    # but not symmetric: check's semi_convergent and run's closed form read
+    # the same lazy feasibility report of the step
     weights = 0.5 * (np.eye(8) + np.roll(np.eye(8), 1, axis=1))
     cfg = write_config(tmp_path, strategy={"kind": "diffusion", "mu": 0.01,
                                            "weights": weights.tolist()})
@@ -519,6 +514,26 @@ def test_check_reads_the_diffusion_mixing_rate_run_reads(tmp_path, capsys,
     assert "semi_convergent: PASS" in capsys.readouterr().err
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
         == EXIT_OK
+
+
+def test_ragged_field_fails_run_and_check_on_one_row(tmp_path, capsys):
+    # a kind that needs uniform blocks meets a ragged field: check reports
+    # the uniform_blocks row, and run refuses the step naming that row
+    blocks = [[1.0] * (1 + k % 2) for k in range(6)]
+    cfg = write_config(tmp_path, graph=_RING, model={
+        "kind": "mse", "noise_var": 0.1,
+        "truth": {"kind": "explicit", "blocks": blocks}},
+        strategy={"kind": "diffusion", "mu": 0.01})
+    assert main(["check", "--config", cfg, "--json"]) == EXIT_CHECK
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    failed = [(row["name"], row["detail"]) for row in rows
+              if not row["passed"]]
+    assert failed == [("uniform_blocks", "strategy needs uniform block sizes")]
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    name, detail = failed[0]
+    assert (f"config: strategy: diffusion step fails its conditions: "
+            f"{name} ({detail})") in capsys.readouterr().err
 
 
 def _no_draw(*args, **kwargs):
@@ -652,6 +667,17 @@ _NAN, _INF = float("nan"), float("inf")
     ("graph: radius must be positive", {"graph": {**_GEOMETRIC, "radius": _NAN}}),
     ("graph: kernel_width must be positive",
      {"graph": {**_GEOMETRIC, "kernel_width": _NAN}}),
+    # finite weights whose symmetrized adjacency or degrees overflow
+    ("config: graph: edge weights overflow: the weighted degree of agent 0",
+     {"graph": {"kind": "ring", "n": 4, "weight": 1e308},
+      "model": {**_MODEL, "truth": {"kind": "constant"}}}),
+    ("config: graph: edge weights overflow: the weighted degree of agent 0",
+     {"graph": {"kind": "ring", "n": 4, "weight": 1e308},
+      "model": {**_MODEL, "truth": {"kind": "constant"}},
+      "strategy": {"kind": "noncooperative", "mu": 0.01}}),
+    ("config: graph: edge weights overflow: the weighted degree of agent 0",
+     {"graph": {"kind": "complete", "n": 4, "weight": 6e307},
+      "model": {**_MODEL, "truth": {"kind": "constant"}}}),
 ])
 def test_keys_checked_at_parse_exit_2_and_name_the_key(tmp_path, capsys,
                                                        monkeypatch, key,

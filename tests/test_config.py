@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from adaptnets import compare_theory, config as config_mod, run_experiment
+from adaptnets import strategies as strategies_mod
 from adaptnets.config import (
     ConfigError,
     ExperimentConfig,
@@ -693,6 +694,74 @@ def test_split_network_gets_no_consensus_closed_form():
     assert "msd" not in theories[str(split)]
     assert theories["metropolis"]["msd"] == pytest.approx(
         theories["metropolis"]["msd_nc"] / 4, rel=1e-12)
+
+
+@pytest.fixture
+def feasibility_calls(monkeypatch):
+    """Counts the check_feasibility calls of the steps built meanwhile."""
+    calls = []
+    real = strategies_mod.check_feasibility
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(strategies_mod, "check_feasibility", counted)
+    return calls
+
+
+_CONSTANT_MSE = {"kind": "mse", "m": 2, "noise_var": 0.1,
+                 "truth": {"kind": "constant"}}
+_CONSTANT_LOGISTIC = {"kind": "logistic", "m": 2,
+                      "truth": {"kind": "constant"}}
+
+
+@pytest.mark.parametrize("model, strategy, reads", [
+    (_CONSTANT_MSE, {"kind": "diffusion", "mu": 0.01}, 1),
+    (_CONSTANT_MSE, {"kind": "clustered", "mu": 0.01, "clusters": [4, 4]}, 1),
+    (_CONSTANT_MSE, {"kind": "subspace_projection", "mu": 0.01}, 1),
+    (_CONSTANT_LOGISTIC, {"kind": "diffusion", "mu": 0.01}, 0),
+    (_CONSTANT_MSE, {"kind": "clustered", "mu": 0.01, "eta": 0.5,
+                     "clusters": [4, 4]}, 0),
+])
+def test_resolve_checks_feasibility_only_where_it_is_read(
+        feasibility_calls, model, strategy, reads):
+    # subspace_projection's conditions and the projection closed form of
+    # diffusion and clustered at eta = 0 read the report; a logistic model
+    # has no closed form, and clustered at eta > 0 has no subspace
+    res = resolve(parse_config(doc(model=model, strategy=strategy)))
+    assert len(feasibility_calls) == reads
+    if reads:
+        assert res.strategy.feasibility.passed
+        assert "msd_projection" in res.theory
+    else:
+        assert res.theory is None or "msd" not in res.theory
+    # the second read above found the report cached
+    assert len(feasibility_calls) == reads
+
+
+def test_check_of_a_diffusion_step_checks_feasibility_once(feasibility_calls):
+    checks = run_checks(parse_config(doc(
+        model=_CONSTANT_MSE, strategy={"kind": "diffusion", "mu": 0.01})))
+    assert ("semi_convergent", True) in [(name, ok) for name, ok, _ in checks]
+    assert len(feasibility_calls) == 1
+
+
+def test_metropolis_diffusion_resolve_takes_one_symmetric_eigensolve(
+        monkeypatch):
+    # Metropolis weights are symmetric and fix the consensus subspace, so
+    # rho(A - P_U) takes one eigvalsh of the 8 x 8 gap and no eigvals
+    shapes = {"eigvals": [], "eigvalsh": []}
+    for name, real in ((name, getattr(np.linalg, name)) for name in shapes):
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    res = resolve(parse_config(doc(
+        model=_CONSTANT_MSE, strategy={"kind": "diffusion", "mu": 0.01})))
+    assert "msd_projection" in res.theory
+    assert shapes == {"eigvals": [], "eigvalsh": [(8, 8)]}
 
 
 def test_resolve_spectral_filter_ratios():

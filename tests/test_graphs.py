@@ -84,6 +84,22 @@ def test_adjacency_must_be_symmetric():
         Graph(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_edge_weights_that_overflow_are_refused():
+    # every weight is finite, yet 1e308 + 1e308 symmetrizes to inf, and
+    # three weights of 6e307 sum to an infinite degree
+    with pytest.raises(ValueError, match="degree of agent 0 is not finite"):
+        ring_graph(4, weight=1e308)
+    with pytest.raises(ValueError, match="degree of agent 0 is not finite"):
+        complete_graph(4, weight=6e307)
+    with pytest.raises(ValueError, match="degree of agent 2 is not finite"):
+        Graph.from_edges(4, [[0, 1, 1.0], [2, 0, 6e307], [2, 1, 6e307],
+                             [2, 3, 6e307]])
+    # degrees of 1.5e308 are finite: the weights are kept bit for bit
+    g = complete_graph(4, weight=5e307)
+    assert np.array_equal(g.adjacency, 5e307 * (1.0 - np.eye(4)))
+    assert np.all(g.weighted_degrees == 3 * 5e307)
+
+
 def test_neighbors_exclude_self():
     g = ring_graph(5)
     for k in range(5):

@@ -571,6 +571,32 @@ def test_save_sweep_roundtrip(tmp_path):
     assert doc["min_msd_sim"] == min(p.msd_sim for p in points)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"bare {token} token in JSON")
+
+
+@pytest.mark.parametrize("strategy", [
+    {"kind": "prox_l1", "mu": 0.01, "eta": 1.0},
+    {"kind": "laplacian_reg", "mu": 0.01, "eta": 1.0},
+])
+def test_sweep_json_is_strict_json(tmp_path, strategy):
+    # prox_l1 has no variance or bias closed form and no W*, so four
+    # columns have no value: sweep.json holds null there, the points NaN
+    cfg = base_config(iters=200, runs=2, graph={"kind": "ring", "n": 6},
+                      strategy=strategy)
+    points = eta_sweep(cfg, etas=[0.0, 1.0])
+    _, json_path = save_sweep(points, tmp_path)
+    doc = json.loads(open(json_path).read(), parse_constant=_refuse_constant)
+    columns = ("var_sim", "var_stderr", "var_theory", "bias_theory")
+    for point, row in zip(points, doc["points"]):
+        for name in columns:
+            value = getattr(point, name)
+            assert row[name] == (None if np.isnan(value) else value)
+    empty = strategy["kind"] == "prox_l1"
+    assert all((row[name] is None) == empty
+               for row in doc["points"] for name in columns)
+
+
 def test_run_accepts_parsed_config():
     cfg = parse_config(base_config(iters=100, runs=1))
     res = run_experiment(cfg)

@@ -1,8 +1,9 @@
 """Module boundaries: no module uses another adaptnets module's private
 names, no module branches on a tuple-shaped network state, only
 Subspace.agent_basis reads an agent basis by strides, only Graph.spectrum
-decomposes a Laplacian, only theory.py calls the closed-form predictors,
-and every name a module's __all__ lists exists."""
+decomposes a Laplacian, only check_feasibility takes eigenvalues of
+A - P_U, only theory.py calls the closed-form predictors, and every name a
+module's __all__ lists exists."""
 
 import ast
 import importlib
@@ -214,6 +215,67 @@ def test_laplacian_build_detection(tmp_path):
         "sample.py:1 build_laplacian(graph)",
         "sample.py:2 graphs.build_laplacian(graph)",
         "sample.py:8 build_laplacian(self)",
+    ]
+
+
+# where each eigenvalue call of the package may stand, by function: rho(A -
+# P_U) in check_feasibility, which only Strategy.feasibility calls, and the
+# R_u spectrum of the closed forms
+EIGENVALUE_HOMES = {
+    "eigvals": {"check_feasibility"},
+    "eigvalsh": {"check_feasibility", "r_u_eigenvalues"},
+    "check_feasibility": {"feasibility"},
+}
+
+
+def _eigenvalue_calls(path: Path) -> list[str]:
+    """Calls of eigvals, eigvalsh or check_feasibility outside the functions
+    EIGENVALUE_HOMES names for them, in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    home = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                home.setdefault(id(node), set()).add(fn.name)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if (name in EIGENVALUE_HOMES
+                    and not home.get(id(node), set()) & EIGENVALUE_HOMES[name]):
+                found.append((node.lineno, ast.unparse(func)))
+    return [f"{path.name}:{line} {call}" for line, call in sorted(found)]
+
+
+def test_only_check_feasibility_takes_the_mixing_rate():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) >= 8
+    found = [use for path in files for use in _eigenvalue_calls(path)]
+    assert found == [], "eigenvalues taken in src:\n" + "\n".join(found)
+
+
+def test_eigenvalue_call_detection(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "rho = np.linalg.eigvals(a - p)\n"
+        "def mixing_rho(a, p):\n"
+        "    return np.linalg.eigvalsh(a - p)\n"
+        "def check_feasibility(a, p):\n"
+        "    return eigvals(a - p), np.linalg.eigvalsh(a - p)\n"
+        "def r_u_eigenvalues(r):\n"
+        "    return np.linalg.eigvalsh(r), np.linalg.eigvals(r)\n"
+        "report = check_feasibility(a, p)\n"
+        "class Strategy:\n"
+        "    def feasibility(self):\n"
+        "        return check_feasibility(self.a, self.p)\n"
+    )
+    assert _eigenvalue_calls(source) == [
+        "sample.py:1 np.linalg.eigvals",
+        "sample.py:3 np.linalg.eigvalsh",
+        "sample.py:7 np.linalg.eigvals",
+        "sample.py:8 check_feasibility",
     ]
 
 
