@@ -759,26 +759,20 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
 
 
 def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
-    """The self-tests of `adaptnets check`, as (name, passed, detail).
+    """The rows of `adaptnets check`, as (name, passed, detail).
 
-    Checks the Laplacian eigendecomposition, then reports the condition
-    rows of strategies.assess_strategy: the rows resolve refuses a step
-    on, from the same call. Where every condition holds, the kind's own
-    self-tests follow; they only report.
+    The condition rows of strategies.assess_strategy come first: the rows
+    resolve refuses a step on, from the same call. Where every condition
+    holds, the kind's own self-tests follow; they only report. A step
+    its builder refuses raises the ConfigError resolve raises.
     """
     graph, model = resolve_pieces(config)
-    spectrum = graph.spectrum
-    residual = np.linalg.norm(
-        spectrum.laplacian @ spectrum.eigenvectors
-        - spectrum.eigenvectors * spectrum.eigenvalues
-    )
-    checks = [("spectrum_residual",
-               residual <= 1e-10 * max(1.0, spectrum.lam_max) * graph.n_agents,
-               f"residual={residual:.2e}")]
-    strategy, conditions = assess_strategy(
-        _strategy_config(config.strategy, graph), graph, model)
-    checks += conditions
-    if all(ok for _, ok, _ in conditions):
+    strategy_config = _strategy_config(config.strategy, graph)
+    try:
+        strategy, checks = assess_strategy(strategy_config, graph, model)
+    except ValueError as exc:
+        raise ConfigError(f"strategy: {exc}")
+    if all(ok for _, ok, _ in checks):
         checks += STRATEGY_KINDS[strategy.kind].checks(
             strategy, np.random.default_rng(0))
     return [(name, bool(passed), detail) for name, passed, detail in checks]

@@ -437,12 +437,6 @@ class CombinationMatrix:
     def is_scalar(self) -> bool:
         return self.block_sizes is None
 
-    @property
-    def n_agents(self) -> int:
-        if self.is_scalar:
-            return self.matrix.shape[0]
-        return len(self.block_sizes)
-
     def block_matrix(self, block_sizes: Sequence[int]) -> np.ndarray:
         """Expand to the full M_t x M_t block form.
 
@@ -554,10 +548,6 @@ class SpectralKernel:
             raise ValueError("kernel coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
 
     @classmethod
     def polynomial(cls, coefficients, spectrum: Spectrum | None = None) -> "SpectralKernel":

@@ -76,7 +76,7 @@ from .graphs import (
     metropolis_block,
     metropolis_weights,
 )
-from .streaming import StreamModel, network_gradient, pad_blocks
+from .streaming import StreamModel, network_gradient
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -748,15 +748,8 @@ def _build_diffusion(config, graph, model) -> Strategy:
 def _check_diffusion(strategy, rng) -> list:
     # the conditions make A doubly stochastic, so A^i converges to P_U
     # exactly where rho(A - P_U) < 1: the rate the theory reads
-    psi = _probe(strategy, rng)
     report = strategy.feasibility
-    mean_before = psi.mean(axis=0)
-    mean_after = strategy.social(psi).mean(axis=0)
-    drift = float(np.max(np.abs(mean_after - mean_before)))
-    return [
-        ("semi_convergent", report.spectral, f"rho={report.rho:.6f}"),
-        ("mean_preserved", drift <= 1e-10, f"drift={drift:.2e}"),
-    ]
+    return [("semi_convergent", report.spectral, f"rho={report.rho:.6f}")]
 
 
 # -- laplacian_reg and spectral_reg -----------------------------------------
@@ -793,13 +786,7 @@ def _check_spectral(strategy, rng) -> list:
     dense = psi - mu_eta * (r_of_l @ psi)
     denom = max(float(np.max(np.abs(dense))), 1.0)
     err = float(np.max(np.abs(strategy.social(psi) - dense))) / denom
-    linear = social_spectral(psi, strategy.graph, (0.0, 1.0), mu_eta)
-    smooth = social_smooth(psi, strategy.graph, mu_eta)
-    return [
-        ("recursion_matches_dense", err <= 1e-9, f"rel_err={err:.2e}"),
-        ("linear_kernel_reduces_to_smooth",
-         bool(np.array_equal(linear, smooth)), "bitwise"),
-    ]
+    return [("recursion_matches_dense", err <= 1e-9, f"rel_err={err:.2e}")]
 
 
 # -- prox_l1 ----------------------------------------------------------------
@@ -829,12 +816,7 @@ def _check_prox_l1(strategy, rng) -> list:
             ref = _scalar_prox_oracle(psi[k, j], psi[nbrs, j],
                                       weights[k, nbrs], gamma, -span, span)
             worst = max(worst, abs(ref - got[k, j]))
-    same = strategy.social(np.ones((n, m)))
-    return [
-        ("prox_matches_scalar_search", worst <= 1e-6, f"max_err={worst:.2e}"),
-        ("prox_fixed_point_on_agreement",
-         float(np.max(np.abs(same - 1.0))) <= 1e-12, "all-equal input"),
-    ]
+    return [("prox_matches_scalar_search", worst <= 1e-6, f"max_err={worst:.2e}")]
 
 
 # -- subspace_projection ----------------------------------------------------
@@ -887,23 +869,6 @@ def _build_overlapping(config, graph, model) -> Strategy:
         config, graph, lambda psi: social_overlapping(psi, table),
         sizes, interest=interest, var_weights=var_weights,
     )
-
-
-def _check_overlapping(strategy, rng) -> list:
-    interest = strategy.interest
-    ok, detail = True, ""
-    for j, weights in strategy.var_weights.items():
-        dev = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
-        if dev > 1e-10:
-            ok, detail = False, f"variable {j}: row-sum dev {dev:.2e}"
-            break
-    agreed = pad_blocks(interest.blocks_from_global(
-        rng.standard_normal(interest.n_variables)))
-    worst = float(np.max(np.abs(strategy.social(agreed) - agreed)))
-    return [
-        ("per_variable_row_stochastic", ok, detail),
-        ("agreement_fixed_point", worst <= 1e-12, f"max_dev={worst:.2e}"),
-    ]
 
 
 # -- clustered --------------------------------------------------------------
@@ -1003,8 +968,7 @@ STRATEGY_KINDS: dict[str, StrategyKind] = {
         _build_subspace, optional=("subspace", "weights"),
         conditions=_feasibility_conditions, theory="projection"),
     "overlapping": StrategyKind(
-        _build_overlapping, _check_overlapping, required=("interests",),
-        blockwise=True),
+        _build_overlapping, required=("interests",), blockwise=True),
     "clustered": StrategyKind(
         _build_clustered, required=("clusters",),
         optional=("penalty", "rho", "weights"), uses_eta=True,

@@ -380,11 +380,10 @@ def test_readme_tables_list_the_rows_check_reports(tmp_path):
         kind = strategy["kind"]
         cfg = config_mod.load_config(_write_valid_config(tmp_path, strategy))
         rows = [name for name, _, _ in config_mod.run_checks(cfg)]
-        # the spectrum row, the kind's condition rows, then its self-tests
+        # the kind's condition rows, then its self-tests
         documented = conditions.get(kind, set())
-        assert rows[0] == "spectrum_residual"
-        assert set(rows[1:1 + len(documented)]) == documented, kind
-        assert set(rows[1 + len(documented):]) == \
+        assert set(rows[:len(documented)]) == documented, kind
+        assert set(rows[len(documented):]) == \
             self_tests.get(kind, set()), kind
 
 
@@ -422,8 +421,18 @@ def test_check_json_document(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"]
     names = [c["name"] for c in doc["checks"]]
-    assert "spectrum_residual" in names
+    assert names == ["stability", "smooth_matches_dense"]
     assert all(c["passed"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("kind", ["noncooperative", "overlapping"])
+def test_check_reports_no_rows_where_a_kind_has_none(tmp_path, capsys, kind):
+    strategy = next(s for s in _VALID_STRATEGIES if s["kind"] == kind)
+    cfg = _write_valid_config(tmp_path, strategy)
+    assert main(["check", "--config", cfg, "--json"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"passed": True, "checks": []}
+    assert "check " not in captured.err
 
 
 def test_check_flags_infeasible_combination(tmp_path, capsys):
@@ -534,6 +543,41 @@ def test_ragged_field_fails_run_and_check_on_one_row(tmp_path, capsys):
     name, detail = failed[0]
     assert (f"config: strategy: diffusion step fails its conditions: "
             f"{name} ({detail})") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, clusters, error", [
+    ({"kind": "ring", "n": 4}, [2, 3], "partition does not cover all agents"),
+    ({"kind": "geometric", "n": 6, "radius": 0.4}, [3, 3],
+     "cluster 0 inside the graph is not connected"),
+])
+def test_check_and_run_refuse_a_step_its_builder_refuses_alike(
+        tmp_path, capsys, graph, clusters, error):
+    cfg = write_config(tmp_path, seed=0, graph=graph, model={
+        "kind": "mse", "m": 2, "noise_var": 0.1,
+        "truth": {"kind": "constant"}},
+        strategy={"kind": "clustered", "mu": 0.01, "clusters": clusters})
+    line = f"error: config: strategy: {error}\n"
+    assert main(["check", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == line
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == line
+
+
+def test_check_and_run_agree_on_a_misshaped_combination(tmp_path, capsys):
+    cfg = write_config(tmp_path, graph={"kind": "ring", "n": 4}, model={
+        "kind": "mse", "m": 2, "noise_var": 0.1,
+        "truth": {"kind": "constant"}},
+        strategy={"kind": "diffusion", "mu": 0.01,
+                  "weights": np.full((3, 3), 1.0 / 3.0).tolist()})
+    assert main(["check", "--config", cfg]) == EXIT_CHECK
+    assert "combination_shape: FAIL (3x3 weights on 4 agents)" in \
+        capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert ("strategy: diffusion step fails its conditions: "
+            "combination_shape (3x3 weights on 4 agents)") in \
+        capsys.readouterr().err
 
 
 def _no_draw(*args, **kwargs):

@@ -509,6 +509,19 @@ def test_compare_theory_uses_attached_predictions():
     assert comp.passed
 
 
+def test_compare_theory_compares_the_variance_around_the_limit_point():
+    res = run_experiment(base_config(
+        iters=300, runs=2,
+        strategy={"kind": "laplacian_reg", "mu": 0.01, "eta": 1.0}))
+    comp = compare_theory(res)
+    assert [e.name for e in comp.entries] == ["msd", "variance"]
+    variance = comp.entries[1]
+    simulated = res.steady_wstar.value
+    predicted = res.theory["variance"]["total"]
+    assert (variance.simulated, variance.predicted) == (simulated, predicted)
+    assert variance.rel_error == abs(simulated - predicted) / abs(predicted)
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -665,7 +678,7 @@ def _assert_projection_runs_as_diffusion(weights, assume_mixing=False):
                       subspace="consensus")
     failed = [name for name, ok, _ in
               run_checks(parse_config(dict(base, strategy=diffusion)))
-              if not ok and name != "mean_preserved"]
+              if not ok]
     if assume_mixing:
         assume(not failed)
     assert not failed
@@ -1254,9 +1267,10 @@ def test_prox_plans_are_built_by_steps_once_per_row_count(strategy,
 _SPECTRAL_KINDS = {"laplacian_reg", "spectral_reg"}
 
 
-def _count_decompositions(monkeypatch, cfg) -> tuple[int, int]:
-    """Laplacian decompositions and resolves made by a resolve(cfg) and a
-    run_experiment(cfg) from a cold cache."""
+def _count_decompositions(monkeypatch, cfg) -> tuple[list[int], int]:
+    """Laplacian decompositions made by a resolve(cfg), by a
+    run_experiment(cfg) from a cold cache and by a run_checks(cfg), each
+    counted apart, and the resolves they make."""
     decompositions, resolves = [], []
     real_decompose, real_resolve = graphs_mod.build_laplacian, harness.resolve
 
@@ -1271,24 +1285,29 @@ def _count_decompositions(monkeypatch, cfg) -> tuple[int, int]:
     monkeypatch.setattr(graphs_mod, "build_laplacian", decompose)
     monkeypatch.setattr(harness, "resolve", counted_resolve)
     harness._resolved.cache_clear()
-    counted_resolve(cfg)
-    run_experiment(cfg, parallel=1)
-    return len(decompositions), len(resolves)
+    counts = []
+    for call in (counted_resolve,
+                 lambda config: run_experiment(config, parallel=1),
+                 run_checks):
+        before = len(decompositions)
+        call(cfg)
+        counts.append(len(decompositions) - before)
+    return counts, len(resolves)
 
 
 @pytest.mark.parametrize("truth", ["piecewise", "smooth"])
 @pytest.mark.parametrize("strategy", sorted(ENGINE_STRATEGIES))
 def test_only_spectral_kinds_and_truths_decompose(strategy, truth,
                                                   monkeypatch):
+    # check reads the spectrum exactly where run does
     doc = _engine_case(strategy, "mse", "geometric").canonical()
     if truth == "smooth":
         doc["model"] = {**doc["model"], "truth": {"kind": "smooth", "modes": 3}}
-    decompositions, resolves = _count_decompositions(
-        monkeypatch, parse_config(doc))
+    counts, resolves = _count_decompositions(monkeypatch, parse_config(doc))
     assert resolves == 2
     spectral = truth == "smooth" or strategy in _SPECTRAL_KINDS
-    assert decompositions == (resolves if spectral else 0)
+    assert counts == [int(spectral)] * 3
 
 
 def test_overlapping_never_decomposes(monkeypatch):
-    assert _count_decompositions(monkeypatch, _ragged_case(1)) == (0, 2)
+    assert _count_decompositions(monkeypatch, _ragged_case(1)) == ([0] * 3, 2)

@@ -427,6 +427,24 @@ def test_prox_matches_scalar_search():
         assert out[k, 0] == pytest.approx(res.x, abs=1e-7)
 
 
+def test_prox_self_test_passes_an_agent_without_weighted_neighbors():
+    # rho leaves agent 0 no weighted neighbor: the self-test has no scalar
+    # search to run for it, and the prox leaves its estimate as it is
+    g = ring_graph(5)
+    rho = (g.adjacency > 0) * 0.5
+    rho[0, :] = rho[:, 0] = 0.0
+    strategy = build_strategy(
+        StrategyConfig(kind="prox_l1", mu=0.05, eta=1.0, payload={"rho": rho}),
+        g, mse_model(5, 2))
+    rows = STRATEGY_KINDS["prox_l1"].checks(strategy, np.random.default_rng(0))
+    assert [(name, ok) for name, ok, _ in rows] == \
+        [("prox_matches_scalar_search", True)]
+    psi = np.random.default_rng(0).standard_normal((5, 2))
+    out = strategy.social(psi)
+    assert np.array_equal(out[0], psi[0])
+    assert not np.array_equal(out[1:], psi[1:])
+
+
 def test_prox_input_not_mutated():
     g = ring_graph(4)
     reg = EdgeRegularizer((g.adjacency > 0) * 1.0)
