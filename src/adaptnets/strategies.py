@@ -320,31 +320,48 @@ def social_spectral(psi, graph: Graph, coefficients, mu_eta: float):
 
 class ProxPlan:
     """The l1 prox's constant tables for m coordinate rows of N agents with
-    neighbor tables of width D (see social_prox_l1, Layout), and the frames
-    a step writes into. Each step overwrites the frames, so a plan serves
-    one step at a time; nothing a step returns is a view of a plan.
+    neighbor tables of width D, and the frames a step writes into (see
+    social_prox_l1, Layout). Each step overwrites the frames, so a plan
+    serves one step at a time; nothing a step returns is a view of a plan.
+
+    A cell is one (row, agent) pair; the m N cells are numbered row-major.
+    The plan holds:
+      - the row buffer: the cells' values, then +inf, then 0.0;
+      - the sort's (m N, D) gather into it, whose padded slots read +inf,
+        the offsets of each cell's slots in that gather, and the weights
+        tiled to the same flat positions;
+      - the objective's slot-major (D, m N) gather, whose padded slots read
+        0.0, and its weights, (D, 1, m N);
+      - the slot-major frames: the sorted positions (D, m N), a frame of
+        the bounds b_{-1} .. b_D above the stationary points c_0 .. c_D,
+        whose -inf and +inf rows are set once, the prefix sums P_0 .. P_D
+        with a first row of 0, and the penalties (D, 3, m N);
+      - the flat positions in that frame of each cell's lo, hi and c_0.
     """
 
     def __init__(self, index: np.ndarray, weight: np.ndarray, m: int):
         n, d = index.shape
-        base = np.arange(m)[:, None, None] * (n + 1)
-        cells = np.arange(m * n).reshape(m, n)
-        # row r of x's coordinates, then one +inf for the padded slots
-        self.rows = np.full((m, n + 1), np.inf)
-        self.values = base + index                      # (m, N, D) into rows
-        self.slots = base + index.T                     # (m, D, N) into rows
-        self.sort_offsets = cells[..., None] * d
-        self.weights = np.tile(weight, (m, 1, 1))       # (m, N, D)
-        self.slot_weights = np.ascontiguousarray(weight.T)
-        # flat indices of the padded slots in a step's (3, m, D, N) penalties
-        self.padded_slots = np.flatnonzero(
-            np.broadcast_to(index.T == n, (3, m, d, n)))
-        self.bounds = np.empty((m, n, d + 2))           # b_{-1} .. b_D
-        self.bounds[..., 0] = -np.inf
-        self.bounds[..., -1] = np.inf
-        self.prefix = np.zeros((m, n, d + 1))           # P_0 = 0 .. P_D
-        self.bound_rows = cells * (d + 2)
-        self.prefix_rows = cells * (d + 1)
+        cells = m * n
+        padded = index == n
+        neighbor = np.arange(m)[:, None, None] * n + index      # (m, N, D)
+        self.rows = np.zeros(cells + 2)
+        self.rows[cells] = np.inf
+        self.values = np.where(padded, cells, neighbor).reshape(cells, d)
+        self.slots = np.where(padded, cells + 1, neighbor) \
+            .transpose(2, 0, 1).reshape(d, cells)
+        self.sort_offsets = np.arange(cells)[:, None] * d
+        self.weights = np.tile(weight.ravel(), m)
+        self.slot_weights = np.tile(weight.T, (1, m))[:, None, :]
+        self.sorted_at = np.empty((d, cells), dtype=np.intp)
+        self.frame = np.empty((2 * d + 3, cells))
+        self.bounds, self.c = self.frame[:d + 2], self.frame[d + 2:]
+        self.bounds[0] = -np.inf
+        self.bounds[-1] = np.inf
+        self.prefix = np.zeros((d + 1, cells))
+        self.pen = np.empty((d, 3, cells))
+        # frame positions of bounds[0], bounds[1] and c[0] in each column:
+        # j * cells + picks gathers lo = bounds[j], hi = bounds[j + 1], c[j]
+        self.picks = np.arange(cells) + np.array([[0], [1], [d + 2]]) * cells
 
 
 def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float) -> np.ndarray:
@@ -382,20 +399,32 @@ def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float) -> np.ndarr
     rounding, and the two can return points that far apart.
 
     Layout: the neighbor table pads every agent to the largest degree D
-    with value +inf and weight 0, so padded slots sort last, add exactly
-    +0.0 to every prefix sum and are never the chosen interval. An isolated
-    agent passes through unchanged. The m = runs x M coordinate rows are
-    solved side by side, and everything that depends only on m and the
-    table is the regularizer's ProxPlan for m, built by the first step on
-    m rows: flat gather indices into a row buffer whose last slot is +inf,
-    the sort offsets and the weights tiled to match, a bound frame whose
-    first and last columns hold -inf and +inf, a prefix frame whose first
-    column holds 0, the row offsets that pick the chosen interval and the
-    flat positions of the padded slots among the penalty terms. A step
-    copies x into the row buffer, gathers and sorts the neighbor values,
-    writes the sorted breakpoints into the bound frame and the weights'
-    prefix sums into the prefix frame, and then computes c, j*, the three
-    candidates and their objectives as above.
+    with weight 0; an isolated agent passes through unchanged. A cell is
+    one (coordinate row, agent) pair of the m = runs x M rows, and
+    everything that depends only on m and the table is the regularizer's
+    ProxPlan for m, built by the first step on m rows. A step copies x into
+    the plan's row buffer, whose two entries after the cells hold +inf and
+    0.0, and then:
+      - sorts on contiguous (m N, D) rows, one per cell: the gather reads
+        +inf at padded slots, so they sort last, add exactly +0.0 to every
+        prefix sum and are never the chosen interval;
+      - works slot-major after the sort, on (slots, m N) arrays, so every
+        numpy call runs along a contiguous axis of m N entries: the sorted
+        positions (transposed once, as the sort offsets are added), the
+        bounds, the prefix sums (a cumsum down the slots, the same adds in
+        the same order), c, the interval test, one gather of lo, hi and
+        c_{j*}, and the penalties at the three candidates, (D, 3, m N),
+        summed down the slots, neighbor by neighbor.
+
+    The objective's gather reads 0.0 at padded slots. At a finite candidate
+    their term is 0 * |w - 0| = +0.0 and changes nothing. At an infinite
+    candidate (lo = -inf or hi = +inf) it is nan, so the objective there is
+    nan where a term of exactly 0 would leave +inf. No choice changes: lo
+    or hi can only win against a finite f_mid, which rules out a neighbor
+    at +-inf (its term would make f_mid +inf), so such an objective would
+    be +inf. A nan fails every comparison with f_mid, as +inf does. The one
+    comparison that +inf passes, f_lo <= f_hi at hi = +inf, is taken as
+    f_lo <= fmin(f_mid, f_hi), which skips the nan.
 
     Non-finite values: an agent whose own value is +-inf or nan stays
     non-finite, so divergence checks still see it. A neighbor at +-inf is a
@@ -415,37 +444,44 @@ def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float) -> np.ndarr
     lead = x.shape[:-2] + (x.shape[-1],)
     m = math.prod(lead)
     plan = regularizer.prox_plan(m)
-    # coordinates lead, (runs x coordinates, N), so every agent's D neighbor
-    # values are contiguous; each coordinate is solved on its own
-    xt = plan.rows[:, :n]
+    cells = m * n
+    xt = plan.rows[:cells]
     np.copyto(xt.reshape(lead + (n,)), np.swapaxes(x, -1, -2))
-    values = plan.rows.take(plan.values)                       # (M, N, D)
+    values = plan.rows.take(plan.values)                       # (m N, D)
     order = values.argsort(axis=-1)
-    order += plan.sort_offsets
-    r = plan.weights.take(order)
-    bounds = plan.bounds
-    values.take(order, out=bounds[..., 1:-1])
-    prefix = plan.prefix
-    r.cumsum(axis=-1, out=prefix[..., 1:])
-    c = xt[..., None] - gamma * (2.0 * prefix - prefix[..., -1:])
-    j = (c <= bounds[..., 1:]).argmax(axis=-1)                 # (M, N)
-    at = plan.bound_rows + j
-    cand = np.empty((3, m, n))
-    lo, mid, hi = cand
-    bounds.take(at, out=lo)
-    bounds.take(at + 1, out=hi)
-    np.clip(c.take(plan.prefix_rows + j), lo, hi, out=mid)
-    # slots outside the agents, so pen.sum adds neighbor by neighbor
-    slots = plan.rows.take(plan.slots)                         # (M, D, N)
-    # inf - inf and 0 * inf (padded slots) give nan, zeroed or never chosen
+    at = plan.sorted_at                                        # (D, m N)
+    np.add(order, plan.sort_offsets, out=at.T)
+    bounds, c, prefix = plan.bounds, plan.c, plan.prefix
+    # mode="clip" writes straight into out where "raise" buffers a copy;
+    # every index is in range
+    values.take(at, out=bounds[1:-1], mode="clip")
+    plan.weights.take(at).cumsum(axis=0, out=prefix[1:])
+    np.multiply(prefix, 2.0, out=c)                            # (D + 1, m N)
+    c -= prefix[-1]
+    c *= gamma
+    np.subtract(xt, c, out=c)
+    j = (c <= bounds[1:]).argmax(axis=0)
+    cand = plan.frame.take(j * cells + plan.picks)             # (3, m N)
+    lo, hi, mid = cand
+    # np.clip's arithmetic without its Python wrapper
+    np.minimum(np.maximum(mid, lo, out=mid), hi, out=mid)
+    slots = plan.rows.take(plan.slots)                         # (D, m N)
+    # inf - inf and 0 * inf (padded slots) give nan (see Layout)
     with np.errstate(invalid="ignore", over="ignore"):
-        pen = plan.slot_weights * np.abs(cand[:, :, None, :] - slots)  # (3, M, D, N)
-        pen.put(plan.padded_slots, 0.0)
-        f_lo, f_mid, f_hi = (cand - xt) ** 2 / (2.0 * gamma) + pen.sum(axis=2)
+        pen = np.subtract(cand, slots[:, None, :], out=plan.pen)
+        np.abs(pen, out=pen)
+        pen *= plan.slot_weights
+        f = cand - xt
+        f *= f
+        f /= 2.0 * gamma
+        f += pen.sum(axis=0)
+    f_lo, f_hi, f_mid = f
     finite = np.isfinite(f_mid)
-    out = np.where(finite & (f_lo <= f_mid) & (f_lo <= f_hi), lo,
-                   np.where(finite & (f_hi < f_mid), hi, mid))
-    return np.swapaxes(out.reshape(x.shape[:-2] + (-1, n)), -1, -2).copy()
+    to_hi = finite & (f_hi < f_mid)
+    to_lo = finite & (f_lo <= np.fmin(f_mid, f_hi))            # see Layout
+    np.copyto(mid, hi, where=to_hi)
+    np.copyto(mid, lo, where=to_lo)
+    return np.swapaxes(mid.reshape(x.shape[:-2] + (-1, n)), -1, -2).copy()
 
 
 def social_diffusion(psi, weights: np.ndarray):
@@ -471,8 +507,8 @@ def overlap_metropolis(graph: Graph, interest: InterestMap) -> dict[int, np.ndar
         raise ValueError("interest map and graph disagree on the agent count")
     weights: dict[int, np.ndarray] = {}
     for n, agents in enumerate(interest.by_variable):
-        mat = metropolis_block(graph, agents,
-                               f"the agents interested in variable {n}")
+        mat = metropolis_block(
+            graph, agents, f"the subgraph of agents interested in variable {n}")
         np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
         weights[n] = mat
     return weights

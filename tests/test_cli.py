@@ -545,17 +545,32 @@ def test_ragged_field_fails_run_and_check_on_one_row(tmp_path, capsys):
             f"{name} ({detail})") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("graph, clusters, error", [
-    ({"kind": "ring", "n": 4}, [2, 3], "partition does not cover all agents"),
-    ({"kind": "geometric", "n": 6, "radius": 0.4}, [3, 3],
-     "cluster 0 inside the graph is not connected"),
+_CONSTANT_MODEL = {"kind": "mse", "m": 2, "noise_var": 0.1,
+                   "truth": {"kind": "constant"}}
+
+
+@pytest.mark.parametrize("graph, model, strategy, error", [
+    pytest.param({"kind": "ring", "n": 4}, _CONSTANT_MODEL,
+                 {"kind": "clustered", "mu": 0.01, "clusters": [2, 3]},
+                 "partition does not cover all agents",
+                 id="partial_partition"),
+    pytest.param({"kind": "geometric", "n": 6, "radius": 0.4}, _CONSTANT_MODEL,
+                 {"kind": "clustered", "mu": 0.01, "clusters": [3, 3]},
+                 "cluster 0 inside the graph is not connected",
+                 id="disconnected_cluster"),
+    pytest.param({"kind": "geometric", "n": 14, "radius": 0.6},
+                 {"kind": "mse", "noise_var": 0.1,
+                  "truth": {"kind": "global_random", "n_variables": 14}},
+                 {"kind": "overlapping", "mu": 0.01,
+                  "interests": [[k, (k + 1) % 14] for k in range(14)]},
+                 "the subgraph of agents interested in variable 0 is not "
+                 "connected",
+                 id="disconnected_interest"),
 ])
 def test_check_and_run_refuse_a_step_its_builder_refuses_alike(
-        tmp_path, capsys, graph, clusters, error):
-    cfg = write_config(tmp_path, seed=0, graph=graph, model={
-        "kind": "mse", "m": 2, "noise_var": 0.1,
-        "truth": {"kind": "constant"}},
-        strategy={"kind": "clustered", "mu": 0.01, "clusters": clusters})
+        tmp_path, capsys, graph, model, strategy, error):
+    cfg = write_config(tmp_path, seed=0, graph=graph, model=model,
+                       strategy=strategy)
     line = f"error: config: strategy: {error}\n"
     assert main(["check", "--config", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err == line

@@ -480,25 +480,35 @@ def test_prox_matches_candidate_enumeration_bitwise():
 
 def test_planned_prox_matches_unplanned_kernel_bitwise():
     # the planned kernel against the one that builds its tables per step,
-    # over run axes, with +-inf and nan in an agent's own value (and so in
-    # its neighbors' breakpoints); every case also steps one run on the
-    # same regularizer, so a plan built for one row count serves again
+    # over run axes (9 runs is a chunk of the acceptance configs), with
+    # +-inf, nan and +-1e300 in an agent's own value (and so in its
+    # neighbors' breakpoints), also at or beside agents with padded slots,
+    # whose objective at an infinite candidate is nan: a 1e300 neighbor
+    # rounds the objective at lo and at c_j* alike, and lo must still win
+    # over an infinite hi; every case also steps one run on the same
+    # regularizer, so a plan built for one row count serves again
     rng = np.random.default_rng(34)
-    leads = [(), (1,), (3,), (2, 3)]
-    seen = {"nonfinite_with_neighbors": 0, "isolated": 0, "hub": 0, "ties": 0}
+    leads = [(), (1,), (3,), (2, 3), (9,)]
+    seen = {"nonfinite_with_neighbors": 0, "inf_at_padded_agent": 0,
+            "huge_at_padded_agent": 0, "isolated": 0, "hub": 0, "ties": 0}
     for t in range(800):
         rho, psi, gamma = _random_prox_case(rng, t)
-        x = rng.normal(0.0, 2.0, leads[t % 4] + psi.shape)
+        x = rng.normal(0.0, 2.0, leads[t % len(leads)] + psi.shape)
         if t % 3 == 0:
             x = np.round(x, int(rng.integers(0, 2)))
         x.reshape((-1,) + psi.shape)[0] = psi
         degrees = np.count_nonzero(rho, axis=1)
         if t % 4 >= 2:
-            for value in rng.choice([np.inf, -np.inf, np.nan],
+            for value in rng.choice([np.inf, -np.inf, np.nan, 1e300, -1e300],
                                     size=int(rng.integers(1, 4))):
                 spot = tuple(int(rng.integers(s)) for s in x.shape)
                 x[spot] = value
-                seen["nonfinite_with_neighbors"] += int(degrees[spot[-2]] > 0)
+                seen["nonfinite_with_neighbors"] += int(
+                    not np.isfinite(value) and degrees[spot[-2]] > 0)
+                near = [spot[-2], *np.flatnonzero(rho[spot[-2]])]
+                padded = degrees[near].min() < degrees.max()
+                seen["inf_at_padded_agent"] += int(padded and np.isinf(value))
+                seen["huge_at_padded_agent"] += int(padded and abs(value) == 1e300)
         reg, ref_reg = EdgeRegularizer(rho), EdgeRegularizer(rho)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
