@@ -494,8 +494,7 @@ def _smooth_truth(spec: dict, config: ExperimentConfig,
         bandwidth = float(spec.get("bandwidth", np.inf))
     field = synth_smooth_tasks(graph.spectrum, config.model.get("m", 1),
                                bandwidth, setup_stream(config.seed, _SETUP_TASKS))
-    scale = spec.get("scale", 1.0)
-    return TaskField(tuple(scale * b for b in field.blocks))
+    return TaskField.from_matrix(spec.get("scale", 1.0) * field.padded)
 
 
 def _piecewise_truth(spec: dict, config: ExperimentConfig,
@@ -506,13 +505,9 @@ def _piecewise_truth(spec: dict, config: ExperimentConfig,
     if part.n_agents != graph.n_agents:
         raise ConfigError("truth.sizes must sum to the agent count")
     rng = setup_stream(config.seed, _SETUP_TASKS)
-    m = config.model.get("m", 1)
-    scale = spec.get("scale", 1.0)
-    blocks = []
-    for size in part.sizes:
-        shared = scale * rng.standard_normal(m)
-        blocks.extend(shared.copy() for _ in range(size))
-    return TaskField(tuple(blocks))
+    shared = spec.get("scale", 1.0) * rng.standard_normal(
+        (part.n_clusters, config.model.get("m", 1)))
+    return TaskField.from_matrix(np.repeat(shared, part.sizes, axis=0))
 
 
 def _global_random_truth(spec: dict, config: ExperimentConfig,
@@ -537,9 +532,7 @@ _TRUTH_KINDS = {
     "constant": _Kind(_piecewise_truth, {}, {"scale": _as_number}),
     "piecewise": _Kind(_piecewise_truth, {"sizes": _as_int_list},
                        {"scale": _as_number}),
-    "explicit": _Kind(lambda spec, config, graph: TaskField(
-                          tuple(np.asarray(b, dtype=float)
-                                for b in spec["blocks"])),
+    "explicit": _Kind(lambda spec, config, graph: TaskField(spec["blocks"]),
                       {"blocks": _as_matrix}),
     "file": _Kind(lambda spec, config, graph: TaskField.from_json_dict(
                       _file_document(spec, config, {"M": _as_count,

@@ -93,10 +93,14 @@ class EigensolverError(RuntimeError):
 def is_symmetric(matrix: np.ndarray) -> bool:
     """Whether a square matrix equals its transpose to 1e-12 relative to
     max(1, max |entry|): the one symmetry rule of adjacencies, edge weights
-    and regressor covariances, which are then stored as (X + X^T) / 2."""
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    return bool(np.allclose(matrix, matrix.T, rtol=0.0,
-                            atol=_SYM_ATOL * max(scale, 1.0)))
+    and regressor covariances, which are then stored as (X + X^T) / 2.
+    Every caller refuses non-finite entries first; an infinite entry makes
+    X - X^T nan, and the test fails."""
+    if not matrix.size:
+        return True
+    scale = float(np.max(np.abs(matrix)))
+    return bool(np.max(np.abs(matrix - matrix.T))
+                <= _SYM_ATOL * max(scale, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +149,13 @@ class Graph:
 
     @cached_property
     def neighbor_lists(self) -> tuple[np.ndarray, ...]:
-        """Indices of neighbors of each agent (self excluded)."""
-        return tuple(np.flatnonzero(row) for row in self.adjacency)
+        """Indices of neighbors of each agent (self excluded), ascending:
+        one read-only view per agent into the column indices of one
+        np.nonzero of the adjacency."""
+        rows, cols = np.nonzero(self.adjacency)
+        cols.flags.writeable = False
+        ends = np.cumsum(np.bincount(rows, minlength=self.n_agents)).tolist()
+        return tuple(cols[start:end] for start, end in zip([0] + ends, ends))
 
     def neighbors(self, k: int) -> np.ndarray:
         return self.neighbor_lists[k]
@@ -237,25 +246,42 @@ def load_graph(path) -> Graph:
 # Generators
 # ---------------------------------------------------------------------------
 
+def _edge_weight(weight: float) -> float:
+    """The one weight of every edge of a generated graph: positive and
+    finite."""
+    weight = float(weight)
+    if not (0.0 < weight < np.inf):
+        raise ValueError(f"edge weight must be positive and finite, "
+                         f"got {weight!r}")
+    return weight
+
+
 def ring_graph(n: int, weight: float = 1.0) -> Graph:
     """Cycle on n agents with uniform edge weight."""
     if n < 3:
         raise ValueError("ring needs at least 3 agents")
-    edges = [[k, (k + 1) % n, weight] for k in range(n)]
-    return Graph.from_edges(n, edges)
+    weight = _edge_weight(weight)
+    k = np.arange(n)
+    adj = np.zeros((n, n))
+    adj[k, (k + 1) % n] = adj[(k + 1) % n, k] = weight
+    return Graph(adj)
 
 
 def star_graph(n: int, weight: float = 1.0) -> Graph:
     """Star on n agents; agent 0 is the hub."""
     if n < 2:
         raise ValueError("star needs at least 2 agents")
-    return Graph.from_edges(n, [[0, k, weight] for k in range(1, n)])
+    weight = _edge_weight(weight)
+    adj = np.zeros((n, n))
+    adj[0, 1:] = adj[1:, 0] = weight
+    return Graph(adj)
 
 
 def complete_graph(n: int, weight: float = 1.0) -> Graph:
     if n < 2:
         raise ValueError("complete graph needs at least 2 agents")
-    adj = weight * (np.ones((n, n)) - np.eye(n))
+    adj = np.full((n, n), _edge_weight(weight))
+    np.fill_diagonal(adj, 0.0)
     return Graph(adj)
 
 

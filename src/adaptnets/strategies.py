@@ -257,11 +257,13 @@ class InterestMap:
         return tuple({v: j for j, v in enumerate(ints)} for ints in self.interests)
 
     def blocks_from_global(self, values) -> tuple[np.ndarray, ...]:
-        """Slice a global variable vector into per-agent blocks."""
+        """Slice a global variable vector into per-agent blocks: one gather
+        of every agent's variables, split at the block boundaries."""
         vec = np.asarray(values, dtype=float).ravel()
         if vec.size != self.n_variables:
             raise ValueError(f"expected {self.n_variables} values, got {vec.size}")
-        return tuple(vec[list(ints)] for ints in self.interests)
+        gathered = vec[np.concatenate(self.interests)]
+        return tuple(np.split(gathered, np.cumsum(self.block_sizes)[:-1]))
 
 
 # ---------------------------------------------------------------------------

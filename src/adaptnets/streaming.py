@@ -47,13 +47,20 @@ def sigmoid(x):
 # Task fields
 # ---------------------------------------------------------------------------
 
-def pad_blocks(blocks) -> np.ndarray:
-    """Per-agent vectors as one (N, M_max) array, each row zero-padded."""
+def _pad_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Per-agent vectors as one (N, M_max) array, each row zero-padded,
+    and the length of each vector."""
     blocks = [np.asarray(b, dtype=float).ravel() for b in blocks]
-    out = np.zeros((len(blocks), max(b.size for b in blocks)))
+    sizes = np.array([b.size for b in blocks], dtype=int)
+    out = np.zeros((len(blocks), sizes.max(initial=0)))
     for k, b in enumerate(blocks):
         out[k, :b.size] = b
-    return out
+    return out, sizes
+
+
+def pad_blocks(blocks) -> np.ndarray:
+    """Per-agent vectors as one (N, M_max) array, each row zero-padded."""
+    return _pad_rows(blocks)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,33 +68,44 @@ class TaskField:
     """One parameter vector per agent.
 
     Blocks may differ in length (overlapping-variable scenarios). Every
-    field has a zero-padded (N, M_max) view, `padded`; uniform fields also
-    expose it as an (N, M) matrix through as_matrix.
+    field is held as one read-only zero-padded (N, M_max) array, `padded`,
+    and each block is a view of its row; uniform fields also expose it as
+    an (N, M) matrix through as_matrix. blocks may be given as per-agent
+    vectors or as an array whose rows are the blocks.
     """
 
     blocks: tuple[np.ndarray, ...]
+    padded: np.ndarray = field(init=False, repr=False)
+    block_sizes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = []
-        for k, blk in enumerate(self.blocks):
-            arr = np.array(blk, dtype=float).ravel()
-            if arr.size == 0:
+        if isinstance(self.blocks, np.ndarray):
+            if len(self.blocks) == 0:
+                raise ValueError("task field needs at least one agent")
+            mat = np.array(self.blocks, dtype=float)
+            mat = mat.reshape(len(mat), -1)
+            sizes = np.full(len(mat), mat.shape[1])
+        else:
+            mat, sizes = _pad_rows(self.blocks)
+            if not sizes.size:
+                raise ValueError("task field needs at least one agent")
+        # one pass over every block; a refusal names the first bad agent
+        bad = (sizes == 0) | ~np.isfinite(mat).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if sizes[k] == 0:
                 raise ValueError(f"agent {k} has an empty block")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"agent {k} block has non-finite entries")
-            arr.flags.writeable = False
-            blocks.append(arr)
-        if not blocks:
-            raise ValueError("task field needs at least one agent")
-        object.__setattr__(self, "blocks", tuple(blocks))
+            raise ValueError(f"agent {k} block has non-finite entries")
+        mat.flags.writeable = False
+        sizes = tuple(sizes.tolist())
+        blocks = tuple(row[:size] for row, size in zip(mat, sizes))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "padded", mat)
+        object.__setattr__(self, "block_sizes", sizes)
 
     @property
     def n_agents(self) -> int:
         return len(self.blocks)
-
-    @cached_property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(blk.size for blk in self.blocks)
 
     @property
     def uniform_size(self) -> int | None:
@@ -98,14 +116,7 @@ class TaskField:
         """Stack blocks into an (N, M) matrix; blocks must have equal length."""
         if self.uniform_size is None:
             raise ValueError("blocks have unequal lengths; no matrix view")
-        return np.vstack(self.blocks)
-
-    @cached_property
-    def padded(self) -> np.ndarray:
-        """The blocks as a read-only (N, M_max) array, each row zero-padded."""
-        mat = pad_blocks(self.blocks)
-        mat.flags.writeable = False
-        return mat
+        return self.padded.copy()
 
     def stacked(self) -> np.ndarray:
         """Concatenate all blocks into one vector of length sum(M_k)."""
@@ -113,10 +124,9 @@ class TaskField:
 
     @classmethod
     def from_matrix(cls, matrix) -> "TaskField":
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim == 1:
-            mat = mat[:, None]
-        return cls(tuple(mat[k] for k in range(mat.shape[0])))
+        """The field whose block k is row k of an (N, M) matrix (an (N,)
+        vector is N blocks of length 1)."""
+        return cls(np.asarray(matrix, dtype=float))
 
     def to_json_dict(self) -> dict:
         if self.uniform_size is None:

@@ -85,6 +85,8 @@ class TheoryInputs:
         r_u = np.array(self.r_u, dtype=float)
         if r_u.shape != (self.m, self.m):
             raise ValueError(f"r_u must be ({self.m}, {self.m})")
+        if not np.all(np.isfinite(r_u)):
+            raise ValueError("r_u entries must be finite")
         if not is_symmetric(r_u):
             raise ValueError("r_u must be symmetric")
         r_u = 0.5 * (r_u + r_u.T)
@@ -173,9 +175,7 @@ def variance_smoothness(inputs: TheoryInputs) -> VariancePrediction:
     n = spec.n_agents
     lam_u = inputs.r_u_eigenvalues
     weights = (spec.eigenvectors ** 2).T @ inputs.noise_var      # (N,)
-    ratios = np.array([
-        np.sum(lam_u / (lam_u + inputs.eta * kern[m])) for m in range(n)
-    ])
+    ratios = np.sum(lam_u / (lam_u + inputs.eta * kern[:, None]), axis=1)
     per_mode = (inputs.mu / (2.0 * n)) * weights * ratios
     return VariancePrediction(total=float(per_mode.sum()), per_mode=per_mode)
 
@@ -193,17 +193,14 @@ def bias_smoothness(inputs: TheoryInputs) -> BiasPrediction:
         raise ValueError("bias_smoothness needs the true task field")
     spec = inputs.spectrum
     kern = inputs.kernel_values
-    coeffs = graph_fourier(inputs.truth, spec)                   # (N, M)
-    star_coeffs = np.empty_like(coeffs)
-    per_mode = np.empty(spec.n_agents)
-    eye = np.eye(inputs.m)
-    for m in range(spec.n_agents):
-        shift = inputs.eta * kern[m]
-        star_coeffs[m] = np.linalg.solve(inputs.r_u + shift * eye,
-                                         inputs.r_u @ coeffs[m])
-        diff = shift * np.linalg.solve(inputs.r_u + shift * eye, coeffs[m])
-        per_mode[m] = float(diff @ diff)
-    w_star = spec.eigenvectors @ star_coeffs
+    coeffs = graph_fourier(inputs.truth, spec)[:, :, None]       # (N, M, 1)
+    shift = (inputs.eta * kern)[:, None, None]
+    # one m x m system per mode, solved as an (N, M, M) stack
+    shifted = inputs.r_u + shift * np.eye(inputs.m)
+    star_coeffs = np.linalg.solve(shifted, np.matmul(inputs.r_u, coeffs))
+    diff = shift * np.linalg.solve(shifted, coeffs)
+    per_mode = np.matmul(np.swapaxes(diff, 1, 2), diff)[:, 0, 0]
+    w_star = spec.eigenvectors @ star_coeffs[:, :, 0]
     return BiasPrediction(total=float(per_mode.sum()), per_mode=per_mode,
                           w_star=w_star)
 

@@ -737,6 +737,10 @@ _NAN, _INF = float("nan"), float("inf")
     ("config: graph: edge weights overflow: the weighted degree of agent 0",
      {"graph": {"kind": "complete", "n": 4, "weight": 6e307},
       "model": {**_MODEL, "truth": {"kind": "constant"}}}),
+    # a complete graph of weight 0 has no edges
+    ("config: graph: edge weight must be positive and finite, got 0.0",
+     {"graph": {"kind": "complete", "n": 4, "weight": 0},
+      "model": {**_MODEL, "truth": {"kind": "constant"}}}),
 ])
 def test_keys_checked_at_parse_exit_2_and_name_the_key(tmp_path, capsys,
                                                        monkeypatch, key,

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -762,6 +763,31 @@ def test_metropolis_diffusion_resolve_takes_one_symmetric_eigensolve(
         model=_CONSTANT_MSE, strategy={"kind": "diffusion", "mu": 0.01})))
     assert "msd_projection" in res.theory
     assert shapes == {"eigvals": [], "eigvalsh": [(8, 8)]}
+
+
+@pytest.mark.parametrize("strategy", [
+    {"kind": "laplacian_reg", "mu": 0.01, "eta": 1.0},
+    {"kind": "subspace_projection", "mu": 0.01},
+], ids=["laplacian_reg", "subspace_projection"])
+def test_resolve_makes_as_many_solves_and_row_scans_at_any_size(
+        monkeypatch, strategy):
+    # the closed forms solve every mode in one stacked call, and the
+    # neighbor lists come from one np.nonzero: neither count grows with N
+    def counts(n):
+        calls = Counter()
+        for module, name in ((np.linalg, "solve"), (np, "flatnonzero")):
+            def counted(*args, _name=name, _real=getattr(module, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        resolve(parse_config(doc(graph={"kind": "ring", "n": n},
+                                 strategy=strategy)))
+        monkeypatch.undo()
+        return calls
+
+    assert counts(8) == counts(64)
 
 
 def test_resolve_spectral_filter_ratios():

@@ -1,6 +1,7 @@
 """Graph structure, spectrum, kernels, subspaces, and feasibility checks."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ def test_edge_weights_that_overflow_are_refused():
     g = complete_graph(4, weight=5e307)
     assert np.array_equal(g.adjacency, 5e307 * (1.0 - np.eye(4)))
     assert np.all(g.weighted_degrees == 3 * 5e307)
+
+
+@pytest.mark.parametrize("generator", [ring_graph, star_graph,
+                                       complete_graph])
+@pytest.mark.parametrize("weight", [0, 0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_generated_graphs_refuse_a_weight_not_positive_and_finite(generator,
+                                                                  weight):
+    # one rule for ring, star and complete: checked before any adjacency is
+    # built, so an infinite weight is refused without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^edge weight must be positive "
+                                             "and finite, got "):
+            generator(4, weight=weight)
 
 
 def test_neighbors_exclude_self():

@@ -90,6 +90,34 @@ def test_taskfield_rejects_bad_blocks():
         TaskField(())
 
 
+@pytest.mark.parametrize("sizes", [(2,) * 7, (2, 3, 1, 3, 2, 1, 2)],
+                         ids=["uniform", "ragged"])
+@pytest.mark.parametrize("agent", [0, 3, 6])
+@pytest.mark.parametrize("defect, message", [
+    ("empty", "agent {k} has an empty block"),
+    ("nan", "agent {k} block has non-finite entries"),
+    ("inf", "agent {k} block has non-finite entries"),
+])
+def test_taskfield_refusal_names_the_first_bad_agent(sizes, agent, defect,
+                                                     message):
+    blocks = [np.arange(1.0, size + 1.0) for size in sizes]
+    blocks[agent] = (np.array([]) if defect == "empty"
+                     else np.append(blocks[agent][:-1], float(defect)))
+    # a later bad agent is not the one named
+    if agent < 6:
+        blocks[6] = np.array([])
+    with pytest.raises(ValueError, match=f"^{message.format(k=agent)}$"):
+        TaskField(tuple(blocks))
+    if defect != "empty" and len(set(sizes)) == 1:
+        # the same refusal from the rows of one matrix
+        mat = np.ones((7, 2))
+        mat[agent, 1] = float(defect)
+        mat[6, 0] = np.nan
+        with pytest.raises(ValueError,
+                           match=f"^{message.format(k=agent)}$"):
+            TaskField.from_matrix(mat)
+
+
 def test_taskfield_json_roundtrip(tmp_path):
     field = TaskField.from_matrix(np.random.default_rng(1).standard_normal((5, 2)))
     path = tmp_path / "tasks.json"

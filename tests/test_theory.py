@@ -21,7 +21,9 @@ from adaptnets.graphs import (
 )
 from adaptnets.streaming import synth_smooth_tasks
 from adaptnets.theory import (
+    BiasPrediction,
     TheoryInputs,
+    VariancePrediction,
     bias_smoothness,
     filter_bound,
     msd_noncooperative,
@@ -390,6 +392,11 @@ def test_inputs_validation():
         TheoryInputs(**{**ok, "r_u": np.eye(3)})
     with pytest.raises(ValueError):
         TheoryInputs(**{**ok, "r_u": np.array([[1.0, 0.5], [0.1, 1.0]])})
+    # a symmetric r_u with a non-finite entry is refused for that entry,
+    # before the symmetry test
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^r_u entries must be finite$"):
+            TheoryInputs(**{**ok, "r_u": np.array([[bad, 0.5], [0.5, 1.0]])})
     with pytest.raises(ValueError):
         TheoryInputs(**{**ok, "truth": np.ones((3, 2))})
 
@@ -458,7 +465,7 @@ def test_one_spectral_resolve_computes_each_kernel_fact_once(monkeypatch,
 
 def test_one_spectral_resolve_solves_w_star_once(monkeypatch):
     # the bias and the filter bound read one W*: the N per-mode m x m
-    # systems are solved once per resolve (two solves per mode)
+    # systems are solved once per resolve, as two solves on (N, m, m) stacks
     counts = Counter()
     real_bias, real_solve = theory_mod.bias_smoothness, np.linalg.solve
 
@@ -467,7 +474,7 @@ def test_one_spectral_resolve_solves_w_star_once(monkeypatch):
         return real_bias(*args, **kwargs)
 
     def solve(a, b):
-        counts["solve"] += np.shape(a) == (2, 2)
+        counts["solve"] += np.shape(a) == (8, 2, 2)
         return real_solve(a, b)
 
     monkeypatch.setattr(theory_mod, "bias_smoothness", bias)
@@ -482,4 +489,110 @@ def test_one_spectral_resolve_solves_w_star_once(monkeypatch):
                                 "coefficients": [0.0, 1.0, 0.3]}},
     }))
     assert "filter_ratios" in res.theory
-    assert counts == {"bias": 1, "solve": 2 * 8}
+    assert counts == {"bias": 1, "solve": 2}
+
+
+# ---------------------------------------------------------------------------
+# The closed forms over all modes at once against their per-mode loops
+# ---------------------------------------------------------------------------
+
+def _variance_per_mode(inputs: TheoryInputs) -> VariancePrediction:
+    kern = inputs.kernel_values
+    spec = inputs.spectrum
+    n = spec.n_agents
+    lam_u = inputs.r_u_eigenvalues
+    weights = (spec.eigenvectors ** 2).T @ inputs.noise_var      # (N,)
+    ratios = np.array([
+        np.sum(lam_u / (lam_u + inputs.eta * kern[m])) for m in range(n)
+    ])
+    per_mode = (inputs.mu / (2.0 * n)) * weights * ratios
+    return VariancePrediction(total=float(per_mode.sum()), per_mode=per_mode)
+
+
+def _bias_per_mode(inputs: TheoryInputs) -> BiasPrediction:
+    if inputs.truth is None:
+        raise ValueError("bias_smoothness needs the true task field")
+    spec = inputs.spectrum
+    kern = inputs.kernel_values
+    coeffs = graph_fourier(inputs.truth, spec)                   # (N, M)
+    star_coeffs = np.empty_like(coeffs)
+    per_mode = np.empty(spec.n_agents)
+    eye = np.eye(inputs.m)
+    for m in range(spec.n_agents):
+        shift = inputs.eta * kern[m]
+        star_coeffs[m] = np.linalg.solve(inputs.r_u + shift * eye,
+                                         inputs.r_u @ coeffs[m])
+        diff = shift * np.linalg.solve(inputs.r_u + shift * eye, coeffs[m])
+        per_mode[m] = float(diff @ diff)
+    w_star = spec.eigenvectors @ star_coeffs
+    return BiasPrediction(total=float(per_mode.sum()), per_mode=per_mode,
+                          w_star=w_star)
+
+
+def _weighted_graph(n, rng):
+    """A ring with random weights and about n random chords."""
+    pairs = [(k, (k + 1) % n) for k in range(n)]
+    pairs += [(k, l) for k, l in rng.integers(0, n, size=(n, 2)) if k != l]
+    edges = {(min(k, l), max(k, l)) for k, l in pairs}
+    return Graph.from_edges(n, [[k, l, float(rng.uniform(0.2, 2.0))]
+                                for k, l in sorted(edges)])
+
+
+def _heat_kernel(spec):
+    """The heat kernel at the first degree that validates on spec."""
+    for degree in (4, 6, 8, 2, 10):
+        try:
+            return SpectralKernel.from_function(lambda lam: np.expm1(0.5 * lam),
+                                                spec, degree=degree)
+        except ValueError:
+            continue
+    raise AssertionError("no heat degree validates")
+
+
+def _filter_report(inputs, bias):
+    """filter_bound's ratios, norms and verdict, or () where it refuses, as
+    closed_forms leaves filter_ratios out for a kernel not monotone."""
+    try:
+        report = filter_bound(inputs, bias)
+    except ValueError:
+        return ()
+    return report.ratios, report.coeff_norms, report.holds
+
+
+@pytest.mark.parametrize("n", [3, 8, 50, 200])
+def test_closed_forms_over_all_modes_match_the_per_mode_loops(n):
+    rng = np.random.default_rng(100 + n)
+    spec = build_laplacian(_weighted_graph(n, rng))
+    kernels = {"none": None,
+               "polynomial": SpectralKernel.polynomial([0.1, 1.0, 0.3], spec),
+               "power": SpectralKernel.polynomial([0.0, 0.0, 1.0], spec),
+               "heat": _heat_kernel(spec)}
+    for m in (1, 2, 3):
+        a = rng.standard_normal((m, m))
+        covariances = {"identity": np.eye(m),
+                       "correlated": a @ a.T + 0.3 * np.eye(m)}
+        truth = rng.standard_normal((n, m))
+        noise_var = rng.uniform(0.01, 0.5, n)
+        for eta in (0.0, 0.3, 2.0):
+            for kname, kernel in kernels.items():
+                for rname, r_u in covariances.items():
+                    inputs = TheoryInputs(mu=0.01, eta=eta, m=m,
+                                          noise_var=noise_var, r_u=r_u,
+                                          spectrum=spec, kernel=kernel,
+                                          truth=truth)
+                    where = (m, eta, kname, rname)
+                    var, ref_var = (variance_smoothness(inputs),
+                                    _variance_per_mode(inputs))
+                    assert np.array_equal(var.per_mode, ref_var.per_mode), where
+                    assert var.total == ref_var.total, where
+                    bias, ref_bias = (bias_smoothness(inputs),
+                                      _bias_per_mode(inputs))
+                    assert np.array_equal(bias.per_mode, ref_bias.per_mode), where
+                    assert bias.total == ref_bias.total, where
+                    assert np.array_equal(bias.w_star, ref_bias.w_star), where
+                    if kernel is not None:
+                        got, ref = (_filter_report(inputs, bias),
+                                    _filter_report(inputs, ref_bias))
+                        assert len(got) == len(ref), where
+                        for x, y in zip(got, ref):
+                            assert np.array_equal(x, y), where
