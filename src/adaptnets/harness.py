@@ -127,7 +127,9 @@ class SteadyState:
 
     drift_ratio is |fitted slope| * (window span) / |mean|; a large value
     means the window average is still moving and should not be read as a
-    steady-state level.
+    steady-state level. A window of one point has no slope: its
+    drift_ratio is 0.0, and it is not settled, as its drift was never
+    measured.
     """
 
     value: float
@@ -137,7 +139,7 @@ class SteadyState:
 
     @property
     def settled(self) -> bool:
-        return self.drift_ratio <= SETTLED_DRIFT
+        return self.n_points >= 2 and self.drift_ratio <= SETTLED_DRIFT
 
 
 def _window_start(n_points: int, fraction: float) -> int:
@@ -244,6 +246,7 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
     warnings (or errors, as np.seterr sets them) show for every step up to
     the chunk's first crossing, as a lone run would give them; past it the
     chunk is bound to raise, and what its runs meet there stays silent.
+    Self-learning and the social step write into buffers the chunk owns.
     """
     cfg = res.config
     strategy, model = res.strategy, res.model
@@ -257,7 +260,8 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
 
     # the state starts at 0; pad entries are 0 on both sides and add nothing
     truth, wstar_ref = model.truth.padded, res.w_star
-    w = np.zeros(regs.shape[1:])
+    shape = regs.shape[1:]
+    w = np.zeros(shape)
     start_err = np.einsum("km,km->k", truth, truth)
     threshold = DIVERGENCE_FACTOR * max(float(start_err.mean()), 1.0)
 
@@ -265,37 +269,55 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
     traj_wo = np.empty((len(runs), n_rec))
     traj_ws = np.empty((len(runs), n_rec)) if wstar_ref is not None else None
     window_start = _window_start(horizon, cfg.steady_window)
+    # the steps measured: those in the window (a suffix) or recorded
+    iterations = np.arange(1, horizon + 1)
+    recorded = iterations % every == 0
+    needed = recorded.copy()
+    needed[window_start:] = True
     agent_acc = np.zeros((len(runs), n))
-    states = np.empty((_RECORD_BLOCK,) + w.shape)
     diverged = {}   # run position -> (iteration, value, agent errors)
 
-    def advance(w, acc, t0, t1):
-        """Step t0 .. t1 - 1 and measure the steps that are in the window
-        or recorded: the last state, the window sum, and the recorded
-        iterations with their per-agent errors (B, R, N), MSDs (B, R) and
-        w* MSDs."""
-        for i in range(t0, t1):
-            w = social(self_learn(w, model, regs[i], resp[i], mu))
-            states[i - t0] = w
-        iteration = np.arange(t0 + 1, t1 + 1)
-        in_window = iteration > window_start
-        recorded = iteration % every == 0
-        needed = in_window | recorded
-        kept = states[:t1 - t0]
-        if not needed.all():
-            kept = kept[needed]
-        diff = kept - truth
-        sq = np.einsum("...km,...km->...k", diff, diff)
-        if in_window.any():
+    # buffers the chunk owns: a step's psi, the block's start state and
+    # running sum, the record block of post-step states, which the social
+    # step writes row by row, and the block's errors
+    psi, start = np.empty(shape), np.empty(shape)
+    start_acc = np.empty_like(agent_acc)
+    states = np.empty((_RECORD_BLOCK,) + shape)
+    rows = tuple(states)
+    diff = np.empty_like(states)
+    sq = np.empty(states.shape[:-1])
+    running = np.empty((_RECORD_BLOCK + 1,) + agent_acc.shape)
+
+    def advance(acc, t0, t1):
+        """Step t0 .. t1 - 1 from start and measure the steps that are in
+        the window or recorded: add the window's errors to acc, and return
+        the last state and the recorded iterations with their per-agent
+        errors (B, R, N), MSDs (B, R) and w* MSDs."""
+        w = start
+        for x, d, row in zip(regs[t0:t1], resp[t0:t1], rows):
+            w = social(self_learn(w, model, x, d, mu, out=psi), out=row)
+        kept, keep = states[:t1 - t0], needed[t0:t1]
+        if not keep.all():
+            kept = kept[keep]
+        size = len(kept)
+        dev = np.subtract(kept, truth, out=diff[:size])
+        err = np.einsum("...km,...km->...k", dev, dev, out=sq[:size])
+        window = t1 - max(t0, window_start)
+        if window > 0:
             # added one step after another, as a running sum must be
-            acc = np.add.accumulate(
-                np.concatenate([acc[None], sq[in_window[needed]]]), axis=0)[-1]
-        sq = sq[recorded[needed]]
+            total = running[:window + 1]
+            np.concatenate([acc[None], err[size - window:]], out=total)
+            np.add.accumulate(total, axis=0, out=total)
+            np.copyto(acc, total[-1])
+        picked = recorded[t0:t1][keep]
+        if not picked.all():
+            err, kept = err[picked], kept[picked]
         ws = None
         if wstar_ref is not None:
-            d2 = kept[recorded[needed]] - wstar_ref
-            ws = np.einsum("...km,...km->...", d2, d2) / n
-        return w, acc, iteration[recorded], sq, sq.mean(axis=-1), ws
+            dev = np.subtract(kept, wstar_ref, out=diff[:len(kept)])
+            ws = np.einsum("...km,...km->...", dev, dev) / n
+        at = iterations[t0:t1][recorded[t0:t1]]
+        return w, at, err, err.mean(axis=-1), ws
 
     # floating-point events are noted, not shown, until the block is
     # measured and the chunk's first crossing known
@@ -309,11 +331,13 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
     rec = 0
     for t0 in range(0, horizon, _RECORD_BLOCK):
         t1 = min(t0 + _RECORD_BLOCK, horizon)
-        start, start_acc = w, agent_acc
+        # the block's rows are written over, its last state among them
+        np.copyto(start, w)
+        np.copyto(start_acc, agent_acc)
         events.clear()
         with (np.errstate(all="ignore") if diverged
               else np.errstate(**watch, call=noted)):
-            w, agent_acc, at, sq, msd, ws = advance(w, agent_acc, t0, t1)
+            w, at, err, msd, ws = advance(agent_acc, t0, t1)
         traj_wo[:, rec:rec + len(msd)] = msd.T
         if ws is not None:
             traj_ws[:, rec:rec + len(msd)] = ws.T
@@ -322,12 +346,12 @@ def _simulate_chunk(res: ResolvedExperiment, runs: range) -> dict:
         for r in np.flatnonzero(bad.any(axis=0)):
             if r not in diverged:
                 b = int(np.argmax(bad[:, r]))
-                diverged[r] = (int(at[b]), float(msd[b, r]), sq[b, r].copy())
+                diverged[r] = (int(at[b]), float(msd[b, r]), err[b, r].copy())
         if events:
             # step and measure the block again, up to the first crossing,
             # under the caller's settings: the same numbers, now shown
             stop = min([t1] + [it for it, _, _ in diverged.values()])
-            advance(start, start_acc, t0, stop)
+            advance(start_acc, t0, stop)
         if 0 in diverged:
             break
     if diverged:
@@ -439,7 +463,10 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
     groups = [partial(_simulate_runs, config, first, stop)
               for first, stop in zip(bounds, bounds[1:])]
     if processes > 1:
-        # loaded here, untimed, so that serial runs never load it
+        # the package alone is loaded here, untimed, so that serial runs
+        # never load it; Pipe() loads multiprocessing.connection and
+        # Process.start() the start method's Popen module, both inside
+        # wall_time
         import multiprocessing  # noqa: F401
     t0 = time.perf_counter()
     if processes > 1:
@@ -468,7 +495,12 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
     iterations = np.arange(1, len(mean_wo) + 1) * config.record_every
 
     warnings = []
-    if not steady_wo.settled:
+    if steady_wo.n_points < 2:
+        warnings.append(
+            f"steady-state window holds {steady_wo.n_points} recorded point: "
+            f"drift not measured; increase iters or steady_window"
+        )
+    elif not steady_wo.settled:
         warnings.append(
             f"steady-state window still drifting "
             f"(drift_ratio={steady_wo.drift_ratio:.3g}); increase iters"

@@ -18,12 +18,21 @@ followed by a social-learning step that maps the intermediate network state
                           laplacian_reg step on the inter-cluster edges
 
 One iteration is w = strategy.social(self_learn(w, model, regressors,
-responses, strategy.mu)), on arrays. Every social step reads psi and never
-writes it, and returns a fresh state, except noncooperative, which returns
-psi itself; aggregation within an iteration always uses the pre-step
-values. Every step takes a network state of shape (..., N, M_max): one
-run's (N, M_max), or a stack of runs along leading axes, each run mixed
-exactly as it would be alone.
+responses, strategy.mu)), on arrays. Every step takes a network state of
+shape (..., N, M_max): one run's (N, M_max), or a stack of runs along
+leading axes, each run mixed exactly as it would be alone.
+
+The out contract: self_learn and every social step take out=None, a
+C-contiguous float array of the state's shape that the step writes in
+full, without reading it first, and returns. Where out is None the step
+allocates it; there is no other path, so a step given out returns the
+same bits as one that allocates. out must not share memory with the
+step's input (the step does not check): the step reads its input, w or
+psi, and never writes it, so aggregation within an iteration always uses
+the pre-step values. What the steps keep besides are plans of constant
+tables and work buffers: the l1 prox's per row count (ProxPlan) and the
+overlapping step's per leading shape (OverlapPlan). Nothing a step
+returns is a view of a plan.
 
 Each kind is declared once, as a StrategyKind entry in STRATEGY_KINDS, and
 everything that needs to know a kind reads that entry: StrategyConfig and
@@ -76,7 +85,7 @@ from .graphs import (
     metropolis_block,
     metropolis_weights,
 )
-from .streaming import StreamModel, network_gradient
+from .streaming import StreamModel
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -97,6 +106,7 @@ __all__ = [
     "social_overlapping",
     "overlap_metropolis",
     "overlap_table",
+    "OverlapTable",
     "cluster_metropolis",
 ]
 
@@ -271,14 +281,35 @@ class InterestMap:
 # ---------------------------------------------------------------------------
 
 def self_learn(w, model: StreamModel, regressors: np.ndarray,
-               responses: np.ndarray, mu: float):
-    """Apply one stochastic-gradient step per agent: psi = w - mu * grad.
+               responses: np.ndarray, mu: float, out=None):
+    """Apply one stochastic-gradient step per agent: psi = w - mu * grad,
+    with grad as network_gradient gives it, written into out and returned
+    (see the out contract in the module docstring).
 
     w and regressors are (..., N, M_max) and responses (..., N), as in
-    network_gradient.
+    network_gradient. mse takes the step as psi = w + mu * (u e) with
+    e = d - u^T w: negation is exact, so these are the bits of
+    w - mu * (-u e).
     """
-    w = np.asarray(w, dtype=float)
-    return w - mu * network_gradient(model, w, regressors, responses)
+    if out is None:
+        out = np.empty(np.shape(w))
+    inner = np.einsum("...km,...km->...k", regressors, w)
+    if model.kind == "mse":
+        np.subtract(responses, inner, out=inner)
+        np.multiply(regressors, inner[..., None], out=out)
+        out *= mu
+        return np.add(w, out, out=out)
+    # grad = reg * w - gamma * sigmoid(-gamma h^T w) h, as network_gradient
+    np.multiply(responses, inner, out=inner)
+    inner *= -0.5
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    inner *= 0.5
+    inner *= responses
+    np.multiply(inner[..., None], regressors, out=out)
+    np.subtract(model.reg * w, out, out=out)
+    out *= mu
+    return np.subtract(w, out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +321,40 @@ def _laplacian_apply(adjacency: np.ndarray, degrees: np.ndarray, x: np.ndarray):
     return degrees[:, None] * x - adjacency @ x
 
 
-def social_noncooperative(psi):
-    return psi
+def social_noncooperative(psi, out=None):
+    """w = psi, copied into out (see the out contract)."""
+    if out is None:
+        out = np.empty(np.shape(psi))
+    np.copyto(out, psi)
+    return out
 
 
-def social_smooth(psi, graph: Graph, mu_eta: float):
-    """w = psi - mu*eta * sum_l c_{kl} (psi_k - psi_l), i.e. (I - mu*eta*L)psi."""
+def social_smooth(psi, graph: Graph, mu_eta: float, out=None):
+    """w = psi - mu*eta * sum_l c_{kl} (psi_k - psi_l), i.e. (I - mu*eta*L)psi,
+    written into out (see the out contract)."""
     psi = np.asarray(psi, dtype=float)
-    return psi - mu_eta * _laplacian_apply(graph.adjacency, graph.weighted_degrees, psi)
+    if out is None:
+        out = np.empty(psi.shape)
+    # L psi as _laplacian_apply computes it, with A psi formed in out
+    np.matmul(graph.adjacency, psi, out=out)
+    np.subtract(graph.weighted_degrees[:, None] * psi, out, out=out)
+    out *= mu_eta
+    return np.subtract(psi, out, out=out)
 
 
-def social_spectral(psi, graph: Graph, coefficients, mu_eta: float):
+def social_spectral(psi, graph: Graph, coefficients, mu_eta: float, out=None):
     """Distributed S-hop social step for a polynomial kernel.
 
     Runs the neighbor-difference recursion
 
         acc^0 = beta_S psi,   acc^s = beta_{S-s} psi + L acc^{s-1}
 
-    whose final value is r(L) psi, then returns psi - mu*eta * acc^S.
+    whose final value is r(L) psi, then writes psi - mu*eta * acc^S into
+    out (see the out contract).
     """
     psi = np.asarray(psi, dtype=float)
+    if out is None:
+        out = np.empty(psi.shape)
     beta = np.asarray(coefficients, dtype=float).ravel()
     adjacency = graph.adjacency
     degrees = graph.weighted_degrees
@@ -317,7 +362,8 @@ def social_spectral(psi, graph: Graph, coefficients, mu_eta: float):
     acc = beta[hops] * psi
     for s in range(1, hops + 1):
         acc = beta[hops - s] * psi + _laplacian_apply(adjacency, degrees, acc)
-    return psi - mu_eta * acc
+    np.multiply(mu_eta, acc, out=out)
+    return np.subtract(psi, out, out=out)
 
 
 class ProxPlan:
@@ -366,10 +412,11 @@ class ProxPlan:
         self.picks = np.arange(cells) + np.array([[0], [1], [d + 2]]) * cells
 
 
-def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float) -> np.ndarray:
+def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float,
+                   out=None) -> np.ndarray:
     """w_k = prox of the weighted l1 neighbor-difference penalty at psi_k,
-    solved exactly for every agent and coordinate at once: with x = psi and
-    gamma = mu_eta,
+    solved exactly for every agent and coordinate at once and written into
+    out (see the out contract): with x = psi and gamma = mu_eta,
 
         w_k = argmin_w  (w - x_k)^2 / (2 gamma) + sum_l rho_{kl} |w - x_l|
 
@@ -436,8 +483,11 @@ def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float) -> np.ndarr
     x, gamma = np.asarray(psi, dtype=float), mu_eta
     if gamma < 0.0:
         raise ValueError("mu_eta must be >= 0")
+    if out is None:
+        out = np.empty(x.shape)
     if gamma == 0.0:
-        return x.copy()
+        np.copyto(out, x)
+        return out
     if regularizer.kind != "l1":
         raise ValueError("the l1 prox needs an l1 regularizer")
     n = regularizer.weights.shape[0]
@@ -483,19 +533,29 @@ def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float) -> np.ndarr
     to_lo = finite & (f_lo <= np.fmin(f_mid, f_hi))            # see Layout
     np.copyto(mid, hi, where=to_hi)
     np.copyto(mid, lo, where=to_lo)
-    return np.swapaxes(mid.reshape(x.shape[:-2] + (-1, n)), -1, -2).copy()
+    np.copyto(out, np.swapaxes(mid.reshape(x.shape[:-2] + (-1, n)), -1, -2))
+    return out
 
 
-def social_diffusion(psi, weights: np.ndarray):
-    """w_k = sum_l a_{kl} psi_l with scalar combination weights."""
-    return np.asarray(weights) @ np.asarray(psi, dtype=float)
-
-
-def social_subspace(psi, block_matrix: np.ndarray):
-    """Block combination w = A psi on each run's stacked (N, M) state."""
+def social_diffusion(psi, weights: np.ndarray, out=None):
+    """w_k = sum_l a_{kl} psi_l with scalar combination weights, written
+    into out (see the out contract)."""
     psi = np.asarray(psi, dtype=float)
-    stacked = psi.reshape(-1, psi.shape[-2] * psi.shape[-1], 1)
-    return np.matmul(block_matrix, stacked).reshape(psi.shape)
+    if out is None:
+        out = np.empty(psi.shape)
+    return np.matmul(weights, psi, out=out)
+
+
+def social_subspace(psi, block_matrix: np.ndarray, out=None):
+    """Block combination w = A psi on each run's stacked (N, M) state,
+    written into out (see the out contract)."""
+    psi = np.asarray(psi, dtype=float)
+    if out is None:
+        out = np.empty(psi.shape)
+    stacked = (-1, psi.shape[-2] * psi.shape[-1], 1)
+    # a C-contiguous out reshapes to a view, so matmul writes into out
+    np.matmul(block_matrix, psi.reshape(stacked), out=out.reshape(stacked))
+    return out
 
 
 def overlap_metropolis(graph: Graph, interest: InterestMap) -> dict[int, np.ndarray]:
@@ -517,13 +577,13 @@ def overlap_metropolis(graph: Graph, interest: InterestMap) -> dict[int, np.ndar
 
 
 def overlap_table(interest: InterestMap, var_weights: Mapping[int, np.ndarray]
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  ) -> OverlapTable:
     """The per-variable combination as (N, M_max, D) index and weight arrays.
 
     Slots of (k, position of v) hold the flat indices (l * M_max + position
     of v at l) and weights of row k of var_weights[v]'s nonzero entries.
     The other slots, all of a pad entry's among them, hold index N * M_max
-    (the 0.0 social_overlapping appends) and weight 0.
+    (the 0.0 after a run's entries in OverlapPlan.flat) and weight 0.
     """
     sizes = interest.block_sizes
     n, width = len(sizes), max(sizes)
@@ -538,24 +598,110 @@ def overlap_table(interest: InterestMap, var_weights: Mapping[int, np.ndarray]
             keep = np.flatnonzero(var_weights[v][i])
             index[k, positions[k][v], :keep.size] = flat[keep]
             weight[k, positions[k][v], :keep.size] = var_weights[v][i, keep]
-    return index, weight
+    return OverlapTable(index, weight)
 
 
-def social_overlapping(psi, table: tuple[np.ndarray, np.ndarray]):
+@dataclass(frozen=True, eq=False)
+class OverlapTable:
+    """overlap_table's (N, M_max, D) index and weight arrays, and
+    social_overlapping's plans by the state's leading shape, each built by
+    the first step on that shape and kept for every later step."""
+
+    index: np.ndarray
+    weight: np.ndarray
+
+    @cached_property
+    def plans(self) -> dict[tuple, OverlapPlan]:
+        return {}
+
+    def plan(self, lead: tuple) -> OverlapPlan:
+        plan = self.plans.get(lead)
+        if plan is None:
+            plan = self.plans[lead] = OverlapPlan(self.index, self.weight, lead)
+        return plan
+
+
+def _pairwise_adds(first: int, count: int, adds: list) -> list:
+    """The additions by which numpy's add.reduce sums `count` values along
+    a contiguous axis (its pairwise summation), as (i, j) for slot i +=
+    slot j: they sum slots first .. first + count - 1 into slot first."""
+    if count < 8:
+        adds.extend((first, i) for i in range(first + 1, first + count))
+    elif count <= 128:
+        # eight running sums over every eighth slot, combined as
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
+        stop = first + count - count % 8
+        adds.extend((first + r, i) for r in range(8)
+                    for i in range(first + 8 + r, stop, 8))
+        adds.extend((first + a, first + b) for a, b in (
+            (0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)))
+        adds.extend((first, i) for i in range(stop, first + count))
+    else:
+        half = count // 2 - count // 2 % 8
+        _pairwise_adds(first, half, adds)
+        _pairwise_adds(first + half, count - half, adds)
+        adds.append((first, first + half))
+    return adds
+
+
+class OverlapPlan:
+    """social_overlapping's constant tables for states of leading shape
+    `lead` (R runs in all), and the buffers a step writes into, as ProxPlan
+    is the l1 prox's. A cell is one (run, agent, position) entry, C = N
+    M_max to a run, and each cell has the table's D slots. The plan holds:
+      - flat: each run's C cells, then 0.0, the value the table's pad
+        slots read; state is its cells as a view in the state's shape;
+      - take: every slot's position in flat, slot-major, (D, R, C), and
+        weights, the slot weights tiled to the same shape;
+      - gather: the (D, R, C) frame a step gathers and weighs into, slots
+        its D (R, C) views and result slot 0 in the state's shape;
+      - adds: the pairwise order of the sum over the slots.
+    """
+
+    def __init__(self, index: np.ndarray, weight: np.ndarray, lead: tuple):
+        n, width, depth = index.shape
+        cells, rows = n * width, math.prod(lead)
+        self.flat = np.zeros((rows, cells + 1))
+        self.state = self.flat[:, :cells].reshape(lead + (n, width))
+        slot_index = index.reshape(cells, depth).T[:, None, :]
+        self.take = slot_index + np.arange(rows)[:, None] * (cells + 1)
+        self.weights = np.repeat(weight.reshape(cells, depth).T[:, None, :],
+                                 rows, axis=1)
+        self.gather = np.empty((depth, rows, cells))
+        self.slots = tuple(self.gather)
+        self.result = self.gather[0].reshape(lead + (n, width))
+        self.adds = _pairwise_adds(0, depth, [])
+
+
+def social_overlapping(psi, table: OverlapTable, out=None):
     """Per-variable combination: for every global variable, the interested
     agents average their copies with that variable's weights; variables with
-    a single interested agent pass through unchanged.
+    a single interested agent pass through unchanged. Written into out (see
+    the out contract).
 
     One gather, weight and sum over overlap_table(interest, var_weights):
     pad entries come out exactly 0 whatever psi holds. It agrees with
     W_v @ psi_v per variable to rounding, as the sums run in another order.
+
+    The step works slot-major, on the plan's (D, R, C) frame (see
+    OverlapPlan), so that every numpy call runs along R C contiguous
+    entries. The slots are summed in the order numpy's add.reduce sums the
+    last axis of the (..., N, M_max, D) products (its pairwise summation,
+    checked with numpy 2.4), and then added to 0.0 as it does, so the step
+    gives the bits of (take(flat, index, axis=-1) * weight).sum(axis=-1).
     """
-    index, weight = table
     psi = np.asarray(psi, dtype=float)
-    lead = psi.shape[:-2]
-    flat = np.concatenate([psi.reshape(lead + (-1,)), np.zeros(lead + (1,))],
-                          axis=-1)
-    return (np.take(flat, index, axis=-1) * weight).sum(axis=-1)
+    if out is None:
+        out = np.empty(psi.shape)
+    plan = table.plan(psi.shape[:-2])
+    np.copyto(plan.state, psi)
+    # mode="clip" writes straight into the frame; every index is in range
+    plan.flat.take(plan.take, out=plan.gather, mode="clip")
+    plan.gather *= plan.weights
+    slots = plan.slots
+    for i, j in plan.adds:
+        np.add(slots[i], slots[j], out=slots[i])
+    return np.add(plan.result, 0.0, out=out)
 
 
 def cluster_metropolis(graph: Graph, partition: ClusterPartition) -> CombinationMatrix:
@@ -579,11 +725,13 @@ def cluster_metropolis(graph: Graph, partition: ClusterPartition) -> Combination
 class Strategy:
     """A configured adaptation rule: self-learning plus one social step.
 
-    The keyword pieces are what the kind's builder assembled the social
-    step from (None where the kind has no such piece). subspace is the
-    subspace the social step projects onto, where it has one: the
-    consensus subspace for diffusion, the cluster subspace for clustered
-    with eta = 0 and the constraint of subspace_projection.
+    social(psi, out=None) is the kind's social step, with the out contract
+    of the module docstring. The keyword pieces are what the kind's
+    builder assembled the social step from (None where the kind has no
+    such piece). subspace is the subspace the social step projects onto,
+    where it has one: the consensus subspace for diffusion, the cluster
+    subspace for clustered with eta = 0 and the constraint of
+    subspace_projection.
     """
 
     config: StrategyConfig
@@ -777,7 +925,7 @@ def _build_diffusion(config, graph, model) -> Strategy:
         raise ValueError("diffusion expects scalar combination weights")
     weights = combo.matrix
     return Strategy(
-        config, graph, lambda psi: social_diffusion(psi, weights),
+        config, graph, lambda psi, out=None: social_diffusion(psi, weights, out),
         model.truth.block_sizes, combination=combo,
         subspace=consensus_subspace(graph.n_agents, model.truth.uniform_size),
     )
@@ -794,7 +942,8 @@ def _check_diffusion(strategy, rng) -> list:
 
 def _build_laplacian(config, graph, model) -> Strategy:
     mu_eta = config.mu * config.eta
-    return Strategy(config, graph, lambda psi: social_smooth(psi, graph, mu_eta),
+    return Strategy(config, graph,
+                    lambda psi, out=None: social_smooth(psi, graph, mu_eta, out),
                     model.truth.block_sizes)
 
 
@@ -805,7 +954,8 @@ def _build_spectral(config, graph, model) -> Strategy:
         kernel = SpectralKernel.polynomial(kernel)
     coeffs = kernel.coefficients
     return Strategy(config, graph,
-                    lambda psi: social_spectral(psi, graph, coeffs, mu_eta),
+                    lambda psi, out=None: social_spectral(psi, graph, coeffs,
+                                                          mu_eta, out),
                     model.truth.block_sizes, kernel=kernel)
 
 
@@ -833,7 +983,7 @@ def _build_prox_l1(config, graph, model) -> Strategy:
     mu_eta = config.mu * config.eta
     reg = _edge_regularizer_from(config.payload.get("rho"), graph, "l1")
     return Strategy(config, graph,
-                    lambda psi: social_prox_l1(psi, reg, mu_eta),
+                    lambda psi, out=None: social_prox_l1(psi, reg, mu_eta, out),
                     model.truth.block_sizes, regularizer=reg)
 
 
@@ -881,10 +1031,10 @@ def _build_subspace(config, graph, model) -> Strategy:
     if combo.is_scalar:
         # A x I_M applied as A @ psi on the (N, M) state
         weights = combo.matrix
-        social = lambda psi: social_diffusion(psi, weights)
+        social = lambda psi, out=None: social_diffusion(psi, weights, out)
     else:
         block = combo.block_matrix(sizes)
-        social = lambda psi: social_subspace(psi, block)
+        social = lambda psi, out=None: social_subspace(psi, block, out)
     return Strategy(config, graph, social, sizes, subspace=subspace,
                     combination=combo)
 
@@ -904,7 +1054,7 @@ def _build_overlapping(config, graph, model) -> Strategy:
     var_weights = overlap_metropolis(graph, interest)
     table = overlap_table(interest, var_weights)
     return Strategy(
-        config, graph, lambda psi: social_overlapping(psi, table),
+        config, graph, lambda psi, out=None: social_overlapping(psi, table, out),
         sizes, interest=interest, var_weights=var_weights,
     )
 
@@ -925,7 +1075,7 @@ def _build_clustered(config, graph, model) -> Strategy:
     reg = subspace = None
     if config.eta == 0.0:
         subspace = cluster_subspace(part, model.truth.uniform_size)
-        social = lambda psi: social_diffusion(psi, intra)
+        social = lambda psi, out=None: social_diffusion(psi, intra, out)
     else:
         assign = part.assignment
         reg = _edge_regularizer_from(
@@ -933,14 +1083,14 @@ def _build_clustered(config, graph, model) -> Strategy:
             mask=(assign[:, None] != assign[None, :]).astype(float),
         )
         if reg.kind == "l1":
-            social = lambda psi: social_prox_l1(
-                social_diffusion(psi, intra), reg, mu_eta)
+            social = lambda psi, out=None: social_prox_l1(
+                social_diffusion(psi, intra), reg, mu_eta, out)
         else:
             # the stored weights are exactly symmetric with a zero diagonal,
             # so the graph holds them bit for bit
             inter = Graph(reg.weights)
-            social = lambda psi: social_smooth(
-                social_diffusion(psi, intra), inter, mu_eta)
+            social = lambda psi, out=None: social_smooth(
+                social_diffusion(psi, intra), inter, mu_eta, out)
     return Strategy(config, graph, social, model.truth.block_sizes,
                     combination=combo, regularizer=reg, partition=part,
                     subspace=subspace)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,35 @@ def test_steady_state_across_runs():
 def test_steady_state_window_size():
     s = steady_state(np.arange(95, dtype=float), fraction=0.2)
     assert s.n_points == 19
+
+
+def test_steady_state_of_one_point_is_not_settled():
+    # one point has no slope to measure: drift_ratio stays 0.0, and the
+    # window does not read as settled
+    s = steady_state(np.arange(10, dtype=float))
+    assert (s.value, s.stderr, s.n_points, s.drift_ratio) == (9.0, 0.0, 1, 0.0)
+    assert not s.settled
+    assert steady_state(np.arange(20, dtype=float), fraction=0.1).settled
+
+
+def test_one_point_window_warns_and_compare_theory_notes_it():
+    # 10 steps and the default steady_window of 0.1 leave one point, far
+    # from the consensus MSD the closed form predicts
+    cfg = base_config(iters=10, runs=1, graph={"kind": "ring", "n": 6},
+                      model={"kind": "mse", "m": 2, "noise_var": 0.1,
+                             "truth": {"kind": "piecewise", "sizes": [6]}},
+                      strategy={"kind": "diffusion", "mu": 0.01})
+    res = run_experiment(cfg)
+    steady = res.steady_wo
+    assert (steady.value, steady.stderr, steady.n_points, steady.drift_ratio) \
+        == (float(res.msd_wo[-1]), 0.0, 1, 0.0)
+    assert steady.value > 1000 * res.theory["msd"]
+    assert not steady.settled
+    assert res.warnings == (
+        "steady-state window holds 1 recorded point: drift not measured; "
+        "increase iters or steady_window",)
+    assert "window not settled; comparison may be premature" in \
+        compare_theory(res).notes
 
 
 def test_steady_state_validation():
@@ -532,7 +562,7 @@ def test_save_result_roundtrip(tmp_path):
     rows = np.genfromtxt(csv_path, delimiter=",", names=True)
     assert rows.dtype.names == ("iter", "msd_wo", "msd_wstar", "stderr")
     assert np.allclose(rows["msd_wo"], res.msd_wo)
-    doc = json.loads(open(json_path).read())
+    doc = json.loads(Path(json_path).read_text())
     assert doc["config_hash"] == res.config_hash
     assert doc["steady"]["msd_wo"]["value"] == res.steady_wo.value
     assert doc["config"]["seed"] == 11
@@ -552,7 +582,7 @@ def test_save_result_empty_wstar_column(tmp_path):
     res = run_experiment(cfg)
     assert res.msd_wstar is None
     csv_path, _ = save_result(res, tmp_path)
-    line = open(csv_path).readlines()[1]
+    line = Path(csv_path).read_text().splitlines()[1]
     fields = line.strip().split(",")
     assert fields[2] == ""
 
@@ -566,7 +596,7 @@ def test_save_result_records_wstar_for_regularized(tmp_path):
     csv_path, json_path = save_result(res, tmp_path)
     rows = np.genfromtxt(csv_path, delimiter=",", names=True)
     assert np.allclose(rows["msd_wstar"], res.msd_wstar)
-    doc = json.loads(open(json_path).read())
+    doc = json.loads(Path(json_path).read_text())
     assert doc["steady"]["msd_wstar"]["value"] == res.steady_wstar.value
 
 
@@ -576,9 +606,9 @@ def test_save_sweep_roundtrip(tmp_path):
                                 "eta": 1.0})
     points = eta_sweep(cfg, etas=[0.0, 1.0, 4.0])
     csv_path, json_path = save_sweep(points, tmp_path)
-    header = open(csv_path).readline().strip()
+    header = Path(csv_path).read_text().splitlines()[0].strip()
     assert header == "eta,msd_sim,var_sim,var_theory,bias_theory"
-    doc = json.loads(open(json_path).read())
+    doc = json.loads(Path(json_path).read_text())
     assert len(doc["points"]) == 3
     assert doc["argmin_eta"] in [0.0, 1.0, 4.0]
     assert doc["min_msd_sim"] == min(p.msd_sim for p in points)
@@ -599,7 +629,8 @@ def test_sweep_json_is_strict_json(tmp_path, strategy):
                       strategy=strategy)
     points = eta_sweep(cfg, etas=[0.0, 1.0])
     _, json_path = save_sweep(points, tmp_path)
-    doc = json.loads(open(json_path).read(), parse_constant=_refuse_constant)
+    doc = json.loads(Path(json_path).read_text(),
+                     parse_constant=_refuse_constant)
     columns = ("var_sim", "var_stderr", "var_theory", "bias_theory")
     for point, row in zip(points, doc["points"]):
         for name in columns:
@@ -1057,8 +1088,8 @@ def test_engine_overlapping_within_tolerance_and_pads_stay_zero(monkeypatch):
     social = res.strategy.social
     outputs = []
 
-    def recorded(psi):
-        out = social(psi)
+    def recorded(psi, out=None):
+        out = social(psi, out=out)
         outputs.append(out[..., pad])
         return out
 
@@ -1145,8 +1176,8 @@ def test_runs_stepped_past_divergence_raise_no_warnings():
     res = resolve(parse_config(base_config(iters=100, runs=2)))
     social = res.strategy.social
 
-    def exploding(psi):
-        out = social(psi)
+    def exploding(psi, out=None):
+        out = social(psi, out=out)
         out[1] *= 1e300
         return out
 
@@ -1166,9 +1197,9 @@ def _with_overflow(res, explode=None):
     social = res.strategy.social
     overflowed = []
 
-    def noisy(psi):
+    def noisy(psi, out=None):
         np.multiply(np.full(1, 1e300), 1e300)
-        out = social(psi)
+        out = social(psi, out=out)
         if explode is not None:
             # 0.5, 5, 50, 2500, ...: squared once past 10
             out[explode] *= max(10.0, float(np.abs(out[explode]).max()))
@@ -1220,21 +1251,92 @@ GUARD_STRATEGIES = {**ENGINE_STRATEGIES, "overlapping": {
     "interests": [[k, (k + 1) % 12] for k in range(12)]}}
 
 
+def _guard_config(name):
+    model = {"kind": "mse", "noise_var": 0.1, "m": 2,
+             "truth": {"kind": "piecewise", "sizes": [6, 6]}}
+    if name == "overlapping":
+        model = {"kind": "mse", "noise_var": 0.1,
+                 "truth": {"kind": "global_random", "n_variables": 12}}
+    return base_config(iters=70, runs=2, graph={"kind": "ring", "n": 12},
+                       model=model, strategy=GUARD_STRATEGIES[name])
+
+
 def test_engine_makes_no_per_step_objects(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-step object was made")
 
     monkeypatch.setattr(streaming.SampleBlock, "at", forbidden)
-    for name, spec in GUARD_STRATEGIES.items():
-        model = {"kind": "mse", "noise_var": 0.1, "m": 2,
-                 "truth": {"kind": "piecewise", "sizes": [6, 6]}}
-        if name == "overlapping":
-            model = {"kind": "mse", "noise_var": 0.1,
-                     "truth": {"kind": "global_random", "n_variables": 12}}
-        res = run_experiment(base_config(
-            iters=70, runs=2, graph={"kind": "ring", "n": 12}, model=model,
-            strategy=spec))
+    learn, buffers, rows = strategies.self_learn, [], []
+
+    def learned(*args, out=None):
+        buffers.append(out)
+        return learn(*args, out=out)
+
+    monkeypatch.setattr(strategies, "self_learn", learned)
+    for name in GUARD_STRATEGIES:
+        res = run_experiment(_guard_config(name))
         assert np.all(np.isfinite(res.msd_wo)), name
+        # every step writes psi into the chunk's one buffer and the new
+        # state into its row of one 64-step record block, views made once
+        res = resolve(parse_config(_guard_config(name)))
+        social = res.strategy.social
+
+        def spied(psi, out=None):
+            rows.append(out)
+            return social(psi, out=out)
+
+        spy = dataclasses.replace(
+            res, strategy=dataclasses.replace(res.strategy, social=spied))
+        buffers.clear()
+        harness._simulate_chunk(spy, range(2))
+        psi = buffers[0]
+        assert len(buffers) == len(rows) == 70, name
+        assert all(buffer is psi for buffer in buffers), name
+        record = rows[0].base
+        assert record.shape == (64,) + psi.shape, name
+        assert all(row.base is record and row is rows[i % 64]
+                   for i, row in enumerate(rows)), name
+        assert len({id(row) for row in rows}) == 64, name
+        assert not np.shares_memory(psi, record), name
+        rows.clear()
+
+
+def _nan_out(shape):
+    """An out buffer of NaNs with the sign bit set, which no step may read."""
+    return np.full(shape, -np.nan)
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_STRATEGIES))
+def test_social_step_writes_out_in_full_and_returns_it(name):
+    res = resolve(parse_config(_guard_config(name)))
+    rng = np.random.default_rng(5)
+    for shape in ((3,) + res.model.truth.padded.shape,
+                  res.model.truth.padded.shape):
+        psi = rng.standard_normal(shape)
+        want = res.strategy.social(psi)
+        out = _nan_out(shape)
+        assert res.strategy.social(psi, out=out) is out, name
+        assert out.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("model", sorted(ENGINE_MODELS))
+def test_self_learn_writes_out_in_full_and_returns_it(model):
+    res = resolve(_engine_case("diffusion", model, "ring"))
+    streams = config_mod.data_streams(6, range(3), res.graph.n_agents)
+    block = draw_horizon(res.model, streams, 4)
+    rng = np.random.default_rng(6)
+    for i in range(4):
+        w = rng.standard_normal(block.regressors.shape[1:])
+        args = (res.model, block.regressors[i], block.responses[i], 0.05)
+        want = strategies.self_learn(w, *args)
+        out = _nan_out(w.shape)
+        assert strategies.self_learn(w, *args, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        # one run's (N, M_max) state takes the same path
+        out = _nan_out(w.shape[1:])
+        strategies.self_learn(w[0], res.model, block.regressors[i][0],
+                              block.responses[i][0], 0.05, out=out)
+        assert out.tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("strategy", [

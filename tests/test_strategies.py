@@ -23,6 +23,7 @@ from adaptnets.streaming import (
     StreamModel,
     TaskField,
     draw_horizon,
+    network_gradient,
     pad_blocks,
     sigmoid,
 )
@@ -30,6 +31,7 @@ from adaptnets.strategies import (
     STRATEGY_KINDS,
     EdgeRegularizer,
     InterestMap,
+    OverlapTable,
     StrategyConfig,
     build_strategy,
     cluster_metropolis,
@@ -152,6 +154,24 @@ def test_self_learn_blockwise_path():
             assert np.all(fast[k, m:] == 0.0)
 
 
+def test_self_learn_gives_the_bits_of_w_minus_mu_grad():
+    # self_learn fuses the step into its out buffer; it must still give
+    # w - mu * network_gradient bit for bit, signed zeros included
+    rng = np.random.default_rng(8)
+    truth = TaskField.from_matrix(rng.standard_normal((6, 3)))
+    for model in (StreamModel(kind="mse", truth=truth, noise_var=0.1),
+                  StreamModel(kind="logistic", truth=truth, reg=0.2)):
+        u = rng.standard_normal((4, 6, 3))
+        u[rng.random(u.shape) < 0.3] = 0.0
+        d = rng.standard_normal((4, 6))
+        d[:, 0] = 0.0
+        w = rng.standard_normal((4, 6, 3))
+        w[rng.random(w.shape) < 0.3] = -0.0
+        w[0] = 0.0
+        want = w - 0.05 * network_gradient(model, w, u, d)
+        assert self_learn(w, model, u, d, 0.05).tobytes() == want.tobytes()
+
+
 def test_self_learn_does_not_mutate_input():
     model = mse_model(3, 2)
     samples = one_sample(model)
@@ -167,7 +187,8 @@ def test_self_learn_does_not_mutate_input():
 
 def test_social_noncooperative_is_identity():
     psi = np.arange(6.0).reshape(3, 2)
-    assert social_noncooperative(psi) is psi
+    out = social_noncooperative(psi)
+    assert np.array_equal(out, psi) and not np.shares_memory(out, psi)
 
 
 def test_social_smooth_matches_dense():
@@ -762,6 +783,31 @@ def test_social_overlapping_matches_per_variable_oracle():
         assert np.all(out[pad] == 0.0)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 7, 8, 9, 16, 17, 23, 128, 129,
+                                   130, 257, 300])
+def test_social_overlapping_sums_slots_as_numpy_reduce(depth):
+    # the slot-major sum gives the bits of numpy's reduce over the last axis
+    # of the (..., N, M_max, D) products: one running sum below 8 slots,
+    # eight of them up to 128 and halves beyond; a sum of -0.0 reads +0.0
+    rng = np.random.default_rng(depth)
+    n, width = 4, 3
+    index = rng.integers(0, n * width + 1, (n, width, depth))
+    weight = rng.standard_normal((n, width, depth))
+    weight[rng.random(weight.shape) < 0.2] = 0.0
+    # agent 0 reads only cell 0, which holds -0.0
+    index[0], weight[0] = 0, 1.0
+    table = OverlapTable(index, weight)
+    for lead in ((), (1,), (2,), (2, 3)):
+        psi = rng.standard_normal(lead + (n, width)) * \
+            10.0 ** rng.integers(-6, 7, lead + (n, width))
+        psi[..., 0, :] = -0.0
+        psi[rng.random(psi.shape) < 0.1] = 0.0
+        flat = np.concatenate([psi.reshape(lead + (-1,)), np.zeros(lead + (1,))],
+                              axis=-1)
+        want = (np.take(flat, index, axis=-1) * weight).sum(axis=-1)
+        assert social_overlapping(psi, table).tobytes() == want.tobytes(), lead
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(3, 16),
        arcs=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 16)),
@@ -1177,8 +1223,7 @@ def test_social_steps_take_a_run_axis_bit_for_bit(runs):
 
 @pytest.mark.parametrize("kind", sorted(STRATEGY_KINDS))
 def test_social_step_reads_its_input_and_never_writes_it(kind):
-    # every social step returns a fresh state, except noncooperative's,
-    # which returns psi itself
+    # every social step returns a fresh state, noncooperative's a copy of psi
     rng = np.random.default_rng(41)
     built = [s for s in _social_steps_by_kind().values() if s.kind == kind]
     assert built, kind
@@ -1189,10 +1234,7 @@ def test_social_step_reads_its_input_and_never_writes_it(kind):
         before = psi.copy()
         out = strategy.social(psi)
         assert np.array_equal(psi, before), kind
-        if kind == "noncooperative":
-            assert out is psi
-        else:
-            assert not np.shares_memory(out, psi), kind
+        assert not np.shares_memory(out, psi), kind
 
 
 # ---------------------------------------------------------------------------
