@@ -144,8 +144,9 @@ def _cmd_gen_graph(args) -> int:
     config = _load_with_overrides(args)
     graph, _ = resolve_pieces(config)
     save_graph(graph, args.out)
+    # each edge is in the neighbor lists of both its agents
     _info(f"wrote {args.out} ({graph.n_agents} agents, "
-          f"{len(graph.to_json_dict()['edges'])} edges)")
+          f"{sum(map(len, graph.neighbor_lists)) // 2} edges)")
     if args.json:
         _print_json({"path": args.out, "n_agents": graph.n_agents})
     return EXIT_OK

@@ -701,6 +701,12 @@ class ResolvedExperiment:
     def spectrum(self) -> Spectrum:
         return self.graph.spectrum
 
+    def __reduce__(self):
+        # a social step is a closure and does not pickle: the experiment
+        # travels as its config and is resolved again on arrival, which
+        # gives the same pieces (a piece replaced after resolve is not kept)
+        return resolve, (self.config,)
+
 
 def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args):
     """What spec's kind builds from it, a ValueError as a ConfigError."""

@@ -212,14 +212,13 @@ class Graph:
         return cls(adj)
 
     def to_json_dict(self) -> dict:
-        edges = []
-        n = self.n_agents
-        for k in range(n):
-            for l in range(k + 1, n):
-                c = self.adjacency[k, l]
-                if c != 0.0:
-                    edges.append([k, l, float(c)])
-        return {"n": n, "edges": edges}
+        """{"n", "edges"}: each edge once as [k, l, weight] with k < l,
+        in row-major order."""
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        weights = self.adjacency[rows, cols]
+        return {"n": self.n_agents,
+                "edges": [list(edge) for edge in zip(
+                    rows.tolist(), cols.tolist(), weights.tolist())]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Graph":

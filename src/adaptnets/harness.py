@@ -10,8 +10,8 @@ execution produce bit-identical aggregates: the runs are cut into one
 contiguous group per process, the calling process steps the first group
 while worker processes step the others, and results are combined in run
 order. Each worker is a plain multiprocessing.Process, under whatever
-start method is set, handed its run indices, the parsed config and the
-write end of its own pipe, over which it sends back its part or its
+start method is set, handed its run indices, the resolved experiment and
+the write end of its own pipe, over which it sends back its part or its
 error. The first error in group order is raised, after the pipes are
 closed and every other worker is stopped and reaped; a worker that dies
 without a reply is named by its runs and exit code. A process
@@ -20,24 +20,22 @@ The process count is the config's parallel key, which `adaptnets run
 --parallel` overrides like any other key; run_experiment's parallel
 argument replaces it for one call.
 
-An experiment is resolved once per process, through a cache keyed by the
-parsed config (hashed by its canonical JSON, compared with its base_dir):
-run_experiment resolves it before any run starts (so a bad config fails
-fast) and the serial runs reuse it. Forked workers inherit the resolved
-experiment; under spawn or forkserver each worker resolves it once,
-deterministically, from the pickled config.
+run_experiment resolves the config once, before any run starts (so a bad
+config fails fast), and hands that experiment to every group: forked
+workers inherit it, and under spawn or forkserver each worker resolves it
+again on arrival, deterministically, from the pickled config. Nothing
+outlives the call, so the files a config names are read on every run.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
 import pickle
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -217,14 +215,13 @@ class ExperimentResult:
     warnings: tuple[str, ...]
 
 
-def _simulate_runs(config: ExperimentConfig, first: int, stop: int) -> dict:
-    """Runs first .. stop - 1, stepped a chunk at a time. Module-level so
-    worker processes can call it.
+def _simulate_runs(res: ResolvedExperiment, first: int, stop: int) -> dict:
+    """Runs first .. stop - 1 of res, stepped a chunk at a time.
+    Module-level so worker processes can call it.
 
     Returns the per-run trajectories (R, T / record_every) and window means
     (R, N). A divergence raises the error of the lowest-index diverging run.
     """
-    res = _resolved(config)
     cfg = res.config
     n, m_max = res.model.truth.padded.shape
     size = max(1, CHUNK_BYTES // (cfg.iters * n * (m_max + 1) * 8))
@@ -394,11 +391,12 @@ def _run_groups(groups: list, bounds: list) -> list[dict]:
     steps group 0. The lowest group's error is the one raised, the
     divergence of the lowest run; once it is known, the pipes are closed
     and the other workers stopped. No worker outlives the call."""
-    import multiprocessing
-
     procs, conns = [], []
     try:
         for group in groups[1:]:
+            # loaded only where a worker starts, so serial runs never load it
+            import multiprocessing
+
             reader, writer = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(target=_worker,
                                            args=(group, writer), daemon=True)
@@ -437,11 +435,6 @@ def _run_groups(groups: list, bounds: list) -> list[dict]:
             proc.join()
 
 
-@lru_cache(maxsize=8)
-def _resolved(config: ExperimentConfig) -> ResolvedExperiment:
-    return resolve(config)
-
-
 def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
                    parallel: int | None = None) -> ExperimentResult:
     """Run the configured experiment and aggregate across runs.
@@ -455,12 +448,12 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         config = load_config(config)
     elif isinstance(config, dict):
         config = parse_config(config)
-    resolved = _resolved(config)
+    resolved = resolve(config)
     processes = min(config.parallel if parallel is None else max(parallel, 1),
                     config.runs)
     # contiguous groups of runs, one per process
     bounds = [config.runs * g // processes for g in range(processes + 1)]
-    groups = [partial(_simulate_runs, config, first, stop)
+    groups = [partial(_simulate_runs, resolved, first, stop)
               for first, stop in zip(bounds, bounds[1:])]
     if processes > 1:
         # the package alone is loaded here, untimed, so that serial runs
@@ -469,10 +462,7 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         # wall_time
         import multiprocessing  # noqa: F401
     t0 = time.perf_counter()
-    if processes > 1:
-        parts = _run_groups(groups, bounds)
-    else:
-        parts = [groups[0]()]
+    parts = _run_groups(groups, bounds)
     wall = time.perf_counter() - t0
 
     runs_wo = np.concatenate([part["msd_wo"] for part in parts])
@@ -513,7 +503,7 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         steady_wo=steady_wo,
         steady_wstar=steady_ws,
         per_agent_msd=per_agent,
-        theory=copy.deepcopy(resolved.theory),
+        theory=resolved.theory,
         n_runs=config.runs,
         n_agents=resolved.graph.n_agents,
         seed=config.seed,

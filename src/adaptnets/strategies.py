@@ -897,6 +897,27 @@ def _stability_conditions(strategy) -> list:
     return [("stability", ok, detail if ok else f"unstable social step: {detail}")]
 
 
+def _clustered_conditions(strategy) -> list:
+    """The weight rows and, with the quadratic penalty at eta > 0, the
+    stability of the composed step S = (I - mu*eta*L_inter) A: rho(S) <= 1,
+    up to the rounding of its unit consensus eigenvalue. The l1 prox is
+    nonexpansive and needs no such row."""
+    conditions = _weight_conditions(strategy)
+    reg = strategy.regularizer
+    if (reg is None or reg.kind != "quadratic"
+            or conditions[0][0] == "combination_shape"):
+        return conditions
+    inter = reg.weights
+    step = np.eye(len(inter)) - strategy.mu * strategy.eta * (
+        np.diag(inter.sum(axis=1)) - inter)
+    rho = float(np.max(np.abs(np.linalg.eigvals(
+        step @ strategy.combination.matrix))))
+    ok = rho <= 1.0 + _STABILITY_SLACK
+    detail = f"rho((I - mu*eta*L_inter) A) = {rho:.6g}"
+    return conditions + [
+        ("stability", ok, detail if ok else f"unstable social step: {detail}")]
+
+
 def _feasibility_conditions(strategy) -> list:
     """The flags of check_feasibility's report on the combination weights
     and the subspace they must project onto."""
@@ -1160,7 +1181,7 @@ STRATEGY_KINDS: dict[str, StrategyKind] = {
     "clustered": StrategyKind(
         _build_clustered, required=("clusters",),
         optional=("penalty", "rho", "weights"), uses_eta=True,
-        conditions=_weight_conditions, theory="projection"),
+        conditions=_clustered_conditions, theory="projection"),
 }
 
 

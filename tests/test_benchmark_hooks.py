@@ -41,7 +41,8 @@ def _patched(tracing):
 
 
 @pytest.mark.parametrize("seed, strategy", [
-    # seeds no other test resolves, so the harness's resolve cache is cold
+    # run_experiment resolves its config on every call, so the tracer sees
+    # the resolve layers whatever other tests ran before
     (918_273, {"kind": "diffusion", "mu": 0.01}),
     (918_274, {"kind": "subspace_projection", "mu": 0.01,
                "subspace": {"clusters": [3, 3]}}),

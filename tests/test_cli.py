@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +339,8 @@ _VALID_STRATEGIES = (
      "interests": [[k, (k + 1) % 8] for k in range(8)]},
     {"kind": "clustered", "mu": 0.01, "eta": 0.2, "clusters": [4, 4],
      "penalty": "l1", "rho": 0.2},
+    {"kind": "clustered", "mu": 0.01, "eta": 0.2, "clusters": [4, 4],
+     "penalty": "quadratic", "rho": 0.2},
 )
 
 
@@ -355,8 +360,9 @@ def test_check_passes_for_valid_setups(tmp_path, capsys):
 
 
 def _readme_rows(header):
-    """{kind: the row names its line names} of the README table headed
-    `| kind | <header> |`."""
+    """{kind: [the row names each of its lines names]} of the README table
+    headed `| kind | <header> |`; a kind has a line per variant of its
+    rows."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text().splitlines()
     start = lines.index(f"| kind | {header} |") + 2
@@ -366,7 +372,7 @@ def _readme_rows(header):
         kinds, rows = re.split(r"(?<!\\)\|", line)[1:3]
         names = set(re.findall(r"`(\w+)`", rows)) - {"combination_shape"}
         for kind in re.findall(r"`(\w+)`", kinds):
-            table[kind] = names
+            table.setdefault(kind, []).append(names)
     return table
 
 
@@ -376,15 +382,27 @@ def test_readme_tables_list_the_rows_check_reports(tmp_path):
     self_tests = _readme_rows("self-tests")
     assert {s["kind"] for s in _VALID_STRATEGIES} == set(STRATEGY_KINDS)
     assert set(conditions) | set(self_tests) <= set(STRATEGY_KINDS)
+    assert all(len(lines) == 1 for lines in self_tests.values())
+    matched = set()
     for strategy in _VALID_STRATEGIES:
         kind = strategy["kind"]
         cfg = config_mod.load_config(_write_valid_config(tmp_path, strategy))
         rows = [name for name, _, _ in config_mod.run_checks(cfg)]
-        # the kind's condition rows, then its self-tests
-        documented = conditions.get(kind, set())
-        assert set(rows[:len(documented)]) == documented, kind
+        # the kind's condition rows, as the longest of its lines that
+        # names them, then its self-tests
+        variants = conditions.get(kind, [set()])
+        fits = [i for i, names in enumerate(variants)
+                if set(rows[:len(names)]) == names]
+        assert fits, kind
+        line = max(fits, key=lambda i: len(variants[i]))
+        if kind in conditions:
+            matched.add((kind, line))
+        documented = variants[line]
         assert set(rows[len(documented):]) == \
-            self_tests.get(kind, set()), kind
+            self_tests.get(kind, [set()])[0], kind
+    # every line is the rows of some valid setup
+    assert matched == {(kind, i) for kind, lines in conditions.items()
+                       for i in range(len(lines))}
 
 
 def test_check_parses_the_config_once(tmp_path, monkeypatch):
@@ -412,6 +430,24 @@ def test_missing_strategy_keys_exit_2(tmp_path, capsys):
         for command in ("theory", "check"):
             assert main([command, "--config", cfg]) == EXIT_CONFIG
             assert "missing keys in strategy" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_check(tmp_path, capsys):
+    # `python -m adaptnets` is main() in a fresh interpreter
+    cfg = write_config(tmp_path, graph={"kind": "ring", "n": 6},
+                       model=_CONSTANT_MODEL,
+                       strategy={"kind": "diffusion", "mu": 0.01})
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [source, os.environ.get("PYTHONPATH")])
+    done = subprocess.run(
+        [sys.executable, "-m", "adaptnets", "check", "--config", cfg],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    rows = capsys.readouterr().err
+    assert rows.startswith("check nonnegative_weights: PASS")
+    assert (done.stdout, done.stderr) == ("", rows)
 
 
 def test_check_json_document(tmp_path, capsys):
@@ -490,6 +526,31 @@ def test_check_and_run_accept_laplacian_reg_without_edges(tmp_path, capsys):
         == EXIT_OK
 
 
+@pytest.mark.parametrize("eta, rho", [(24.0, "1"), (30.0, "1.18718")])
+def test_check_and_run_bound_clustered_quadratic_by_its_composed_step(
+        tmp_path, capsys, eta, rho):
+    # mu*eta = 1.2 exceeds 2 / lambda_max(L_inter) = 1, yet the intra-cluster
+    # averaging keeps rho((I - mu*eta*L_inter) A) at 1; 1.5 raises it past 1
+    cfg = write_config(
+        tmp_path, graph={"kind": "ring", "n": 10},
+        model={"kind": "mse", "m": 2, "noise_var": 0.1,
+               "truth": {"kind": "piecewise", "sizes": [5, 5]}},
+        strategy={"kind": "clustered", "mu": 0.05, "eta": eta,
+                  "clusters": [5, 5], "rho": 1.0, "penalty": "quadratic"})
+    detail = f"rho((I - mu*eta*L_inter) A) = {rho}"
+    stable = rho == "1"
+    assert main(["check", "--config", cfg]) == (EXIT_OK if stable
+                                                else EXIT_CHECK)
+    assert (f"stability: PASS ({detail})" if stable else
+            f"stability: FAIL (unstable social step: {detail})") in \
+        capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == (EXIT_OK if stable else EXIT_CONFIG)
+    if not stable:
+        assert ("strategy: clustered step fails its conditions: stability "
+                f"(unstable social step: {detail})") in capsys.readouterr().err
+
+
 def test_check_and_run_accept_laplacian_weights_on_one_agent(tmp_path):
     cfg = write_config(
         tmp_path, graph={"kind": "edges", "n": 1, "edges": []},
@@ -547,6 +608,8 @@ def test_ragged_field_fails_run_and_check_on_one_row(tmp_path, capsys):
 
 _CONSTANT_MODEL = {"kind": "mse", "m": 2, "noise_var": 0.1,
                    "truth": {"kind": "constant"}}
+# unit weight on every edge of a 6-ring, inside its clusters [3, 3] too
+_RING6_EDGES = ring_graph(6).adjacency.tolist()
 
 
 @pytest.mark.parametrize("graph, model, strategy, error", [
@@ -566,17 +629,76 @@ _CONSTANT_MODEL = {"kind": "mse", "m": 2, "noise_var": 0.1,
                  "the subgraph of agents interested in variable 0 is not "
                  "connected",
                  id="disconnected_interest"),
+    pytest.param({"kind": "ring", "n": 6}, _CONSTANT_MODEL,
+                 {"kind": "diffusion", "mu": 0.01, "weights": "foo"},
+                 "unknown combination rule 'foo'", id="unknown_rule"),
+    pytest.param({"kind": "ring", "n": 6}, _CONSTANT_MODEL,
+                 {"kind": "clustered", "mu": 0.01, "eta": 0.1,
+                  "clusters": [3, 3], "rho": _RING6_EDGES},
+                 "regularizer weights on intra-cluster edges",
+                 id="intra_cluster_rho"),
 ])
 def test_check_and_run_refuse_a_step_its_builder_refuses_alike(
         tmp_path, capsys, graph, model, strategy, error):
     cfg = write_config(tmp_path, seed=0, graph=graph, model=model,
                        strategy=strategy)
-    line = f"error: config: strategy: {error}\n"
+    _assert_check_and_run_refuse(tmp_path, capsys, cfg,
+                                 f"error: config: strategy: {error}\n")
+
+
+def _assert_check_and_run_refuse(tmp_path, capsys, cfg, line):
     assert main(["check", "--config", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err == line
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
         == EXIT_CONFIG
     assert capsys.readouterr().err == line
+
+
+_GLOBAL_TRUTH = {"kind": "global_random", "n_variables": 6}
+_PAIRS = [[k, (k + 1) % 6] for k in range(6)]
+
+
+@pytest.mark.parametrize("overrides, error", [
+    pytest.param({"model": {"kind": "mse", "noise_var": 0.1,
+                            "truth": _GLOBAL_TRUTH}},
+                 "model.truth: global_random truth requires the overlapping "
+                 "strategy", id="global_truth_without_overlapping"),
+    pytest.param({"model": {"kind": "mse", "noise_var": 0.1,
+                            "truth": _GLOBAL_TRUTH},
+                  "strategy": {"kind": "overlapping", "mu": 0.01,
+                               "interests": _PAIRS[:5]}},
+                 "model.truth: interests must list one row per agent",
+                 id="interests_short_of_agents"),
+    pytest.param({"model": {"kind": "mse", "m": 1, "noise_var": 0.1,
+                            "truth": {"kind": "explicit",
+                                      "blocks": [[1.0]] * 5}}},
+                 "truth has 5 blocks but the graph has 6 agents",
+                 id="explicit_truth_short_of_agents"),
+    pytest.param({"out": 5}, "out must be a string path", id="out_not_string"),
+    pytest.param({"model": {"kind": "mse", "noise_var": 0.1,
+                            "r_u": np.eye(2).tolist(), "truth": _GLOBAL_TRUTH},
+                  "strategy": {"kind": "overlapping", "mu": 0.01,
+                               "interests": [pair if k % 2 else pair[:1]
+                                             for k, pair in enumerate(_PAIRS)]}},
+                 "model: shared r_u requires uniform block sizes",
+                 id="shared_r_u_on_ragged_blocks"),
+])
+def test_check_and_run_refuse_an_inconsistent_config_alike(
+        tmp_path, capsys, overrides, error):
+    cfg = write_config(tmp_path, **{
+        "seed": 0, "graph": {"kind": "ring", "n": 6}, "model": _CONSTANT_MODEL,
+        "strategy": {"kind": "diffusion", "mu": 0.01}, **overrides})
+    _assert_check_and_run_refuse(tmp_path, capsys, cfg,
+                                 f"error: config: {error}\n")
+
+
+def test_theory_refuses_a_config_without_closed_forms(tmp_path, capsys):
+    cfg = write_config(tmp_path, model={"kind": "logistic", "m": 2,
+                                        "truth": {"kind": "constant"}})
+    assert main(["theory", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: config: closed-form predictions need an mse model with a "
+        "shared regressor covariance\n")
 
 
 def test_check_and_run_agree_on_a_misshaped_combination(tmp_path, capsys):

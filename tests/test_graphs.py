@@ -166,6 +166,32 @@ def test_graph_json_roundtrip(tmp_path):
     assert set(doc) == {"n", "edges"}
 
 
+def _edges_by_double_loop(graph):
+    """The edge list as a walk over the upper triangle writes it."""
+    edges = []
+    n = graph.n_agents
+    for k in range(n):
+        for l in range(k + 1, n):
+            c = graph.adjacency[k, l]
+            if c != 0.0:
+                edges.append([k, l, float(c)])
+    return edges
+
+
+@pytest.mark.parametrize("graph", [
+    ring_graph(7, 0.5), star_graph(6),
+    random_geometric_graph(40, 0.3, np.random.default_rng(2))],
+    ids=["ring", "star", "geometric"])
+def test_graph_json_lists_each_edge_once_in_row_major_order(graph):
+    doc = graph.to_json_dict()
+    edges = _edges_by_double_loop(graph)
+    assert doc == {"n": graph.n_agents, "edges": edges}
+    assert all(type(k) is int and type(l) is int and type(c) is float
+               for k, l, c in doc["edges"])
+    assert json.dumps(doc) == json.dumps({"n": graph.n_agents,
+                                          "edges": edges})
+
+
 # ---------------------------------------------------------------------------
 # Spectrum
 # ---------------------------------------------------------------------------

@@ -165,7 +165,6 @@ def test_serial_run_resolves_once(monkeypatch):
         return real(config)
 
     monkeypatch.setattr(harness, "resolve", counted)
-    harness._resolved.cache_clear()
     result = run_experiment(base_config(iters=50, runs=3), parallel=1)
     assert result.n_runs == 3
     assert len(calls) == 1
@@ -273,17 +272,37 @@ def _patched_groups(monkeypatch, worker_group):
     worker_group(first, stop) in its worker."""
     real = harness._simulate_runs
 
-    def simulate(config, first, stop):
+    def simulate(res, first, stop):
         if first == 0:
-            return real(config, first, stop)
+            return real(res, first, stop)
         return worker_group(first, stop)
 
     monkeypatch.setattr(harness, "_simulate_runs", simulate)
 
 
 @fork_only
+def test_forked_workers_inherit_the_one_resolve(monkeypatch, tmp_path):
+    # every process that resolves appends its pid to one file
+    log = tmp_path / "resolves"
+    real = harness.resolve
+
+    def counted(config):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(config)
+
+    monkeypatch.setattr(harness, "resolve", counted)
+    cfg = base_config(iters=50, runs=3)
+    serial = run_experiment(cfg, parallel=1)
+    log.unlink()
+    result = run_experiment(cfg, parallel=2)
+    assert log.read_text().split() == [str(os.getpid())]
+    assert np.array_equal(result.msd_wo, serial.msd_wo)
+
+
+@fork_only
 def test_first_error_stops_and_reaps_the_other_workers(monkeypatch):
-    def simulate(config, first, stop):
+    def simulate(res, first, stop):
         if first == 0:
             raise ValueError("group 0 failed")
         time.sleep(60)
@@ -360,6 +379,39 @@ def test_spawned_workers_give_the_serial_numbers():
         "np.array_equal(serial.per_agent_msd, spawned.per_agent_msd), "
         "multiprocessing.active_children() == []]))\n")
     assert json.loads(found) == [True, True, True]
+
+
+_PATH4 = {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}
+_TRUTH4 = {"M": 2, "blocks": [[0.0, 1.0]] * 4}
+
+
+@pytest.mark.parametrize("name, edited", [
+    ("graph.json", {"n": 4, "edges": _PATH4["edges"] + [[3, 0, 1.0],
+                                                        [0, 2, 1.0]]}),
+    ("truth.json", {"M": 2, "blocks": [[5.0, -3.0]] * 4}),
+])
+def test_a_run_reads_the_files_its_config_names_as_they_are_now(
+        tmp_path, name, edited):
+    doc = base_config(iters=100, runs=2,
+                      graph={"kind": "file", "path": "graph.json"},
+                      strategy={"kind": "diffusion", "mu": 0.01})
+    doc["model"]["truth"] = {"kind": "file", "path": "truth.json"}
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps(doc))
+    (tmp_path / "graph.json").write_text(json.dumps(_PATH4))
+    (tmp_path / "truth.json").write_text(json.dumps(_TRUTH4))
+    cfg = config_mod.load_config(cfg_path)
+    before = run_experiment(cfg).msd_wo
+    (tmp_path / name).write_text(json.dumps(edited))
+    fresh = np.array(json.loads(_in_fresh_interpreter(
+        "import json\n"
+        "from adaptnets import run_experiment\n"
+        f"print(json.dumps(run_experiment({str(cfg_path)!r}).msd_wo.tolist()))"
+        "\n")))
+    assert not np.array_equal(before, fresh)
+    # the same parsed config, and the file loaded again
+    for config in (cfg, config_mod.load_config(cfg_path)):
+        assert np.array_equal(run_experiment(config).msd_wo, fresh)
 
 
 def test_overlapping_divergence_names_worst_agents():
@@ -658,12 +710,11 @@ def test_run_of_a_parsed_config_parses_nothing(monkeypatch):
     cfg = parse_config(base_config(iters=50, runs=3))
     monkeypatch.setattr(harness, "parse_config", counted)
     monkeypatch.setattr(config_mod, "parse_config", counted)
-    harness._resolved.cache_clear()
     run_experiment(cfg, parallel=1)
     assert calls == []
 
 
-def test_results_share_no_state_with_the_cache_or_the_config():
+def test_results_share_no_state_with_each_other_or_the_config():
     cfg = parse_config(base_config(
         iters=200, runs=2, graph={"kind": "geometric", "n": 10, "radius": 0.6},
         strategy={"kind": "laplacian_reg", "mu": 0.01, "eta": 0.5}))
@@ -891,7 +942,7 @@ def test_padded_overlapping_matches_tuple_of_blocks_oracle():
         graphs_seen.add(seed % 2)
         widest = max(widest, max(map(len, strategy.interest.by_variable)))
 
-        got = harness._simulate_runs(cfg, 0, 1)
+        got = harness._simulate_runs(res, 0, 1)
         ref = _tuple_of_blocks_run(res, 0)
         assert got["msd_wstar"] is None
         for key in ("msd_wo", "per_agent"):
@@ -1054,7 +1105,7 @@ def test_engine_matches_per_run_oracle(strategy, model, graph, monkeypatch):
         if per_chunk is not None:
             monkeypatch.setattr(harness, "CHUNK_BYTES",
                                 _chunk_budget(cfg, per_chunk))
-        got = harness._simulate_runs(cfg, 0, ENGINE_RUNS)
+        got = harness._simulate_runs(res, 0, ENGINE_RUNS)
         _assert_runs_equal(got, refs)
     assert chunks == [3, 1, 1, 1, 2, 1]
 
@@ -1076,6 +1127,25 @@ def test_engine_matches_oracle_with_block_weights():
     for chunks in ([range(3)], [range(1), range(1, 3)],
                    [range(r, r + 1) for r in range(3)]):
         _assert_runs_equal(_chunked(res, chunks), refs)
+
+
+@pytest.mark.parametrize("strategy", sorted(ENGINE_STRATEGIES) + [
+    "overlapping"])
+def test_a_pickled_experiment_steps_with_the_same_bits(strategy):
+    # what a spawned worker receives: the experiment resolved again from
+    # its pickled config, as its social step is a closure
+    cfg = (_ragged_case(1) if strategy == "overlapping"
+           else _engine_case(strategy, "mse", "geometric"))
+    res = resolve(cfg)
+    arrived = pickle.loads(pickle.dumps(res))
+    assert arrived.strategy is not res.strategy
+    assert arrived.config == cfg and arrived.theory == res.theory
+    got = harness._simulate_runs(arrived, 0, cfg.runs)
+    want = harness._simulate_runs(res, 0, cfg.runs)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert (got[key] is None if value is None
+                else np.array_equal(got[key], value)), key
 
 
 def test_engine_overlapping_within_tolerance_and_pads_stay_zero(monkeypatch):
@@ -1371,7 +1441,7 @@ _SPECTRAL_KINDS = {"laplacian_reg", "spectral_reg"}
 
 def _count_decompositions(monkeypatch, cfg) -> tuple[list[int], int]:
     """Laplacian decompositions made by a resolve(cfg), by a
-    run_experiment(cfg) from a cold cache and by a run_checks(cfg), each
+    run_experiment(cfg) and by a run_checks(cfg), each
     counted apart, and the resolves they make."""
     decompositions, resolves = [], []
     real_decompose, real_resolve = graphs_mod.build_laplacian, harness.resolve
@@ -1386,7 +1456,6 @@ def _count_decompositions(monkeypatch, cfg) -> tuple[list[int], int]:
 
     monkeypatch.setattr(graphs_mod, "build_laplacian", decompose)
     monkeypatch.setattr(harness, "resolve", counted_resolve)
-    harness._resolved.cache_clear()
     counts = []
     for call in (counted_resolve,
                  lambda config: run_experiment(config, parallel=1),

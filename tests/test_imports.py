@@ -219,10 +219,11 @@ def test_laplacian_build_detection(tmp_path):
 
 
 # where each eigenvalue call of the package may stand, by function: rho(A -
-# P_U) in check_feasibility, which only Strategy.feasibility calls, and the
-# R_u spectrum of the closed forms
+# P_U) in check_feasibility, which only Strategy.feasibility calls, the
+# R_u spectrum of the closed forms, and the spectral radius of clustered's
+# composed quadratic step in its stability row
 EIGENVALUE_HOMES = {
-    "eigvals": {"check_feasibility"},
+    "eigvals": {"check_feasibility", "_clustered_conditions"},
     "eigvalsh": {"check_feasibility", "r_u_eigenvalues"},
     "check_feasibility": {"feasibility"},
 }
