@@ -431,17 +431,22 @@ def _resolve_path(path: str, base_dir: str | None) -> str:
     return os.path.join(base_dir, path)
 
 
-def _file_document(spec: dict, config: ExperimentConfig, checks: dict) -> dict:
+def _file_document(spec: dict, config: ExperimentConfig, checks: dict,
+                   sources: list) -> dict:
     """The JSON document of spec's graph or task file, each key checked as
-    the same key of an inline document is; a refusal names the file."""
+    the same key of an inline document is; a refusal names the file. The
+    file is read once, as bytes, and the sha256 hex digest of those bytes
+    is appended to sources."""
     path = _resolve_path(spec["path"], config.base_dir)
-    with open(path) as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = json.loads(data)
     if isinstance(doc, dict):
         try:
             _check_types(doc, checks, "")
         except ConfigError as exc:
             raise ConfigError(f"file {path}: {exc}") from None
+    sources.append(hashlib.sha256(data).hexdigest())
     return doc
 
 
@@ -474,8 +479,8 @@ _GRAPH_KINDS = {
                        {"n": _as_count, "radius": _as_number},
                        {"kernel_width": _as_number,
                         "require_connected": _as_bool, "max_tries": _as_count}),
-    "file": _Kind(lambda spec, config: Graph.from_json_dict(
-                      _file_document(spec, config, _EDGES_KEYS)),
+    "file": _Kind(lambda spec, config, sources: Graph.from_json_dict(
+                      _file_document(spec, config, _EDGES_KEYS, sources)),
                   {"path": _as_string}),
     "edges": _Kind(lambda spec, config: Graph.from_edges(spec["n"],
                                                          spec["edges"]),
@@ -489,7 +494,9 @@ def _smooth_truth(spec: dict, config: ExperimentConfig,
         modes = spec["modes"]
         if modes > graph.n_agents:
             raise ConfigError(f"modes={modes} exceeds N={graph.n_agents}")
-        bandwidth = float(graph.spectrum.eigenvalues[modes - 1])
+        # lambda_0 of a connected graph can round below 0; the cutoff keeps
+        # the modes up to a bandwidth of 0 all the same
+        bandwidth = max(float(graph.spectrum.eigenvalues[modes - 1]), 0.0)
     else:
         bandwidth = float(spec.get("bandwidth", np.inf))
     field = synth_smooth_tasks(graph.spectrum, config.model.get("m", 1),
@@ -524,6 +531,9 @@ def _global_random_truth(spec: dict, config: ExperimentConfig,
     return TaskField(interest.blocks_from_global(values))
 
 
+# a task file holds the keys of TaskField.to_json_dict
+_TASK_FILE_KEYS = {"M": _as_count, "blocks": _as_matrix}
+
 # build(spec, config, graph) -> TaskField; only "smooth" reads graph.spectrum
 _TRUTH_KINDS = {
     "smooth": _Kind(_smooth_truth, {}, {"modes": _as_count,
@@ -534,9 +544,8 @@ _TRUTH_KINDS = {
                        {"scale": _as_number}),
     "explicit": _Kind(lambda spec, config, graph: TaskField(spec["blocks"]),
                       {"blocks": _as_matrix}),
-    "file": _Kind(lambda spec, config, graph: TaskField.from_json_dict(
-                      _file_document(spec, config, {"M": _as_count,
-                                                    "blocks": _as_matrix})),
+    "file": _Kind(lambda spec, config, graph, sources: TaskField.from_json_dict(
+                      _file_document(spec, config, _TASK_FILE_KEYS, sources)),
                   {"path": _as_string}),
     "global_random": _Kind(_global_random_truth, {"n_variables": _as_count},
                            {"scale": _as_number}),
@@ -696,10 +705,21 @@ class ResolvedExperiment:
     strategy: Strategy
     theory: dict | None
     w_star: np.ndarray | None
+    # sha256 hex digests of the graph and task files read, in that order
+    sources: tuple[str, ...] = ()
 
     @property
     def spectrum(self) -> Spectrum:
         return self.graph.spectrum
+
+    @property
+    def config_hash(self) -> str:
+        """The config's hash, with the bytes of every file it names folded
+        in: the config's own hash where it names none."""
+        if not self.sources:
+            return self.config.config_hash()
+        joined = ",".join((self.config.config_hash(),) + self.sources)
+        return hashlib.sha256(joined.encode()).hexdigest()
 
     def __reduce__(self):
         # a social step is a closure and does not pickle: the experiment
@@ -708,25 +728,34 @@ class ResolvedExperiment:
         return resolve, (self.config,)
 
 
-def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args):
-    """What spec's kind builds from it, a ValueError as a ConfigError."""
+def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args,
+           sources: list | None = None):
+    """What spec's kind builds from it, a ValueError as a ConfigError. A
+    "file" kind also takes sources (see _file_document)."""
+    if spec["kind"] == "file":
+        args += (sources,)
     try:
         return kinds[spec["kind"]].build(spec, *args)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}")
 
 
-def resolve_pieces(config: ExperimentConfig) -> tuple[Graph, StreamModel]:
+def resolve_pieces(config: ExperimentConfig,
+                   sources: list | None = None) -> tuple[Graph, StreamModel]:
     """Graph and stream model only (no strategy construction).
 
     Lets callers inspect user-supplied strategy ingredients (for example a
     combination matrix that may violate feasibility) before the strict
     validation in build_strategy runs. Only a "smooth" truth reads
     graph.spectrum here, which decomposes the Laplacian on first read.
+    Each graph or task file is read once, now; where sources is a list,
+    the sha256 hex digest of each file's bytes is appended to it, the
+    graph file's first.
     """
-    graph = _build(_GRAPH_KINDS, config.graph, "graph", config)
+    sources = [] if sources is None else sources
+    graph = _build(_GRAPH_KINDS, config.graph, "graph", config, sources=sources)
     truth = _build(_TRUTH_KINDS, config.model["truth"], "model.truth", config,
-                   graph)
+                   graph, sources=sources)
     if truth.n_agents != graph.n_agents:
         raise ConfigError(
             f"truth has {truth.n_agents} blocks but the graph has "
@@ -746,7 +775,8 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
     Deterministic in the config alone; raises ConfigError for any
     inconsistency the schema-level validation cannot see.
     """
-    graph, model = resolve_pieces(config)
+    sources = []
+    graph, model = resolve_pieces(config, sources)
     strategy_config = _strategy_config(config.strategy, graph)
     try:
         strategy = build_strategy(strategy_config, graph, model)
@@ -754,7 +784,8 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
         raise ConfigError(f"strategy: {exc}")
     theory, w_star = closed_forms(strategy, model)
     return ResolvedExperiment(config=config, graph=graph, model=model,
-                              strategy=strategy, theory=theory, w_star=w_star)
+                              strategy=strategy, theory=theory, w_star=w_star,
+                              sources=tuple(sources))
 
 
 def run_checks(config: ExperimentConfig) -> list[tuple[str, bool, str]]:

@@ -507,7 +507,7 @@ def run_experiment(config: ExperimentConfig | dict | str | os.PathLike,
         n_runs=config.runs,
         n_agents=resolved.graph.n_agents,
         seed=config.seed,
-        config_hash=config.config_hash(),
+        config_hash=resolved.config_hash,
         effective_config=json.loads(config.canonical_json()),
         wall_time=wall,
         warnings=tuple(warnings),

@@ -640,6 +640,78 @@ def test_resolve_rejects_modes_beyond_n():
         resolve(parse_config(bad))
 
 
+def test_smooth_truth_of_one_mode_is_the_bandwidth_zero_truth():
+    # lambda_0 of a ring of 6 can round below 0 (about -7e-17), which a
+    # bandwidth must not be; modes: 1 is the bandwidth 0 truth bit for bit,
+    # and more modes keep their eigenvalue as the bandwidth
+    def field(truth):
+        _, model = resolve_pieces(parse_config(doc(
+            graph={"kind": "ring", "n": 6},
+            model={"kind": "mse", "m": 2, "noise_var": 0.1, "truth": truth})))
+        return model.truth.as_matrix()
+
+    lam = ring_graph(6).spectrum.eigenvalues
+    assert np.array_equal(field({"kind": "smooth", "modes": 1}),
+                          field({"kind": "smooth", "bandwidth": 0}))
+    for modes in (2, 3, 6):
+        assert np.array_equal(
+            field({"kind": "smooth", "modes": modes}),
+            field({"kind": "smooth", "bandwidth": float(lam[modes - 1])}))
+    assert run_checks(parse_config(doc(
+        graph={"kind": "ring", "n": 6},
+        model={"kind": "mse", "m": 2, "noise_var": 0.1,
+               "truth": {"kind": "smooth", "modes": 1}})))
+
+
+# parent-pinned hashes of configs that name no file: folding in the file
+# digests leaves them as they were
+_INLINE_HASHES = [
+    ({}, "bb206332e8d5a753fe8c2c3f780e6094a8e1e7f77b3da1681298aa81722ac118"),
+    ({"graph": {"kind": "star", "n": 5},
+      "model": {"kind": "mse", "m": 1, "noise_var": 0.2,
+                "truth": {"kind": "piecewise", "sizes": [2, 3]}},
+      "strategy": {"kind": "prox_l1", "mu": 0.01, "eta": 0.5, "rho": 0.3}},
+     "46c97681530ab3dd1528f02d6f9d0242e46fde540c45e9e128e36423331f3f82"),
+    ({"model": {"kind": "logistic", "m": 2, "truth": {"kind": "constant"}},
+      "strategy": {"kind": "diffusion", "mu": 0.05}},
+     "59e4bcf0f31f19c186e897f4a5327c3e861bb7a84b6d01900edc7b58f446d407"),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", _INLINE_HASHES)
+def test_a_config_without_files_keeps_its_hash(overrides, digest):
+    cfg = parse_config(doc(**overrides))
+    assert cfg.config_hash() == digest
+    assert resolve(cfg).sources == ()
+    assert resolve(cfg).config_hash == digest
+
+
+def test_the_hash_covers_the_bytes_of_the_files_a_config_names(tmp_path):
+    cfg_doc = doc(graph={"kind": "file", "path": "graph.json"},
+                  strategy={"kind": "diffusion", "mu": 0.01})
+    cfg_doc["model"]["truth"] = {"kind": "file", "path": "truth.json"}
+    (tmp_path / "experiment.json").write_text(json.dumps(cfg_doc))
+    graph_bytes = [json.dumps(ring_graph(8).to_json_dict()),
+                   json.dumps(ring_graph(8, 2.0).to_json_dict())]
+    truth_bytes = json.dumps({"M": 2, "blocks": [[0.0, 1.0]] * 8})
+    (tmp_path / "truth.json").write_text(truth_bytes)
+
+    def hash_of(graph):
+        (tmp_path / "graph.json").write_text(graph)
+        return resolve(load_config(tmp_path / "experiment.json")).config_hash
+
+    first, second = hash_of(graph_bytes[0]), hash_of(graph_bytes[1])
+    assert first != second
+    # the same bytes written again: the same hash, from a reloaded config too
+    assert hash_of(graph_bytes[0]) == first
+    cfg = load_config(tmp_path / "experiment.json")
+    assert first != cfg.config_hash()
+    assert run_experiment(cfg).config_hash == first
+    # the task file's bytes count as well
+    (tmp_path / "truth.json").write_text(truth_bytes.replace("1.0", "2.0"))
+    assert resolve(cfg).config_hash not in (first, second)
+
+
 def test_resolve_noncooperative_theory():
     cfg = parse_config(doc(strategy={"kind": "noncooperative", "mu": 0.01}))
     th = resolve(cfg).theory

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptnets.config import parse_config, resolve
+from adaptnets import graphs as graphs_mod
 from adaptnets.graphs import (
+    EIG_RESIDUAL_RTOL,
     SPECTRAL_RADIUS_SLACK,
+    EigensolverError,
     CombinationMatrix,
     ClusterPartition,
     FeasibilityReport,
@@ -219,6 +222,68 @@ def test_spectrum_residual_small():
             @ spec.eigenvectors.T
         )
         assert residual <= EIG_RTOL * np.linalg.norm(spec.laplacian)
+
+
+def _full_residual(lap, lam, vecs):
+    """The reconstruction check build_laplacian made before its probe block,
+    kept as the oracle: ||L - V diag(lam) V^T||_F over EIG_RESIDUAL_RTOL
+    * ||L||_F (accepted at <= 1)."""
+    return (np.linalg.norm(lap - (vecs * lam) @ vecs.T)
+            / (EIG_RESIDUAL_RTOL * np.linalg.norm(lap)))
+
+
+def _probe_residual(lap, lam, vecs):
+    """build_laplacian's probe check, as the same ratio."""
+    probe = graphs_mod._probe_block(lap.shape[0])
+    residual = np.linalg.norm(
+        lap @ probe - vecs @ (lam[:, None] * (vecs.T @ probe)))
+    return residual / (EIG_RESIDUAL_RTOL * np.linalg.norm(lap)
+                       * np.linalg.norm(probe))
+
+
+_RESIDUAL_GRAPHS = [
+    lambda: ring_graph(6), lambda: ring_graph(201), lambda: star_graph(40),
+    lambda: complete_graph(30),
+    lambda: random_geometric_graph(60, 0.3, np.random.default_rng(5)),
+    lambda: Graph.from_edges(3, [[0, 1, 1e6], [1, 2, 1e-6]]),
+]
+
+
+@pytest.mark.parametrize("make", _RESIDUAL_GRAPHS)
+def test_probe_check_accepts_what_the_full_check_accepts(make):
+    spec = build_laplacian(make())
+    full = _full_residual(spec.laplacian, spec.eigenvalues, spec.eigenvectors)
+    probe = _probe_residual(spec.laplacian, spec.eigenvalues, spec.eigenvectors)
+    assert full <= 1.0 and probe <= 1.0
+    # ||E P||_F <= ||E||_F ||P||_F, up to the rounding of the products
+    assert probe <= full + 1e-3
+
+
+@pytest.mark.parametrize("make", _RESIDUAL_GRAPHS)
+@pytest.mark.parametrize("corrupt", ["eigenvalue", "swap"])
+def test_a_corrupted_decomposition_is_refused_by_both_checks(
+        monkeypatch, make, corrupt):
+    # an eigenvalue moved by 1e-6 ||L||_F, or the eigenvectors of the
+    # smallest and largest eigenvalue swapped
+    eigh = np.linalg.eigh
+    seen = []
+
+    def corrupted(lap):
+        lam, vecs = eigh(lap)
+        if corrupt == "eigenvalue":
+            lam = lam.copy()
+            lam[len(lam) // 2] += 1e-6 * np.linalg.norm(lap)
+        else:
+            vecs = vecs[:, [len(lam) - 1, *range(1, len(lam) - 1), 0]]
+        seen.append((lap, lam, vecs))
+        return lam, vecs
+
+    monkeypatch.setattr(graphs_mod.np.linalg, "eigh", corrupted)
+    with pytest.raises(EigensolverError, match="probe block"):
+        build_laplacian(make())
+    lap, lam, vecs = seen[0]
+    assert _full_residual(lap, lam, vecs) > 1.0
+    assert _probe_residual(lap, lam, vecs) > 1.0
 
 
 def test_eigenvectors_orthonormal():

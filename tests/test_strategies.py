@@ -1,11 +1,15 @@
 """Adaptation strategies: self-learning, social steps, assembly, reductions."""
 
+import importlib
+from pathlib import Path
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from adaptnets import strategies
+from adaptnets.config import parse_config
 from adaptnets.graphs import (
     ClusterPartition,
     CombinationMatrix,
@@ -19,6 +23,7 @@ from adaptnets.graphs import (
     random_geometric_graph,
     ring_graph,
 )
+from adaptnets.harness import run_experiment
 from adaptnets.streaming import (
     StreamModel,
     TaskField,
@@ -49,6 +54,7 @@ from adaptnets.strategies import (
 
 EXACT_TOL = 1e-12
 DENSE_RTOL = 1e-9
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def path_graph(n):
@@ -543,6 +549,122 @@ def test_planned_prox_matches_unplanned_kernel_bitwise():
     assert min(seen.values()) >= 50, seen
 
 
+def _margin_fuzz_case(rng, t):
+    """A regularizer, state and step that put cells near the l1 prox's
+    rounding margin tau (ProxPlan.margin), for instance t.
+
+    The state's scale X is 2^e, e in [-600, 600], and gamma is log-uniform
+    in [1e-6, 1e3]; the weights scale with X / gamma, so the penalty moves
+    agents at every scale. Every third state is rounded so that values tie,
+    and every fourth has 2 runs. Then, by t % 5, in a few cells:
+      0, 1: the own value puts c_j 0.5 tau to 100 tau above a finite
+            breakpoint, its interval's lo (0), or below one, its hi (1),
+            with X for tau where the state lies outside margin's range;
+      2: a neighbor's value moves 0.5 tau to 100 tau from another's, or
+         onto it (a clipped cell's far candidate is then near);
+      3: an agent sits within 8 ulps of a neighbor's value, or on it, or is
+         +0.0 or -0.0;
+      4: +-inf or nan.
+    """
+    n = int(rng.integers(3, 14))
+    adj = np.triu(rng.random((n, n)) < rng.uniform(0.2, 0.8), 1)
+    adj[np.arange(n - 1), np.arange(1, n)] = True              # connected
+    scale = 2.0 ** int(rng.integers(-600, 601))
+    gamma = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e3))))
+    weights = adj * rng.uniform(0.01, 2.0, (n, n)) \
+        * (scale / gamma * 10.0 ** rng.uniform(-3.0, 0.5))
+    reg = EdgeRegularizer(weights + weights.T)
+    x = rng.normal(0.0, 1.0, (2,) * (t % 4 == 0) + (n, int(rng.integers(1, 3))))
+    if t % 3 == 0:
+        x = np.round(x, int(rng.integers(0, 2)))
+    x *= scale
+    index, weight = reg.neighbor_table
+    cells = x.reshape(-1, n, x.shape[-1])
+    kind = t % 5
+    m = cells.shape[0] * cells.shape[2]
+    tau = reg.prox_plan(m).margin(
+        float(np.abs(x).max()) + gamma * float(reg.weights.sum(axis=1).max()),
+        gamma)
+    for _ in range(int(rng.integers(1, 4))):
+        r, k, j = (int(rng.integers(s)) for s in cells.shape)
+        deg = int(np.count_nonzero(weight[k]))
+        nbrs, w = index[k, :deg], weight[k, :deg]
+        order = np.argsort(cells[r, nbrs, j], kind="stable")
+        b = cells[r, nbrs[order], j]
+        prefix = np.concatenate([[0.0], np.cumsum(w[order])])
+        i = int(rng.integers(deg))
+        near = min(tau, scale) * float(np.exp(rng.uniform(np.log(0.5),
+                                                          np.log(100.0))))
+        if kind < 2:
+            # c_{i+1} = b_i + near above lo = b_i, or c_i = b_i - near below hi
+            prefix_j = prefix[i + 1 - kind]
+            cells[r, k, j] = (b[i] + gamma * (2.0 * prefix_j - prefix[-1])
+                              + (near if kind == 0 else -near))
+        elif kind == 2:
+            other = nbrs[(order[i] + 1) % deg]
+            cells[r, other, j] = b[i] + rng.choice([-near, 0.0, near])
+        elif kind == 3:
+            ulps = int(rng.integers(-8, 9)) * np.spacing(b[i])
+            cells[r, k, j] = rng.choice([b[i] + ulps, b[i], 0.0, -0.0])
+        else:
+            cells[r, k, j] = rng.choice([np.inf, -np.inf, np.nan])
+    return reg, x, gamma
+
+
+def test_prox_margin_keeps_the_objective_choice_bitwise(monkeypatch):
+    # the bound's path must return the bits the objective path chooses: the
+    # planned kernel against the unplanned one, which always evaluates the
+    # objective, on states built to sit on both sides of the margin
+    objective = strategies._choose_by_objective
+    calls = []
+    monkeypatch.setattr(strategies, "_choose_by_objective",
+                        lambda *args: calls.append(1) or objective(*args))
+    rng = np.random.default_rng(37)
+    states = 5000
+    for t in range(states):
+        reg, x, gamma = _margin_fuzz_case(rng, t)
+        with np.errstate(over="ignore"):
+            ref = _prox_l1_unplanned(x, reg, gamma)
+        got = social_prox_l1(x, reg, gamma)
+        assert np.array_equal(got, ref, equal_nan=True), t
+    slow = len(calls)
+    assert min(slow, states - slow) >= 500, slow
+
+
+@pytest.mark.parametrize("rho", [0.01, 1.0])
+def test_prox_margin_skips_the_objective_on_the_benchmark_config(
+        monkeypatch, rho):
+    # the sparse_prox benchmark workload at seed 0 (rho = 0.01), and its graph
+    # at rho = 1: the objective runs on at most 5% of the steps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    doc = importlib.import_module("workloads").config("sparse_prox", 0)
+    doc["strategy"]["rho"] = rho
+    kernel, objective = strategies.social_prox_l1, strategies._choose_by_objective
+    steps, objectives = [], []
+    monkeypatch.setattr(strategies, "social_prox_l1",
+                        lambda *args: steps.append(1) or kernel(*args))
+    monkeypatch.setattr(strategies, "_choose_by_objective",
+                        lambda *args: objectives.append(1) or objective(*args))
+    run_experiment(parse_config(doc))
+    assert len(steps) == doc["iters"] * doc["runs"]
+    assert len(objectives) <= 0.05 * len(steps), (len(objectives), len(steps))
+
+
+@pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+def test_prox_margin_leaves_a_signed_zero_to_the_objective(zeros):
+    # agent 0 lies between neighbors at -0.0 and +0.0: the clip gives mid
+    # hi's zero, the objective ties and picks lo's, so a mid of +-0.0 must
+    # not take the bound's path, whose gaps are both 0
+    rho = np.zeros((3, 3))
+    rho[0, 1:] = rho[1:, 0] = 0.5
+    reg = EdgeRegularizer(rho)
+    x = np.array([[-0.01], *([z] for z in zeros)])
+    got = social_prox_l1(x, reg, 0.25)
+    ref = _prox_l1_unplanned(x, reg, 0.25)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.array_equal(got, ref)
+
+
 def test_prox_plans_keep_no_memory_of_their_outputs():
     # row counts 2, 6, 2, 12 and 6 interleave on one regularizer: each
     # output stays as it was returned, and none shares memory with a plan
@@ -612,6 +734,8 @@ def test_social_clustered_l1_matches_candidate_enumeration():
         phi = intra @ psi
         _assert_matches_oracle(out, _oracle_prox_l1(phi, rho, gamma),
                                phi, rho, gamma)
+        assert np.array_equal(
+            out, _prox_l1_unplanned(phi, clustered.regularizer, gamma)), t
 
 
 @settings(max_examples=300, deadline=None)
