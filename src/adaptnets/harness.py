@@ -653,13 +653,14 @@ def save_result(result: ExperimentResult, outdir) -> tuple[str, str]:
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "result.csv")
     json_path = os.path.join(outdir, "result.json")
+    # one row per record, each float as _fmt writes it: repr of a float
+    wstar = ([""] * len(result.iterations) if result.msd_wstar is None
+             else map(repr, result.msd_wstar.tolist()))
+    rows = map("{},{},{},{}\n".format, map(int, result.iterations.tolist()),
+               map(repr, result.msd_wo.tolist()), wstar,
+               map(repr, result.stderr.tolist()))
     with open(csv_path, "w") as fh:
-        fh.write("iter,msd_wo,msd_wstar,stderr\n")
-        for i in range(len(result.iterations)):
-            wstar = ("" if result.msd_wstar is None
-                     else _fmt(result.msd_wstar[i]))
-            fh.write(f"{int(result.iterations[i])},{_fmt(result.msd_wo[i])},"
-                     f"{wstar},{_fmt(result.stderr[i])}\n")
+        fh.write("iter,msd_wo,msd_wstar,stderr\n" + "".join(rows))
     doc = {
         "schema": 1,
         "seed": result.seed,

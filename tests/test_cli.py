@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,24 @@ def test_asymmetric_edge_weights_or_covariance_exit_2(tmp_path, capsys):
         for command in (["check"], ["run", "--out", str(tmp_path / "o")]):
             assert main(command + ["--config", cfg]) == EXIT_CONFIG
             assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho", ["1e309", "-1e309", "-0.5", "NaN"])
+@pytest.mark.parametrize("kind", ["prox_l1", "clustered"])
+def test_non_finite_or_negative_scalar_rho_exits_2_naming_the_key(
+        tmp_path, capsys, rho, kind):
+    # JSON's 1e309 reads as inf, and inf * 0 on the non-edges would warn;
+    # the refusal comes at parse time, before any regularizer is built
+    strategy = {"kind": kind, "mu": 0.01, "eta": 0.2, "rho": 0.5}
+    if kind == "clustered":
+        strategy["clusters"] = [4, 4]
+    cfg = Path(write_config(tmp_path, name="rho.json", strategy=strategy))
+    cfg.write_text(cfg.read_text().replace('"rho": 0.5', f'"rho": {rho}'))
+    for command in (["check"], ["run", "--out", str(tmp_path / "o")]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert "strategy.rho must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_run_divergence_exits_3(tmp_path, capsys):

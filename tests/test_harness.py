@@ -652,6 +652,40 @@ def test_save_result_records_wstar_for_regularized(tmp_path):
     assert doc["steady"]["msd_wstar"]["value"] == res.steady_wstar.value
 
 
+def _result_csv_by_rows(result) -> str:
+    """result.csv as save_result wrote it one row at a time, through
+    repr(float(value)) per entry: the oracle of its one-join writer."""
+    lines = ["iter,msd_wo,msd_wstar,stderr\n"]
+    for i in range(len(result.iterations)):
+        wstar = ("" if result.msd_wstar is None
+                 else repr(float(result.msd_wstar[i])))
+        lines.append(f"{int(result.iterations[i])},"
+                     f"{repr(float(result.msd_wo[i]))},"
+                     f"{wstar},{repr(float(result.stderr[i]))}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("strategy", [
+    {"kind": "laplacian_reg", "mu": 0.01, "eta": 0.5},
+    {"kind": "prox_l1", "mu": 0.01, "eta": 0.2, "rho": 0.5},
+])
+def test_save_result_csv_bytes_match_the_row_writer(tmp_path, strategy):
+    # with msd_wstar (laplacian_reg) and without (prox_l1); then with
+    # values whose repr is unusual: subnormal, huge, signed zero, inf, nan
+    res = run_experiment(base_config(iters=120, runs=2, strategy=strategy))
+    assert (res.msd_wstar is None) == (strategy["kind"] == "prox_l1")
+    odd = np.array([5e-324, 1e308, -0.0, np.inf, np.nan, 0.1 + 0.2])
+    edited = res.msd_wo.copy()
+    edited[:odd.size] = odd
+    for result in (res, dataclasses.replace(res, msd_wo=edited,
+                                            stderr=edited[::-1].copy())):
+        csv_path, _ = save_result(result, tmp_path)
+        written = Path(csv_path).read_bytes()
+        assert written == _result_csv_by_rows(result).encode()
+    assert written.count(b"\n") == len(res.iterations) + 1
+    assert all(f",{v!r},".encode() in written for v in odd.tolist())
+
+
 def test_save_sweep_roundtrip(tmp_path):
     cfg = base_config(iters=300, runs=2,
                       strategy={"kind": "laplacian_reg", "mu": 0.01,

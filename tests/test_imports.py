@@ -2,12 +2,14 @@
 names, no module branches on a tuple-shaped network state, only
 Subspace.agent_basis reads an agent basis by strides, only Graph.spectrum
 decomposes a Laplacian, only check_feasibility takes eigenvalues of
-A - P_U, only theory.py calls the closed-form predictors, and every name a
-module's __all__ lists exists."""
+A - P_U, only theory.py calls the closed-form predictors, every name a
+module's __all__ lists exists, and every module stays below the parser's
+token limit."""
 
 import ast
 import importlib
 from pathlib import Path
+import tokenize
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptnets"
 
@@ -168,6 +170,38 @@ def test_every_name_in_all_exists():
                for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == [], "stale names in __all__: " + ", ".join(missing)
+
+
+# CPython's parser doubles its token array at 8192 tokens, so a module that
+# reaches it compiles with a peak about 0.5 MB higher in every interpreter
+# that compiles the package from source
+_PARSER_TOKEN_LIMIT = 8192
+
+
+def _parser_tokens(path: Path) -> int:
+    """The tokens of a source file that reach the parser: all but comments,
+    non-logical newlines and the encoding marker."""
+    with path.open("rb") as fh:
+        return sum(tok.type not in (tokenize.COMMENT, tokenize.NL,
+                                    tokenize.ENCODING)
+                   for tok in tokenize.tokenize(fh.readline))
+
+
+def test_every_module_stays_below_the_parser_token_limit():
+    counts = {path.name: _parser_tokens(path)
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(counts) >= 8
+    over = [f"{name}: {count} tokens" for name, count in counts.items()
+            if count >= _PARSER_TOKEN_LIMIT]
+    assert over == [], (f"modules at or past {_PARSER_TOKEN_LIMIT} parser "
+                        "tokens:\n" + "\n".join(over))
+
+
+def test_parser_token_count_leaves_out_comments_and_blank_lines(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("# a comment\n\nx = f(1)  # another\n\n")
+    # x, =, f, (, 1, ), NEWLINE and ENDMARKER
+    assert _parser_tokens(source) == 8
 
 
 def _laplacian_builds(path: Path) -> list[str]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from adaptnets import strategies
+from adaptnets import prox, strategies
 from adaptnets.config import parse_config
 from adaptnets.graphs import (
     ClusterPartition,
@@ -100,6 +100,18 @@ def test_config_rejects_eta_on_eta_free_kinds():
 def test_config_rejects_unknown_payload_keys():
     with pytest.raises(ValueError):
         StrategyConfig(kind="diffusion", mu=0.01, payload={"kernel": [1.0]})
+
+
+def test_config_rejects_a_non_finite_or_negative_scalar_rho():
+    # before the builder's inf * 0 on the non-edges can warn
+    for kind, extra in [("prox_l1", {}), ("clustered", {"clusters": [2, 2]})]:
+        for rho in (np.inf, -np.inf, np.nan, -0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="strategy.rho must be "
+                                                     "finite and >= 0"):
+                    StrategyConfig(kind, 0.01, 0.2, {"rho": rho, **extra})
+        StrategyConfig(kind, 0.01, 0.2, {"rho": 0.0, **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +627,9 @@ def test_prox_margin_keeps_the_objective_choice_bitwise(monkeypatch):
     # the bound's path must return the bits the objective path chooses: the
     # planned kernel against the unplanned one, which always evaluates the
     # objective, on states built to sit on both sides of the margin
-    objective = strategies._choose_by_objective
+    objective = prox._choose_by_objective
     calls = []
-    monkeypatch.setattr(strategies, "_choose_by_objective",
+    monkeypatch.setattr(prox, "_choose_by_objective",
                         lambda *args: calls.append(1) or objective(*args))
     rng = np.random.default_rng(37)
     states = 5000
@@ -639,11 +651,11 @@ def test_prox_margin_skips_the_objective_on_the_benchmark_config(
     monkeypatch.syspath_prepend(str(PERFBENCH))
     doc = importlib.import_module("workloads").config("sparse_prox", 0)
     doc["strategy"]["rho"] = rho
-    kernel, objective = strategies.social_prox_l1, strategies._choose_by_objective
+    kernel, objective = strategies.social_prox_l1, prox._choose_by_objective
     steps, objectives = [], []
     monkeypatch.setattr(strategies, "social_prox_l1",
                         lambda *args: steps.append(1) or kernel(*args))
-    monkeypatch.setattr(strategies, "_choose_by_objective",
+    monkeypatch.setattr(prox, "_choose_by_objective",
                         lambda *args: objectives.append(1) or objective(*args))
     run_experiment(parse_config(doc))
     assert len(steps) == doc["iters"] * doc["runs"]
@@ -688,6 +700,140 @@ def test_prox_plans_keep_no_memory_of_their_outputs():
     with pytest.raises(ValueError, match="mu_eta"):
         social_prox_l1(states[1], fresh, -gamma)
     assert fresh.prox_plans == {}
+
+
+def _scalar_rho_regularizers(rng):
+    """A scalar rho on the edges of geometric graphs of several degrees (as
+    prox_l1 builds it), and on their edges across two halves (as clustered
+    masks it, which can leave an agent without weighted neighbors). The
+    largest degrees pass 16, from where numpy 2.4's sort and argsort order
+    -0.0 and +0.0 differently, so the +-0.0 guard matters there."""
+    regs = []
+    for n, radius in [(6, 0.9), (12, 0.35), (16, 0.6), (24, 0.3), (30, 0.35),
+                      (40, 0.25), (20, 0.8)]:
+        edges = random_geometric_graph(n, radius, rng).adjacency > 0.0
+        rho = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+        half = np.arange(n) < n // 2
+        regs.append(EdgeRegularizer(rho * edges))
+        regs.append(EdgeRegularizer(rho * edges * (half[:, None] != half)))
+    return regs
+
+
+def _sort_path_fuzz_case(rng, t, regs, gammas):
+    """A state for the l1 prox on one of regs, for instance t: 1, 3 or 8
+    runs (one run with or without its leading axis) of 1 or 2 coordinates
+    at a scale from 1e-3 to 1e3, and gamma from gammas. By t // 4 % 6:
+      0: as drawn;
+      1: values from a few nonzero levels, so neighbor values tie;
+      2: the previous state's prox at a large gamma, whose agents are fused
+         onto their neighbors' values, with some agents copied onto a
+         neighbor besides;
+      3: one to three cells at +0.0 or -0.0, or, every other time, a
+         third of the agents at zeros of random signs;
+      4: one to three cells at +inf, -inf, nan or -nan;
+      5: one cell at +-0.0 and one at +-inf or nan.
+    Kinds 3 to 5 must take the argsort path, the others the sort path.
+    """
+    reg = regs[t % len(regs)]
+    n = reg.weights.shape[0]
+    runs = (1, 3, 8)[t % 3]
+    shape = ((runs,) if runs > 1 or t % 2 else ()) + (n, 1 + t // 3 % 2)
+    kind = t // 4 % 6
+    if kind == 1:
+        x = rng.choice([-1.5, -0.5, 0.25, 1.0, 2.0], shape)
+    else:
+        x = rng.normal(0.0, 1.0, shape)
+    x *= 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == 2:
+        x = _prox_l1_unplanned(x, reg, 1e3)
+        cells = x.reshape((-1,) + x.shape[-2:])
+        for _ in range(3):
+            k = int(rng.integers(n))
+            nbrs = np.flatnonzero(reg.weights[k])
+            if nbrs.size:
+                cells[:, k] = cells[:, rng.choice(nbrs)]
+    if kind == 3 and t % 2:
+        agents = rng.random(n) < 1.0 / 3.0
+        x[..., agents, :] = rng.choice([0.0, -0.0], x[..., agents, :].shape)
+    zeros, nonfinite = [0.0, -0.0], [np.inf, -np.inf, np.nan, -np.nan]
+    count = int(rng.integers(1, 4))
+    pools = {3: [zeros] * count, 4: [nonfinite] * count,
+             5: [zeros, nonfinite]}.get(kind, [])
+    for pool in pools:
+        x[tuple(int(rng.integers(s)) for s in x.shape)] = rng.choice(pool)
+    return reg, x, float(rng.choice(gammas)), kind >= 3
+
+
+def test_prox_sort_path_matches_the_unplanned_kernel_bitwise(monkeypatch):
+    # scalar rho: the sort path must give the argsort path's bits, sign of
+    # zero and nan included, and run exactly where no cell is +-0.0 or
+    # non-finite; gammas repeat and change on every plan, so T is made
+    # again whenever gamma changes
+    shift, sorted_steps = prox.ProxPlan.shift, []
+    monkeypatch.setattr(prox.ProxPlan, "shift",
+                        lambda plan, gamma: sorted_steps.append(1)
+                        or shift(plan, gamma))
+    rng = np.random.default_rng(41)
+    regs = _scalar_rho_regularizers(rng)
+    gammas = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), 7))
+    states, guarded = 5000, 0
+    for t in range(states):
+        reg, x, gamma, argsort_path = _sort_path_fuzz_case(rng, t, regs, gammas)
+        before = len(sorted_steps)
+        with np.errstate(over="ignore"):
+            ref = _prox_l1_unplanned(x, reg, gamma)
+        got = social_prox_l1(x, reg, gamma)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), t
+        assert (len(sorted_steps) == before) == argsort_path, t
+        guarded += argsort_path
+    assert all(plan.shifts is not None
+               for reg in regs for plan in reg.prox_plans.values())
+    assert min(guarded, states - guarded) >= 2000, guarded
+
+
+def _count_sort_path_steps(monkeypatch, doc) -> tuple[int, int]:
+    """The l1 prox steps of run_experiment(doc) and how many of them took
+    the sort path."""
+    kernel, shift = strategies.social_prox_l1, prox.ProxPlan.shift
+    steps, sorted_steps = [], []
+    monkeypatch.setattr(strategies, "social_prox_l1",
+                        lambda *args: steps.append(1) or kernel(*args))
+    monkeypatch.setattr(prox.ProxPlan, "shift",
+                        lambda plan, gamma: sorted_steps.append(1)
+                        or shift(plan, gamma))
+    run_experiment(parse_config(doc))
+    # one step per iteration of each chunk of runs
+    assert len(steps) >= doc["iters"]
+    return len(steps), len(sorted_steps)
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+def test_prox_sort_path_runs_on_scalar_rho_configs(monkeypatch, clustered):
+    # the sparse_prox benchmark workload at seed 0, and a clustered l1 step
+    # on a ring of its size: at least 95% of the steps take the sort path
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    doc = importlib.import_module("workloads").config("sparse_prox", 0)
+    if clustered:
+        doc["runs"] = 3
+        doc["graph"] = {"kind": "ring", "n": 30}
+        doc["strategy"] = {"kind": "clustered", "mu": 0.005, "eta": 2.0,
+                           "clusters": [10, 10, 10], "rho": 0.1}
+    steps, sorted_steps = _count_sort_path_steps(monkeypatch, doc)
+    assert sorted_steps >= 0.95 * steps, (sorted_steps, steps)
+
+
+def test_prox_sort_path_never_runs_on_unequal_row_weights(monkeypatch):
+    # rho as the sparse_prox graph's own Gaussian edge weights: no row's
+    # nonzero weights are all equal, so every step takes the argsort path
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    doc = importlib.import_module("workloads").config("sparse_prox", 0)
+    n = doc["graph"]["n"]
+    rho = np.zeros((n, n))
+    for k, l, w in doc["graph"]["edges"]:
+        rho[k, l] = rho[l, k] = w
+    doc["strategy"]["rho"] = rho.tolist()
+    steps, sorted_steps = _count_sort_path_steps(monkeypatch, doc)
+    assert steps > 0 and sorted_steps == 0
 
 
 def test_prox_near_ties_match_candidate_enumeration_to_rounding():
