@@ -697,7 +697,8 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass
 class ResolvedExperiment:
-    """Concrete experiment pieces built deterministically from a config."""
+    """Concrete experiment pieces built deterministically from a config.
+    It pickles as its fields, its strategy as its build (see Strategy)."""
 
     config: ExperimentConfig
     graph: Graph
@@ -720,12 +721,6 @@ class ResolvedExperiment:
             return self.config.config_hash()
         joined = ",".join((self.config.config_hash(),) + self.sources)
         return hashlib.sha256(joined.encode()).hexdigest()
-
-    def __reduce__(self):
-        # a social step is a closure and does not pickle: the experiment
-        # travels as its config and is resolved again on arrival, which
-        # gives the same pieces (a piece replaced after resolve is not kept)
-        return resolve, (self.config,)
 
 
 def _build(kinds: dict[str, _Kind], spec: dict, where: str, *args,

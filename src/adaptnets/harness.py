@@ -22,8 +22,10 @@ argument replaces it for one call.
 
 run_experiment resolves the config once, before any run starts (so a bad
 config fails fast), and hands that experiment to every group: forked
-workers inherit it, and under spawn or forkserver each worker resolves it
-again on arrival, deterministically, from the pickled config. Nothing
+workers inherit it, and under spawn or forkserver each worker unpickles
+it, the graph, model and theory as the parent holds them and the strategy
+rebuilt by its kind's builder (see strategies.Strategy). A worker under
+any start method steps the parent's experiment and reads no file. Nothing
 outlives the call, so the files a config names are read on every run.
 """
 

@@ -562,13 +562,15 @@ class Strategy:
     such piece). subspace is the subspace the social step projects onto,
     where it has one: the consensus subspace for diffusion, the cluster
     subspace for clustered with eta = 0 and the constraint of
-    subspace_projection.
+    subspace_projection. A strategy pickles as its build, the kind's
+    builder on (config, graph, model): unpickled, it has new closures and
+    empty plans, and a social replaced after the build (a spy) is lost.
     """
 
     config: StrategyConfig
     graph: Graph
     social: Callable
-    block_sizes: tuple[int, ...]
+    model: StreamModel
     _: KW_ONLY
     kernel: SpectralKernel | None = None
     subspace: Subspace | None = None
@@ -585,6 +587,14 @@ class Strategy:
         if self.combination is None or self.subspace is None:
             return None
         return check_feasibility(self.combination, self.subspace, self.graph)
+
+    def __reduce__(self):
+        return STRATEGY_KINDS[self.kind].build, (self.config, self.graph,
+                                                 self.model)
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        return self.model.truth.block_sizes
 
     @property
     def kind(self) -> str:
@@ -766,7 +776,7 @@ def _feasibility_conditions(strategy) -> list:
 # -- noncooperative ---------------------------------------------------------
 
 def _build_noncooperative(config, graph, model) -> Strategy:
-    return Strategy(config, graph, social_noncooperative, model.truth.block_sizes)
+    return Strategy(config, graph, social_noncooperative, model)
 
 
 # -- diffusion --------------------------------------------------------------
@@ -778,7 +788,7 @@ def _build_diffusion(config, graph, model) -> Strategy:
     weights = combo.matrix
     return Strategy(
         config, graph, lambda psi, out=None: social_diffusion(psi, weights, out),
-        model.truth.block_sizes, combination=combo,
+        model, combination=combo,
         subspace=consensus_subspace(graph.n_agents, model.truth.uniform_size),
     )
 
@@ -794,9 +804,8 @@ def _check_diffusion(strategy, rng) -> list:
 
 def _build_laplacian(config, graph, model) -> Strategy:
     mu_eta = config.mu * config.eta
-    return Strategy(config, graph,
-                    lambda psi, out=None: social_smooth(psi, graph, mu_eta, out),
-                    model.truth.block_sizes)
+    return Strategy(config, graph, lambda psi, out=None: social_smooth(
+        psi, graph, mu_eta, out), model)
 
 
 def _build_spectral(config, graph, model) -> Strategy:
@@ -808,7 +817,7 @@ def _build_spectral(config, graph, model) -> Strategy:
     return Strategy(config, graph,
                     lambda psi, out=None: social_spectral(psi, graph, coeffs,
                                                           mu_eta, out),
-                    model.truth.block_sizes, kernel=kernel)
+                    model, kernel=kernel)
 
 
 def _check_laplacian(strategy, rng) -> list:
@@ -836,7 +845,7 @@ def _build_prox_l1(config, graph, model) -> Strategy:
     reg = _edge_regularizer_from(config.payload.get("rho"), graph, "l1")
     return Strategy(config, graph,
                     lambda psi, out=None: social_prox_l1(psi, reg, mu_eta, out),
-                    model.truth.block_sizes, regularizer=reg)
+                    model, regularizer=reg)
 
 
 def _check_prox_l1(strategy, rng) -> list:
@@ -887,7 +896,7 @@ def _build_subspace(config, graph, model) -> Strategy:
     else:
         block = combo.block_matrix(sizes)
         social = lambda psi, out=None: social_subspace(psi, block, out)
-    return Strategy(config, graph, social, sizes, subspace=subspace,
+    return Strategy(config, graph, social, model, subspace=subspace,
                     combination=combo)
 
 
@@ -907,7 +916,7 @@ def _build_overlapping(config, graph, model) -> Strategy:
     table = overlap_table(interest, var_weights)
     return Strategy(
         config, graph, lambda psi, out=None: social_overlapping(psi, table, out),
-        sizes, interest=interest, var_weights=var_weights,
+        model, interest=interest, var_weights=var_weights,
     )
 
 
@@ -943,7 +952,7 @@ def _build_clustered(config, graph, model) -> Strategy:
             inter = Graph(reg.weights)
             social = lambda psi, out=None: social_smooth(
                 social_diffusion(psi, intra), inter, mu_eta, out)
-    return Strategy(config, graph, social, model.truth.block_sizes,
+    return Strategy(config, graph, social, model,
                     combination=combo, regularizer=reg, partition=part,
                     subspace=subspace)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -217,6 +216,8 @@ class StreamModel:
     r_u: np.ndarray | None = None
     noise_var: np.ndarray | None = None
     reg: float = 0.0
+    # the Cholesky factor of r_u (None without r_u), from its check
+    _chol: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("mse", "logistic"):
@@ -235,11 +236,12 @@ class StreamModel:
                 raise ValueError("r_u must be symmetric")
             r_u = 0.5 * (r_u + r_u.T)
             try:
-                np.linalg.cholesky(r_u)
+                chol = np.linalg.cholesky(r_u)
             except np.linalg.LinAlgError:
                 raise ValueError("r_u must be positive definite")
             r_u.flags.writeable = False
             object.__setattr__(self, "r_u", r_u)
+            object.__setattr__(self, "_chol", chol)
         if self.kind == "mse":
             if self.noise_var is None:
                 raise ValueError("mse model requires noise_var")
@@ -261,10 +263,6 @@ class StreamModel:
     @property
     def n_agents(self) -> int:
         return self.truth.n_agents
-
-    @cached_property
-    def _chol(self) -> np.ndarray | None:
-        return None if self.r_u is None else np.linalg.cholesky(self.r_u)
 
 
 # ---------------------------------------------------------------------------

@@ -365,13 +365,14 @@ def test_worker_modules_load_only_for_parallel_runs(parallel, loaded):
     assert json.loads(found) == loaded
 
 
-def test_spawned_workers_give_the_serial_numbers():
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_spawned_workers_give_the_serial_numbers(method):
     cfg = json.dumps(base_config(iters=200, runs=3))
     found = _in_fresh_interpreter(
         "import json, multiprocessing\n"
         "import numpy as np\n"
         "from adaptnets import run_experiment\n"
-        "multiprocessing.set_start_method('spawn')\n"
+        f"multiprocessing.set_start_method({method!r})\n"
         f"cfg = json.loads({cfg!r})\n"
         "serial = run_experiment(cfg, parallel=1)\n"
         "spawned = run_experiment(cfg, parallel=2)\n"
@@ -383,16 +384,17 @@ def test_spawned_workers_give_the_serial_numbers():
 
 _PATH4 = {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}
 _TRUTH4 = {"M": 2, "blocks": [[0.0, 1.0]] * 4}
-
-
-@pytest.mark.parametrize("name, edited", [
+_EDITED_FILES = pytest.mark.parametrize("name, edited", [
     ("graph.json", {"n": 4, "edges": _PATH4["edges"] + [[3, 0, 1.0],
                                                         [0, 2, 1.0]]}),
     ("truth.json", {"M": 2, "blocks": [[5.0, -3.0]] * 4}),
 ])
-def test_a_run_reads_the_files_its_config_names_as_they_are_now(
-        tmp_path, name, edited):
-    doc = base_config(iters=100, runs=2,
+
+
+def _file_config(tmp_path, runs=2):
+    """The path of a diffusion config on graph.json and truth.json, both
+    written afresh."""
+    doc = base_config(iters=100, runs=runs,
                       graph={"kind": "file", "path": "graph.json"},
                       strategy={"kind": "diffusion", "mu": 0.01})
     doc["model"]["truth"] = {"kind": "file", "path": "truth.json"}
@@ -400,6 +402,13 @@ def test_a_run_reads_the_files_its_config_names_as_they_are_now(
     cfg_path.write_text(json.dumps(doc))
     (tmp_path / "graph.json").write_text(json.dumps(_PATH4))
     (tmp_path / "truth.json").write_text(json.dumps(_TRUTH4))
+    return cfg_path
+
+
+@_EDITED_FILES
+def test_a_run_reads_the_files_its_config_names_as_they_are_now(
+        tmp_path, name, edited):
+    cfg_path = _file_config(tmp_path)
     cfg = config_mod.load_config(cfg_path)
     before = run_experiment(cfg).msd_wo
     (tmp_path / name).write_text(json.dumps(edited))
@@ -412,6 +421,37 @@ def test_a_run_reads_the_files_its_config_names_as_they_are_now(
     # the same parsed config, and the file loaded again
     for config in (cfg, config_mod.load_config(cfg_path)):
         assert np.array_equal(run_experiment(config).msd_wo, fresh)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+@_EDITED_FILES
+def test_workers_step_the_files_the_parent_read(tmp_path, method, name,
+                                                edited):
+    # the file is rewritten after the parent's resolve, before any worker
+    # starts: every worker steps the experiment the parent resolved
+    cfg_path = _file_config(tmp_path, runs=4)
+    found = _in_fresh_interpreter(
+        "import json, multiprocessing, pathlib\n"
+        "import numpy as np\n"
+        "from adaptnets import harness, run_experiment\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        f"cfg = {str(cfg_path)!r}\n"
+        "serial = run_experiment(cfg, parallel=1)\n"
+        "run_groups = harness._run_groups\n"
+        "def rewritten(groups, bounds):\n"
+        f"    pathlib.Path({str(tmp_path / name)!r}).write_text("
+        f"{json.dumps(edited)!r})\n"
+        "    return run_groups(groups, bounds)\n"
+        "harness._run_groups = rewritten\n"
+        "parallel = run_experiment(cfg, parallel=2)\n"
+        "harness._run_groups = run_groups\n"
+        "edited = run_experiment(cfg, parallel=1)\n"
+        "print(json.dumps([np.array_equal(serial.msd_wo, parallel.msd_wo), "
+        "np.array_equal(serial.per_agent_msd, parallel.per_agent_msd), "
+        "serial.config_hash == parallel.config_hash, "
+        "np.array_equal(serial.msd_wo, edited.msd_wo), "
+        "multiprocessing.active_children() == []]))\n")
+    assert json.loads(found) == [True, True, True, False, True]
 
 
 def test_overlapping_divergence_names_worst_agents():
@@ -1144,11 +1184,11 @@ def test_engine_matches_per_run_oracle(strategy, model, graph, monkeypatch):
     assert chunks == [3, 1, 1, 1, 2, 1]
 
 
-def test_engine_matches_oracle_with_block_weights():
-    # a block combination matrix (not kron(A, I_M) by declaration), mixed
-    # as one matmul per run
-    cfg = _engine_case("subspace_projection", "mse", "ring")
-    res = resolve(cfg)
+def _block_weight_case():
+    """The ring subspace_projection case, its strategy replaced by one on a
+    block combination matrix (not kron(A, I_M) by declaration) where the
+    config's weights are scalar."""
+    res = resolve(_engine_case("subspace_projection", "mse", "ring"))
     weights = CombinationMatrix(
         np.kron(metropolis_weights(res.graph).matrix, np.eye(2)),
         block_sizes=(2,) * 12)
@@ -1156,30 +1196,69 @@ def test_engine_matches_oracle_with_block_weights():
         StrategyConfig(kind="subspace_projection", mu=0.05,
                        payload={"weights": weights}), res.graph, res.model)
     assert not strategy.combination.is_scalar
-    res = dataclasses.replace(res, strategy=strategy)
+    return dataclasses.replace(res, strategy=strategy)
+
+
+def test_engine_matches_oracle_with_block_weights():
+    # a block combination matrix, mixed as one matmul per run
+    res = _block_weight_case()
     refs = [_per_run_oracle(res, r) for r in range(ENGINE_RUNS)]
     for chunks in ([range(3)], [range(1), range(1, 3)],
                    [range(r, r + 1) for r in range(3)]):
         _assert_runs_equal(_chunked(res, chunks), refs)
 
 
-@pytest.mark.parametrize("strategy", sorted(ENGINE_STRATEGIES) + [
-    "overlapping"])
-def test_a_pickled_experiment_steps_with_the_same_bits(strategy):
-    # what a spawned worker receives: the experiment resolved again from
-    # its pickled config, as its social step is a closure
-    cfg = (_ragged_case(1) if strategy == "overlapping"
-           else _engine_case(strategy, "mse", "geometric"))
-    res = resolve(cfg)
-    arrived = pickle.loads(pickle.dumps(res))
-    assert arrived.strategy is not res.strategy
-    assert arrived.config == cfg and arrived.theory == res.theory
-    got = harness._simulate_runs(arrived, 0, cfg.runs)
-    want = harness._simulate_runs(res, 0, cfg.runs)
+def _assert_same_parts(got, want):
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert (got[key] is None if value is None
                 else np.array_equal(got[key], value)), key
+
+
+_PICKLED = sorted(ENGINE_STRATEGIES) + ["overlapping"]
+
+
+@pytest.mark.parametrize("strategy", _PICKLED)
+def test_a_pickled_experiment_steps_with_the_same_bits(strategy, monkeypatch):
+    # what a spawned or forkserver worker receives: the experiment's own
+    # pieces, its strategy rebuilt by its kind's builder, with no file read
+    # and no decomposition; once more after a step, where the plans the
+    # closures hold are filled
+    assert {ENGINE_STRATEGIES.get(name, {"kind": name})["kind"]
+            for name in _PICKLED} == set(strategies.STRATEGY_KINDS)
+    cfg = (_ragged_case(1) if strategy == "overlapping"
+           else _engine_case(strategy, "mse", "geometric"))
+    res = resolve(cfg)
+
+    def arrive():
+        with monkeypatch.context() as patched:
+            for module, name in ((config_mod, "resolve_pieces"),
+                                 (graphs_mod, "build_laplacian")):
+                patched.setattr(module, name, None)
+            return pickle.loads(pickle.dumps(res))
+
+    fresh = arrive()
+    want = harness._simulate_runs(res, 0, cfg.runs)
+    stepped = arrive()
+    for arrived in (fresh, stepped):
+        assert arrived.strategy is not res.strategy
+        assert arrived.strategy.graph is arrived.graph
+        assert arrived.strategy.model is arrived.model
+        assert arrived.config == cfg and arrived.theory == res.theory
+        _assert_same_parts(harness._simulate_runs(arrived, 0, cfg.runs), want)
+    _assert_same_parts(harness._simulate_runs(res, 0, cfg.runs), want)
+
+
+def test_a_pickled_strategy_keeps_the_weights_it_was_built_with():
+    # a strategy placed on an experiment by hand travels as its own build,
+    # not as the config's
+    res = _block_weight_case()
+    arrived = pickle.loads(pickle.dumps(res))
+    assert not arrived.strategy.combination.is_scalar
+    assert np.array_equal(arrived.strategy.combination.matrix,
+                          res.strategy.combination.matrix)
+    _assert_same_parts(harness._simulate_runs(arrived, 0, ENGINE_RUNS),
+                       harness._simulate_runs(res, 0, ENGINE_RUNS))
 
 
 def test_engine_overlapping_within_tolerance_and_pads_stay_zero(monkeypatch):
