@@ -53,42 +53,40 @@ def _print_json(doc) -> None:
     sys.stdout.flush()
 
 
+# each flag a subcommand may take besides --config and --json, as
+# (type, help); every one but --out overrides the config's value
+_FLAGS = {"out": (str, "output directory (or file for gen-*)"),
+          "seed": (int, "override base seed"),
+          "mu": (float, "override step size"),
+          "eta": (float, "override coupling strength"),
+          "iters": (int, "override horizon"),
+          "runs": (int, "override run count"),
+          "parallel": (int, "processes that step runs")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adaptnets",
         description="Distributed streaming multitask learning over graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, out_required=False):
+    for name, (handler, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment JSON path")
-        p.add_argument("--out", required=out_required,
-                       help="output directory (or file for gen-*)")
-        p.add_argument("--seed", type=int, help="override base seed")
-        p.add_argument("--mu", type=float, help="override step size")
-        p.add_argument("--eta", type=float, help="override coupling strength")
-        p.add_argument("--iters", type=int, help="override horizon")
-        p.add_argument("--runs", type=int, help="override run count")
-        p.add_argument("--parallel", type=int, help="processes that step runs")
+        for flag in flags:
+            kind, text = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=text,
+                           required=flag == "out" and name.startswith("gen-"))
         p.add_argument("--json", action="store_true",
                        help="print a JSON summary to stdout")
-
-    add_common(sub.add_parser("run", help="run an experiment, write CSV+JSON"))
-    add_common(sub.add_parser("theory", help="print closed-form predictions"))
-    add_common(sub.add_parser("sweep", help="sweep the coupling strength"))
-    add_common(sub.add_parser("gen-graph", help="generate the graph to a file",),
-               out_required=True)
-    add_common(sub.add_parser("gen-tasks", help="generate the tasks to a file"),
-               out_required=True)
-    add_common(sub.add_parser("check", help="structural self-checks"))
+        p.set_defaults(handler=handler)
     return parser
 
 
 def _load_with_overrides(args) -> ExperimentConfig:
     config = load_config(args.config)
-    return config.with_overrides(seed=args.seed, mu=args.mu, eta=args.eta,
-                                 iters=args.iters, runs=args.runs,
-                                 parallel=args.parallel)
+    return config.with_overrides(**{key: getattr(args, key, None)
+                                    for key in _FLAGS if key != "out"})
 
 
 def _cmd_run(args) -> int:
@@ -184,12 +182,18 @@ def _cmd_check(args) -> int:
 
 
 _COMMANDS = {
-    "run": _cmd_run,
-    "theory": _cmd_theory,
-    "sweep": _cmd_sweep,
-    "gen-graph": _cmd_gen_graph,
-    "gen-tasks": _cmd_gen_tasks,
-    "check": _cmd_check,
+    # name: (handler, help, the flags it takes besides --config and --json)
+    "run": (_cmd_run, "run an experiment, write CSV+JSON", tuple(_FLAGS)),
+    "theory": (_cmd_theory, "print closed-form predictions",
+               ("seed", "mu", "eta")),
+    # the config's eta_grid sets eta
+    "sweep": (_cmd_sweep, "sweep the coupling strength",
+              ("out", "seed", "mu", "iters", "runs", "parallel")),
+    "gen-graph": (_cmd_gen_graph, "generate the graph to a file",
+                  ("out", "seed")),
+    "gen-tasks": (_cmd_gen_tasks, "generate the tasks to a file",
+                  ("out", "seed")),
+    "check": (_cmd_check, "structural self-checks", ("seed", "mu", "eta")),
 }
 
 
@@ -201,7 +205,7 @@ def main(argv=None) -> int:
         # in-process callers see the code rather than an exception
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except DivergenceError as exc:
         _err(f"divergence: {exc}")
         return EXIT_DIVERGENCE

@@ -299,9 +299,13 @@ _as_r_u = _checker(lambda value: value in (None, "identity"),
 
 def _as_subspace(value, where: str) -> None:
     """"consensus" or {"clusters": [sizes]}."""
-    if value != "consensus":
-        _require_keys(value, {"clusters"}, {"clusters"}, where)
-        _as_int_list(value["clusters"], f"{where}.clusters")
+    if value == "consensus":
+        return
+    if not isinstance(value, dict):
+        raise ConfigError(
+            f'{where} must be "consensus" or {{"clusters": [sizes]}}')
+    _require_keys(value, {"clusters"}, {"clusters"}, where)
+    _as_int_list(value["clusters"], f"{where}.clusters")
 
 
 def _check_types(doc: dict, checks: dict, where: str) -> None:

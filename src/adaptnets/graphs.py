@@ -21,7 +21,8 @@ and the operations
 plus generators (ring, star, complete, random geometric) and JSON I/O.
 
 The classes holding arrays compare and hash by identity (eq=False): an
-element-wise comparison of their arrays has no single truth value.
+element-wise comparison of their arrays has no single truth value. They
+unpickle through readonly_setstate, so their arrays stay read-only.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "FeasibilityReport",
     "EigensolverError",
     "is_symmetric",
+    "readonly_setstate",
     "build_laplacian",
     "smoothness",
     "graph_fourier",
@@ -103,6 +105,16 @@ def is_symmetric(matrix: np.ndarray) -> bool:
                 <= _SYM_ATOL * max(scale, 1.0))
 
 
+def readonly_setstate(obj, state: dict) -> None:
+    """Unpickle a frozen class from its state: numpy's pickling drops the
+    read-only flag __post_init__ set, so set it again on every array of the
+    state, a cached property's too."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    obj.__dict__.update(state)
+
+
 # ---------------------------------------------------------------------------
 # Graph
 # ---------------------------------------------------------------------------
@@ -118,6 +130,13 @@ class Graph:
     """
 
     adjacency: np.ndarray
+
+    __setstate__ = readonly_setstate
+
+    def __getstate__(self):
+        # the neighbor lists are views of one array, which a pickle would
+        # copy one by one: rebuilt on first read instead
+        return {k: v for k, v in vars(self).items() if k != "neighbor_lists"}
 
     def __post_init__(self):
         adj = np.array(self.adjacency, dtype=float)
@@ -340,6 +359,8 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns are eigenvectors
 
+    __setstate__ = readonly_setstate
+
     def __post_init__(self):
         for name in ("laplacian", "eigenvalues", "eigenvectors"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -459,6 +480,8 @@ class CombinationMatrix:
 
     matrix: np.ndarray
     block_sizes: tuple[int, ...] | None = None
+
+    __setstate__ = readonly_setstate
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float)
@@ -585,6 +608,8 @@ class SpectralKernel:
     coefficients: np.ndarray
     fit_error: float = 0.0
 
+    __setstate__ = readonly_setstate
+
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float).ravel()
         if coeffs.size == 0:
@@ -680,6 +705,8 @@ class Subspace:
 
     basis: np.ndarray
     block_sizes: tuple[int, ...]
+
+    __setstate__ = readonly_setstate
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=float)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Spectrum, is_symmetric
+from .graphs import Spectrum, is_symmetric, readonly_setstate
 
 __all__ = [
     "TaskField",
@@ -96,11 +96,19 @@ class TaskField:
                 raise ValueError(f"agent {k} has an empty block")
             raise ValueError(f"agent {k} block has non-finite entries")
         mat.flags.writeable = False
-        sizes = tuple(sizes.tolist())
-        blocks = tuple(row[:size] for row, size in zip(mat, sizes))
-        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "padded", mat)
-        object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "block_sizes", tuple(sizes.tolist()))
+        self._view_blocks()
+
+    def __setstate__(self, state):
+        # pickled blocks are copies: views of padded again
+        readonly_setstate(self, state)
+        self._view_blocks()
+
+    def _view_blocks(self):
+        blocks = tuple(row[:size]
+                       for row, size in zip(self.padded, self.block_sizes))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n_agents(self) -> int:
@@ -218,6 +226,8 @@ class StreamModel:
     reg: float = 0.0
     # the Cholesky factor of r_u (None without r_u), from its check
     _chol: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    __setstate__ = readonly_setstate
 
     def __post_init__(self):
         if self.kind not in ("mse", "logistic"):

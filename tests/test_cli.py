@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, stdout JSON contracts, artifacts."""
 
+import argparse
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptnets import config as config_mod, strategies
+from adaptnets import cli, config as config_mod, strategies
 from adaptnets.cli import main
 from adaptnets.strategies import STRATEGY_KINDS
 from adaptnets.graphs import load_graph, metropolis_weights, ring_graph
@@ -228,6 +229,15 @@ def test_theory_zero_eta_variance_equals_noncoop(tmp_path, capsys):
     assert doc["bias"]["total"] == pytest.approx(0.0, abs=1e-20)
 
 
+def test_theory_mu_override_doubles_the_noncooperative_msd(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["theory", "--config", cfg]) == EXIT_OK
+    base = json.loads(capsys.readouterr().out)["msd_nc"]
+    assert main(["theory", "--config", cfg, "--mu", "0.02"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["msd_nc"] == \
+        pytest.approx(2.0 * base, rel=1e-12)
+
+
 def test_theory_consensus_projection(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -269,6 +279,18 @@ def test_sweep_writes_grid(tmp_path, capsys):
     assert [float(l.split(",")[0]) for l in lines[1:]] == [0.0, 0.5, 2.0]
     doc = json.loads((out / "sweep.json").read_text())
     assert doc["argmin_eta"] in (0.0, 0.5, 2.0)
+
+
+def test_sweep_runs_override_changes_the_stderr(tmp_path):
+    cfg = write_config(tmp_path, iters=100, eta_grid=[0.0, 1.0])
+    stderrs = []
+    for extra in ([], ["--runs", "3"]):
+        out = tmp_path / f"sweep{len(extra)}"
+        assert main(["sweep", "--config", cfg, "--out", str(out)] + extra) \
+            == EXIT_OK
+        doc = json.loads((out / "sweep.json").read_text())
+        stderrs.append([point["msd_stderr"] for point in doc["points"]])
+    assert all(a != b for a, b in zip(*stderrs))
 
 
 def test_sweep_needs_grid(tmp_path):
@@ -314,6 +336,27 @@ def test_gen_tasks_roundtrip(tmp_path):
     field = load_tasks(out)
     assert field.n_agents == 8
     assert field.uniform_size == 2
+
+
+def test_gen_graph_seed_override_lays_out_other_edges(tmp_path):
+    cfg = write_config(tmp_path, graph={"kind": "geometric", "n": 12,
+                                        "radius": 0.5})
+    first, second = tmp_path / "net5.json", tmp_path / "net6.json"
+    assert main(["gen-graph", "--config", cfg, "--out", str(first)]) == EXIT_OK
+    assert main(["gen-graph", "--config", cfg, "--out", str(second),
+                 "--seed", "6"]) == EXIT_OK
+    assert not np.array_equal(load_graph(first).adjacency != 0,
+                              load_graph(second).adjacency != 0)
+
+
+def test_gen_tasks_seed_override_writes_other_blocks(tmp_path):
+    cfg = write_config(tmp_path)
+    first, second = tmp_path / "tasks5.json", tmp_path / "tasks6.json"
+    assert main(["gen-tasks", "--config", cfg, "--out", str(first)]) == EXIT_OK
+    assert main(["gen-tasks", "--config", cfg, "--out", str(second),
+                 "--seed", "6"]) == EXIT_OK
+    assert not np.array_equal(load_tasks(first).padded,
+                              load_tasks(second).padded)
 
 
 def test_generated_pieces_match_run_resolution(tmp_path):
@@ -440,6 +483,16 @@ def test_check_parses_the_config_once(tmp_path, monkeypatch):
     calls.clear()
     assert main(["check", "--config", cfg, "--seed", "6"]) == EXIT_OK
     assert len(calls) == 2
+
+
+def test_check_eta_override_past_the_bound_fails_stability(tmp_path, capsys):
+    # the ring of 8 has lambda_max = 4: mu*eta = 0.6 is past 2/4
+    cfg = write_config(tmp_path)
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert "check stability: PASS" in capsys.readouterr().err
+    assert main(["check", "--config", cfg, "--eta", "60"]) == EXIT_CHECK
+    assert "check stability: FAIL (unstable social step" in \
+        capsys.readouterr().err
 
 
 def test_missing_strategy_keys_exit_2(tmp_path, capsys):
@@ -970,3 +1023,88 @@ def test_json_booleans_in_graph_and_task_files_exit_2(tmp_path, capsys,
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert key in err and "data.json" in err
+
+
+# ---------------------------------------------------------------------------
+# flags: each subcommand takes only the flags it reads
+# ---------------------------------------------------------------------------
+
+# each optional flag: its tokens and the value its handler reads
+_FLAG_VALUES = {
+    "--out": (["OUT"], None),
+    "--seed": (["3"], 3),
+    "--mu": (["0.02"], 0.02),
+    "--eta": (["0.5"], 0.5),
+    "--iters": (["50"], 50),
+    "--runs": (["2"], 2),
+    "--parallel": (["2"], 2),
+    "--json": ([], True),
+}
+_TAKES = {
+    "run": {"--out", "--seed", "--mu", "--eta", "--iters", "--runs",
+            "--parallel", "--json"},
+    "sweep": {"--out", "--seed", "--mu", "--iters", "--runs", "--parallel",
+              "--json"},
+    "theory": {"--seed", "--mu", "--eta", "--json"},
+    "check": {"--seed", "--mu", "--eta", "--json"},
+    "gen-graph": {"--out", "--seed", "--json"},
+    "gen-tasks": {"--out", "--seed", "--json"},
+}
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flag", _FLAG_VALUES)
+@pytest.mark.parametrize("command", _TAKES)
+def test_a_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    flag):
+    # a flag the subcommand reads reaches its handler; any other is
+    # argparse's usage error, before the config is read or a file written
+    cfg = write_config(tmp_path, eta_grid=[0.0, 1.0])
+    out = str(tmp_path / "out")
+    tokens, value = _FLAG_VALUES[flag]
+    tokens = [out if token == "OUT" else token for token in tokens]
+    argv = ["--config", cfg, flag, *tokens]
+    if command.startswith("gen-") and flag != "--out":
+        argv += ["--out", out]
+    seen = []
+
+    def reached(args):
+        seen.append(args)
+        raise _Reached
+
+    monkeypatch.setattr(cli, "_load_with_overrides", reached)
+    if flag in _TAKES[command]:
+        with pytest.raises(_Reached):
+            main([command, *argv])
+        (args,) = seen
+        assert args.handler.__name__ == "_cmd_" + command.replace("-", "_")
+        assert getattr(args, flag[2:]) == (out if value is None else value)
+    else:
+        assert main([command, *argv]) == EXIT_CONFIG
+        assert seen == []
+        assert (f"error: unrecognized arguments: {' '.join([flag, *tokens])}"
+                in capsys.readouterr().err)
+        assert [path.name for path in tmp_path.iterdir()] == \
+            ["experiment.json"]
+
+
+def test_the_readme_cli_table_matches_the_parser():
+    # README's table lists, per subcommand, the flags its parser declares
+    # besides --config and --json, marking the required ones
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M))
+    parser = cli._build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert rows.keys() == subparsers.choices.keys()
+    for command, sub in subparsers.choices.items():
+        declared = [
+            f"`{option}`" + (" (required)" if action.required else "")
+            for action in sub._actions for option in action.option_strings
+            if option not in ("-h", "--help", "--config", "--json")]
+        assert rows[command].split(", ") == declared, command

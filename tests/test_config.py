@@ -745,6 +745,19 @@ def test_scalar_subspace_resolve_builds_no_block_matrix(monkeypatch):
                               strategy.combination.matrix @ psi)
 
 
+@pytest.mark.parametrize("subspace, message", [
+    ("foo", 'strategy.subspace must be "consensus" or {"clusters": [sizes]}'),
+    (5, 'strategy.subspace must be "consensus" or {"clusters": [sizes]}'),
+    ([], 'strategy.subspace must be "consensus" or {"clusters": [sizes]}'),
+    ({"clusters": "x"}, "strategy.subspace.clusters must be a list"),
+])
+def test_a_misformed_subspace_names_both_forms(subspace, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(doc(strategy={"kind": "subspace_projection", "mu": 0.01,
+                                   "subspace": subspace}))
+    assert message in str(caught.value)
+
+
 def test_split_network_gets_no_consensus_closed_form():
     # weights on the path 0-1-2-3 that put nothing on the bridge 1-2 meet
     # every condition row, but the two halves never reach consensus

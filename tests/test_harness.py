@@ -1261,6 +1261,76 @@ def test_a_pickled_strategy_keeps_the_weights_it_was_built_with():
                        harness._simulate_runs(res, 0, ENGINE_RUNS))
 
 
+_FROZEN = (graphs_mod.Graph, graphs_mod.Spectrum, graphs_mod.SpectralKernel,
+           graphs_mod.CombinationMatrix, graphs_mod.Subspace,
+           streaming.TaskField, streaming.StreamModel)
+# a smooth truth on the graph's spectrum, a kernel on it and a shared r_u
+_SPECTRAL_R_U = {
+    "schema": 1, "seed": 3, "iters": 60, "runs": 2,
+    "graph": {"kind": "ring", "n": 6},
+    "model": {"kind": "mse", "m": 2, "noise_var": 0.1,
+              "r_u": [[1.0, 0.2], [0.2, 1.0]],
+              "truth": {"kind": "smooth", "modes": 2, "scale": 0.5}},
+    "strategy": ENGINE_STRATEGIES["spectral_reg"]}
+
+
+def _frozen_pieces(res):
+    """The frozen pieces an experiment carries: its graph, the spectrum the
+    graph cached, its model and truth, and what its strategy's payload
+    holds of them."""
+    pieces = [res.graph, vars(res.graph).get("spectrum"), res.model,
+              res.model.truth, *res.strategy.config.payload.values()]
+    return [piece for piece in pieces if isinstance(piece, _FROZEN)]
+
+
+def _payload_case():
+    """_block_weight_case with its subspace in the payload too."""
+    res = _block_weight_case()
+    config = res.strategy.config
+    payload = {**config.payload, "subspace": res.strategy.subspace}
+    return dataclasses.replace(res, strategy=build_strategy(
+        dataclasses.replace(config, payload=payload), res.graph, res.model))
+
+
+@pytest.mark.parametrize("case", _PICKLED + ["spectral_r_u", "payload"])
+def test_a_pickled_experiment_keeps_its_arrays_read_only(case, monkeypatch):
+    # numpy's pickling drops the read-only flag and copies views: every
+    # frozen piece arrives with its arrays, cached ones too, read-only, and
+    # a task field's blocks views of its padded rows again
+    if case == "payload":
+        res = _payload_case()
+    else:
+        res = resolve(parse_config(_SPECTRAL_R_U) if case == "spectral_r_u"
+                      else _ragged_case(1) if case == "overlapping"
+                      else _engine_case(case, "mse", "geometric"))
+    # cached before the pickle: the degrees travel in it, the neighbor
+    # lists are built again on arrival
+    res.graph.weighted_degrees, res.graph.neighbor_lists
+    with monkeypatch.context() as patched:
+        for module, name in ((config_mod, "resolve_pieces"),
+                             (graphs_mod, "build_laplacian")):
+            patched.setattr(module, name, None)
+        arrived = pickle.loads(pickle.dumps(res))
+    pieces = _frozen_pieces(arrived)
+    assert list(map(type, pieces)) == list(map(type, _frozen_pieces(res)))
+    for piece in pieces:
+        for name, value in vars(piece).items():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    assert not array.flags.writeable, (piece, name)
+    truth = arrived.model.truth
+    assert all(np.shares_memory(block, truth.padded) for block in truth.blocks)
+    assert list(map(list, arrived.graph.neighbor_lists)) == \
+        list(map(list, res.graph.neighbor_lists))
+    with pytest.raises(ValueError, match="read-only"):
+        arrived.graph.adjacency[0, 1] = 1.0
+    assert arrived.strategy.graph is arrived.graph
+    assert arrived.strategy.model is arrived.model
+    runs = res.config.runs
+    _assert_same_parts(harness._simulate_runs(arrived, 0, runs),
+                       harness._simulate_runs(res, 0, runs))
+
+
 def test_engine_overlapping_within_tolerance_and_pads_stay_zero(monkeypatch):
     cfg = parse_config({**_ragged_case(1).canonical(), "runs": ENGINE_RUNS})
     res = resolve(cfg)
