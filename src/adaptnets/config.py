@@ -39,6 +39,7 @@ from .graphs import (
     Spectrum,
     complete_graph,
     random_geometric_graph,
+    readonly_setstate,
     ring_graph,
     star_graph,
 )
@@ -702,7 +703,8 @@ def load_config(path) -> ExperimentConfig:
 @dataclass
 class ResolvedExperiment:
     """Concrete experiment pieces built deterministically from a config.
-    It pickles as its fields, its strategy as its build (see Strategy)."""
+    It pickles as its fields, its strategy as its build (see Strategy), and
+    w_star arrives read-only, as resolve made it."""
 
     config: ExperimentConfig
     graph: Graph
@@ -712,6 +714,8 @@ class ResolvedExperiment:
     w_star: np.ndarray | None
     # sha256 hex digests of the graph and task files read, in that order
     sources: tuple[str, ...] = ()
+
+    __setstate__ = readonly_setstate
 
     @property
     def spectrum(self) -> Spectrum:
@@ -782,6 +786,8 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
     except ValueError as exc:
         raise ConfigError(f"strategy: {exc}")
     theory, w_star = closed_forms(strategy, model)
+    if w_star is not None:
+        w_star.flags.writeable = False
     return ResolvedExperiment(config=config, graph=graph, model=model,
                               strategy=strategy, theory=theory, w_star=w_star,
                               sources=tuple(sources))

@@ -29,10 +29,11 @@ class ProxPlan:
 
     A cell is one (row, agent) pair; the m N cells are numbered row-major.
     The plan holds:
-      - the row buffer: the cells' values, then +inf, then 0.0;
-      - the sort's (m N, D) gather into it, whose padded slots read +inf,
-        and, for the argsort path, the offsets of each cell's slots in that
-        gather and the weights tiled to the same flat positions;
+      - the row buffer: the cells' values, then +inf, 0.0 and -inf, then,
+        for the median path, a (D + 1, m N) block for c;
+      - the (m N, D) gather of the neighbor values, whose padded slots read
+        +inf, and, for the argsort path, the offsets of each cell's slots in
+        that gather and the weights tiled to the same flat positions;
       - the objective's slot-major (D, m N) gather, whose padded slots read
         0.0, and its weights, (D, 1, m N);
       - the slot-major frames: the argsort path's sorted positions
@@ -44,21 +45,23 @@ class ProxPlan:
       - the constants of the rounding margin (see margin): D, the largest
         row sum of the weights P_max, 3 gamma_D + 3 u and 8 gamma_{D+5},
         with gamma_n = n u / (1 - n u) <= 1.01 n u and u = 2^-53;
-      - where every table row's nonzero weights are equal, the sort path's
-        T = gamma (2 P - P_D), (D + 1, m N), for the last gamma it was made
-        for (see shift); None otherwise.
+      - where every table row's nonzero weights are equal, the median
+        path's: T = gamma (2 P - P_D), (D + 1, m N), for the last gamma it
+        was made for (see shift), the (m N, 2 D + 1) gather of each cell's
+        neighbor values and its c_0 .. c_D, whose c past the cell's own
+        degree reads -inf, and the frame it is gathered into and sorted in.
+        shifts is None otherwise.
     """
 
     def __init__(self, index: np.ndarray, weight: np.ndarray, m: int):
         n, d = index.shape
         cells = m * n
         padded = index == n
-        self.shift_gamma = None
-        self.shifts = np.empty((d + 1, cells)) \
-            if np.all(padded | (weight == weight[:, :1])) else None
         neighbor = np.arange(m)[:, None, None] * n + index      # (m, N, D)
-        self.rows = np.zeros(cells + 2)
+        equal = bool(np.all(padded | (weight == weight[:, :1])))
+        self.rows = np.zeros(cells + 3 + equal * (d + 1) * cells)
         self.rows[cells] = np.inf
+        self.rows[cells + 2] = -np.inf
         self.values = np.where(padded, cells, neighbor).reshape(cells, d)
         self.slots = np.where(padded, cells + 1, neighbor) \
             .transpose(2, 0, 1).reshape(d, cells)
@@ -76,6 +79,18 @@ class ProxPlan:
         # frame positions of bounds[0], c[0] and bounds[1] in each column:
         # j * cells + picks gathers lo = bounds[j], c[j], hi = bounds[j + 1]
         self.picks = np.arange(cells) + np.array([[0], [d + 2], [1]]) * cells
+        # the median path's tables and frames (see social_prox_l1)
+        self.shift_gamma = self.shifts = None
+        if equal:
+            self.shifts = np.empty((d + 1, cells))
+            self.c_block = self.rows[cells + 3:].reshape(d + 1, cells)
+            # c_j of cell i sits at c_block[j, i]; past the cell's degree
+            # the merge reads the -inf entry instead
+            at_c = cells + 3 + np.arange(cells)[:, None] + np.arange(d + 1) * cells
+            degree = np.tile(np.count_nonzero(~padded, axis=1), m)
+            at_c[np.arange(d + 1) > degree[:, None]] = cells + 2
+            self.merge = np.concatenate([self.values, at_c], axis=1)
+            self.merged = np.empty((cells, 2 * d + 1))
         # the rounding margin's constants (see margin)
         self.width = d
         self.p_max = float(weight.sum(axis=1).max(initial=0.0))
@@ -101,7 +116,7 @@ class ProxPlan:
     def shift(self, gamma):
         """gamma (2 P - P_D) from the prefix sums P of the table's weights
         in its own order, made when gamma changes (see social_prox_l1,
-        Layout)."""
+        The median path)."""
         if gamma != self.shift_gamma:
             self.slot_weights[:, 0].cumsum(axis=0, out=self.prefix[1:])
             _shift(self.prefix, gamma, self.shifts)
@@ -206,9 +221,10 @@ def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float,
     one (coordinate row, agent) pair of the m = runs x M rows, and
     everything that depends only on m and the table is the regularizer's
     ProxPlan for m, built by the first step on m rows. A step copies x into
-    the plan's row buffer, whose two entries after the cells hold +inf and
-    0.0, and then:
-      - sorts on contiguous (m N, D) rows, one per cell: the gather reads
+    the plan's row buffer, whose three entries after the cells hold +inf,
+    0.0 and -inf. The median path below serves most steps of a scalar rho;
+    the argsort path serves the rest. It:
+      - argsorts on contiguous (m N, D) rows, one per cell: the gather reads
         +inf at padded slots, so they sort last, add exactly +0.0 to every
         prefix sum and are never the chosen interval;
       - works slot-major after the sort, on (slots, m N) arrays, so every
@@ -221,29 +237,48 @@ def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float,
         three candidates, (D, 3, m N), summed down the slots, neighbor by
         neighbor.
 
-    The sort path. Where every table row's nonzero weights are equal (a
+    The median path. Where every table row's nonzero weights are equal (a
     scalar rho, masked or not, gives such a table; a user matrix may not),
     the order of a cell's weights cannot change a prefix sum: P_j adds j
     copies of the row's weight in one sequence, whichever neighbors are the
     j smallest, so long as every real neighbor sorts before every padded
-    slot. A step whose cells are all finite and none is +-0.0 then
-    sorts the neighbor values themselves in place, copies them slot-major
-    into the bounds, and takes c = x - T in one subtract, where
-    T = gamma (2 P - P_D) is the plan's (ProxPlan.shift), made once per
-    gamma from the table's own order by the same multiply, subtract and
-    multiply as the argsort path runs. No argsort, offset add, weight
-    gather or cumsum is left in the step, and the bounds, c and everything
-    after them are the same bits as the argsort path's. Its two guards:
-      - finite cells: a neighbor at +inf ties with the +inf pads and one at
-        nan sorts after them, so its weight could take a pad's place in the
-        prefix sums, and a nan and a -nan may trade bounds; max |x|, which
-        the margin needs anyway, is finite exactly when no cell is +-inf or
-        nan;
-      - no cell at +-0.0: -0.0 and +0.0 compare equal, so a sort and an
-        argsort may order them differently (numpy 2.4 does from D = 16 on)
-        and put another sign of zero into a bound.
-    Otherwise, and for every step on a table of unequal row weights, the
-    step runs the argsort path above.
+    slot. So c = x - T, where T = gamma (2 P - P_D) is the plan's
+    (ProxPlan.shift), made once per gamma from the table's own order by the
+    multiply, subtract and multiply the argsort path runs: the same bits as
+    its c. The clipped stationary point is then a median (Li & Osher,
+    Commun. Math. Sci. 2009). For sorted b_0 .. b_{D-1} and non-increasing
+    c_0 .. c_D, v = clip(c_{j*}, b_{j*-1}, b_{j*}) = max(c_{j*}, b_{j*-1})
+    is element D of the 2 D + 1 values sorted: the b_j with j < j* and the
+    c_j with j >= j* are D + 1 values <= v, and the b_j with j >= j*, the
+    c_j with j < j* (c_j >= c_{j*-1} > b_{j*-1}) and v itself are D + 1
+    values >= v. The computed c is non-increasing, since rounding is
+    monotone and the prefix sums add nonnegative weights. A cell of degree
+    d < D adds D - d padded b's at +inf and reads -inf for its c past c_d:
+    pairs that do not move a median. A step writes c into the row buffer's
+    block in one subtract, gathers each cell's D neighbor values and D + 1
+    c's into an (m N, 2 D + 1) frame in one take, sorts its rows in place
+    and reads column D. No argsort, weight gather, cumsum, interval test,
+    candidate gather or clip runs.
+      - Bits: column D equals v as a value and is one of the values v was
+        chosen from. Equal values have equal bits when no candidate is
+        +-0.0 or nan, so the order in which the sort places ties cannot
+        matter. Hence the guards: every cell finite (tau below is finite
+        only then) and none +-0.0. The b's are then finite and nonzero, and
+        c = x - T is never -0.0 and +0.0 only where T_j equals x.
+      - Fallback: the argsort path keeps v only where the margin proves the
+        objective would. So the step falls back to the argsort path when
+        tau is +inf, or when the smaller of the two gaps between column D
+        and the columns either side of it is <= tau, 0 included (sorted,
+        the gaps are >= 0 and never nan). Otherwise no other candidate lies
+        within tau of v, so lo and hi are each v itself, infinite or
+        farther than tau from it: the argsort path's gaps mid - lo and
+        hi - mid are each 0 or above tau, and it keeps mid = v.
+      - A median of +0.0 (a c_{j*} of 0) makes the argsort path run the
+        objective on every cell. That keeps every mid whose gaps are 0 or
+        above tau (see the margin: a cell clipped onto lo takes lo, the same
+        bits), so the median stands there too.
+    Every fallback, every step with a cell at +-0.0, +-inf or nan, and every
+    step on a table of unequal row weights runs the argsort path.
 
     The objective's gather reads 0.0 at padded slots. At a finite candidate
     their term is 0 * |w - 0| = +0.0 and changes nothing. At an infinite
@@ -279,29 +314,54 @@ def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float,
     cells = m * n
     xt = plan.rows[:cells]
     np.copyto(xt.reshape(lead + (n,)), np.swapaxes(x, -1, -2))
-    x_max = float(np.abs(xt).max())
+    tau = plan.margin(float(np.abs(xt).max()), gamma)
+    mid = None
+    # a nan or infinite cell makes tau +inf (see The median path)
+    if plan.shifts is not None and tau < math.inf and xt.all():
+        mid = _median(plan, xt, gamma, tau)
+    if mid is None:
+        mid = _argsort_path(plan, xt, gamma, tau)
+    np.copyto(out, np.swapaxes(mid.reshape(x.shape[:-2] + (-1, n)), -1, -2))
+    return out
+
+
+def _median(plan, xt, gamma, tau):
+    """Each cell's median of its D neighbor values and D + 1 stationary
+    points, or None where a median lies within tau of the values sorted
+    next to it (see social_prox_l1, The median path)."""
+    np.subtract(xt, plan.shift(gamma), out=plan.c_block)
+    merged = plan.rows.take(plan.merge, out=plan.merged, mode="clip")
+    merged.sort(axis=-1)
+    d = plan.width
+    if d:
+        # the median and the values sorted either side of it, (3, m N):
+        # sorted, so the gaps are >= 0 and their min is never nan
+        around = merged[:, d - 1:d + 2].T
+        if np.subtract(around[1:], around[:-1], out=plan.gaps).min() <= tau:
+            return None
+    return merged[:, d]
+
+
+def _argsort_path(plan, xt, gamma, tau):
+    """Each cell's clip(c_{j*}, lo, hi) from the argsorted neighbor values,
+    the objective's choice where the margin tau does not prove it (see
+    social_prox_l1)."""
+    cells = xt.size
     values = plan.rows.take(plan.values)                       # (m N, D)
-    bounds, c = plan.bounds, plan.c
-    # the sort path (see Layout): a nan x_max fails the test too
-    if plan.shifts is not None and x_max < math.inf and xt.all():
-        values.sort(axis=-1)
-        np.copyto(bounds[1:-1], values.T)
-        np.subtract(xt, plan.shift(gamma), out=c)
-    else:
-        at = plan.sorted_at                                    # (D, m N)
-        np.add(values.argsort(axis=-1), plan.sort_offsets, out=at.T)
-        # mode="clip" writes straight into out where "raise" buffers a
-        # copy; every index is in range
-        values.take(at, out=bounds[1:-1], mode="clip")
-        plan.weights.take(at).cumsum(axis=0, out=plan.prefix[1:])
-        _shift(plan.prefix, gamma, c)                          # (D + 1, m N)
-        np.subtract(xt, c, out=c)
-    j = (c <= bounds[1:]).argmax(axis=0)
+    at = plan.sorted_at                                        # (D, m N)
+    np.add(values.argsort(axis=-1), plan.sort_offsets, out=at.T)
+    # mode="clip" writes straight into out where "raise" buffers a copy;
+    # every index is in range
+    values.take(at, out=plan.bounds[1:-1], mode="clip")
+    plan.weights.take(at).cumsum(axis=0, out=plan.prefix[1:])
+    c = plan.c
+    _shift(plan.prefix, gamma, c)                              # (D + 1, m N)
+    np.subtract(xt, c, out=c)
+    j = (c <= plan.bounds[1:]).argmax(axis=0)
     cand = plan.frame.take(j * cells + plan.picks)             # (3, m N)
     lo, mid, hi = cand
     # np.clip's arithmetic without its Python wrapper
     np.minimum(np.maximum(mid, lo, out=mid), hi, out=mid)
-    tau = plan.margin(x_max, gamma)
     near = tau == math.inf
     if not near:
         # mid - lo and hi - mid; those in (0, tau] are the ones <= tau
@@ -310,8 +370,7 @@ def social_prox_l1(psi, regularizer: EdgeRegularizer, mu_eta: float,
         near = np.count_nonzero(gaps <= tau) > gaps.size - np.count_nonzero(gaps)
     if near or not mid.all():
         _choose_by_objective(plan, cand, xt, gamma)
-    np.copyto(out, np.swapaxes(mid.reshape(x.shape[:-2] + (-1, n)), -1, -2))
-    return out
+    return mid
 
 
 def _choose_by_objective(plan, cand, xt, gamma):

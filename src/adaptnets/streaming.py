@@ -249,7 +249,7 @@ class StreamModel:
                 chol = np.linalg.cholesky(r_u)
             except np.linalg.LinAlgError:
                 raise ValueError("r_u must be positive definite")
-            r_u.flags.writeable = False
+            r_u.flags.writeable = chol.flags.writeable = False
             object.__setattr__(self, "r_u", r_u)
             object.__setattr__(self, "_chol", chol)
         if self.kind == "mse":

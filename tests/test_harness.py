@@ -1292,32 +1292,58 @@ def _payload_case():
         dataclasses.replace(config, payload=payload), res.graph, res.model))
 
 
-@pytest.mark.parametrize("case", _PICKLED + ["spectral_r_u", "payload"])
-def test_a_pickled_experiment_keeps_its_arrays_read_only(case, monkeypatch):
-    # numpy's pickling drops the read-only flag and copies views: every
-    # frozen piece arrives with its arrays, cached ones too, read-only, and
-    # a task field's blocks views of its padded rows again
+def _read_only_case(case):
+    """The experiment of a read-only case: a kind of _PICKLED on its engine
+    case, _SPECTRAL_R_U, or _payload_case, with the graph's degrees and
+    neighbor lists cached."""
     if case == "payload":
         res = _payload_case()
     else:
         res = resolve(parse_config(_SPECTRAL_R_U) if case == "spectral_r_u"
                       else _ragged_case(1) if case == "overlapping"
                       else _engine_case(case, "mse", "geometric"))
-    # cached before the pickle: the degrees travel in it, the neighbor
-    # lists are built again on arrival
     res.graph.weighted_degrees, res.graph.neighbor_lists
+    return res
+
+
+def _assert_frozen_arrays_read_only(res):
+    """Every array of res's frozen pieces, cached ones and the arrays of a
+    tuple too, is read-only."""
+    for piece in _frozen_pieces(res):
+        for name, value in vars(piece).items():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    assert not array.flags.writeable, (piece, name)
+
+
+_READ_ONLY_CASES = _PICKLED + ["spectral_r_u", "payload"]
+
+
+@pytest.mark.parametrize("case", _READ_ONLY_CASES)
+def test_a_resolved_experiment_keeps_its_arrays_read_only(case):
+    # as resolve builds them, before any pickle: the model's Cholesky
+    # factor of r_u included
+    res = _read_only_case(case)
+    _assert_frozen_arrays_read_only(res)
+    if case == "spectral_r_u":
+        assert "_chol" in vars(res.model) and res.model._chol is not None
+
+
+@pytest.mark.parametrize("case", _READ_ONLY_CASES)
+def test_a_pickled_experiment_keeps_its_arrays_read_only(case, monkeypatch):
+    # numpy's pickling drops the read-only flag and copies views: every
+    # frozen piece arrives with its arrays, cached ones too, read-only, and
+    # a task field's blocks views of its padded rows again. The degrees
+    # travel in the pickle, the neighbor lists are built again on arrival
+    res = _read_only_case(case)
     with monkeypatch.context() as patched:
         for module, name in ((config_mod, "resolve_pieces"),
                              (graphs_mod, "build_laplacian")):
             patched.setattr(module, name, None)
         arrived = pickle.loads(pickle.dumps(res))
-    pieces = _frozen_pieces(arrived)
-    assert list(map(type, pieces)) == list(map(type, _frozen_pieces(res)))
-    for piece in pieces:
-        for name, value in vars(piece).items():
-            for array in value if isinstance(value, tuple) else (value,):
-                if isinstance(array, np.ndarray):
-                    assert not array.flags.writeable, (piece, name)
+    assert list(map(type, _frozen_pieces(arrived))) == \
+        list(map(type, _frozen_pieces(res)))
+    _assert_frozen_arrays_read_only(arrived)
     truth = arrived.model.truth
     assert all(np.shares_memory(block, truth.padded) for block in truth.blocks)
     assert list(map(list, arrived.graph.neighbor_lists)) == \
@@ -1329,6 +1355,23 @@ def test_a_pickled_experiment_keeps_its_arrays_read_only(case, monkeypatch):
     runs = res.config.runs
     _assert_same_parts(harness._simulate_runs(arrived, 0, runs),
                        harness._simulate_runs(res, 0, runs))
+
+
+def test_every_w_star_is_read_only():
+    # resolve freezes W* for every kind that has one (a closed form needs
+    # a shared r_u), and a pickled experiment's arrives read-only too
+    kinds = set()
+    for name, strategy in ENGINE_STRATEGIES.items():
+        cfg = _engine_case(name, "mse", "geometric").canonical()
+        cfg["model"]["r_u"] = _SPECTRAL_R_U["model"]["r_u"]
+        res = resolve(parse_config(cfg))
+        if res.w_star is None:
+            continue
+        kinds.add(strategy["kind"])
+        for w_star in (res.w_star, pickle.loads(pickle.dumps(res)).w_star):
+            assert not w_star.flags.writeable, name
+    assert kinds == {"noncooperative", "laplacian_reg", "spectral_reg",
+                     "subspace_projection", "clustered"}
 
 
 def test_engine_overlapping_within_tolerance_and_pads_stay_zero(monkeypatch):

@@ -719,7 +719,7 @@ def _scalar_rho_regularizers(rng):
     return regs
 
 
-def _sort_path_fuzz_case(rng, t, regs, gammas):
+def _median_path_fuzz_case(rng, t, regs, gammas):
     """A state for the l1 prox on one of regs, for instance t: 1, 3 or 8
     runs (one run with or without its leading axis) of 1 or 2 coordinates
     at a scale from 1e-3 to 1e3, and gamma from gammas. By t // 4 % 6:
@@ -732,7 +732,7 @@ def _sort_path_fuzz_case(rng, t, regs, gammas):
          third of the agents at zeros of random signs;
       4: one to three cells at +inf, -inf, nan or -nan;
       5: one cell at +-0.0 and one at +-inf or nan.
-    Kinds 3 to 5 must take the argsort path, the others the sort path.
+    Kinds 3 to 5 must never try the median path; the others always try it.
     """
     reg = regs[t % len(regs)]
     n = reg.weights.shape[0]
@@ -764,53 +764,117 @@ def _sort_path_fuzz_case(rng, t, regs, gammas):
     return reg, x, float(rng.choice(gammas)), kind >= 3
 
 
-def test_prox_sort_path_matches_the_unplanned_kernel_bitwise(monkeypatch):
-    # scalar rho: the sort path must give the argsort path's bits, sign of
-    # zero and nan included, and run exactly where no cell is +-0.0 or
-    # non-finite; gammas repeat and change on every plan, so T is made
+def _count_median_path(monkeypatch) -> list[bool]:
+    """Patch the l1 prox's median path to record each step that tries it:
+    True where the step kept the medians, False where it fell back to the
+    argsort path."""
+    median, tried = prox._median, []
+
+    def counted(*args):
+        mid = median(*args)
+        tried.append(mid is not None)
+        return mid
+
+    monkeypatch.setattr(prox, "_median", counted)
+    return tried
+
+
+def test_prox_median_path_matches_the_unplanned_kernel_bitwise(monkeypatch):
+    # scalar rho: the median path must give the argsort path's bits, sign
+    # of zero and nan included, and be tried exactly where no cell is +-0.0
+    # or non-finite; gammas repeat and change on every plan, so T is made
     # again whenever gamma changes
-    shift, sorted_steps = prox.ProxPlan.shift, []
-    monkeypatch.setattr(prox.ProxPlan, "shift",
-                        lambda plan, gamma: sorted_steps.append(1)
-                        or shift(plan, gamma))
+    tried = _count_median_path(monkeypatch)
     rng = np.random.default_rng(41)
     regs = _scalar_rho_regularizers(rng)
     gammas = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), 7))
     states, guarded = 5000, 0
     for t in range(states):
-        reg, x, gamma, argsort_path = _sort_path_fuzz_case(rng, t, regs, gammas)
-        before = len(sorted_steps)
+        reg, x, gamma, guard = _median_path_fuzz_case(rng, t, regs, gammas)
+        before = len(tried)
         with np.errstate(over="ignore"):
             ref = _prox_l1_unplanned(x, reg, gamma)
         got = social_prox_l1(x, reg, gamma)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), t
-        assert (len(sorted_steps) == before) == argsort_path, t
-        guarded += argsort_path
+        assert len(tried) == before + (not guard), t
+        guarded += guard
     assert all(plan.shifts is not None
                for reg in regs for plan in reg.prox_plans.values())
     assert min(guarded, states - guarded) >= 2000, guarded
+    # both outcomes of the gap test are exercised
+    assert min(sum(tried), len(tried) - sum(tried)) >= 300, sum(tried)
 
 
-def _count_sort_path_steps(monkeypatch, doc) -> tuple[int, int]:
-    """The l1 prox steps of run_experiment(doc) and how many of them took
-    the sort path."""
-    kernel, shift = strategies.social_prox_l1, prox.ProxPlan.shift
-    steps, sorted_steps = [], []
+@pytest.mark.parametrize("d", [0, 1, 2, 17])
+def test_median_of_breakpoints_and_stationary_points_is_the_clipped_point(d):
+    # the identity the median path rests on, with no kernel: for sorted b
+    # (ties and +inf pads) and non-increasing c (ties and -inf pads past
+    # each cell's degree), element D of the sorted 2 D + 1 values is
+    # clip(c_{j*}, b_{j*-1}, b_{j*}), j* the first j with c_j <= b_j, bit
+    # for bit
+    rng = np.random.default_rng(50 + d)
+    cells = 4000
+    levels = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.1, 10.0, 8)
+    degree = rng.integers(0, d + 1, cells)
+    degree[:cells // 10] = 0                                   # isolated
+    b = np.where(rng.random((cells, d)) < 0.5,
+                 rng.choice(levels, (cells, d)),
+                 rng.normal(0.0, 3.0, (cells, d)))
+    c = np.where(rng.random((cells, d + 1)) < 0.5,
+                 rng.choice(levels, (cells, d + 1)),
+                 rng.normal(0.0, 3.0, (cells, d + 1)))
+    assert b.all() and c.all()
+    b = np.sort(b, axis=1)
+    c = -np.sort(-c, axis=1)
+    b[np.arange(d) >= degree[:, None]] = np.inf
+    c[np.arange(d + 1) > degree[:, None]] = -np.inf
+    bounds = np.concatenate([np.full((cells, 1), -np.inf), b,
+                             np.full((cells, 1), np.inf)], axis=1)
+    merged = np.sort(np.concatenate([b, c], axis=1), axis=1)
+    ties = 0
+    for i in range(cells):
+        j = next(j for j in range(d + 1) if c[i, j] <= bounds[i, j + 1])
+        want = min(max(c[i, j], bounds[i, j]), bounds[i, j + 1])
+        got = merged[i, d]
+        assert np.float64(got).view(np.uint64) == \
+            np.float64(want).view(np.uint64), i
+        ties += np.count_nonzero(merged[i] == got) > 1
+    assert d == 0 or ties > cells // 50, ties
+
+
+def test_prox_passes_a_table_of_width_zero_through(monkeypatch):
+    # clustered with one cluster masks every edge away: the table has width
+    # D = 0, and the median path returns x bit for bit
+    tried = _count_median_path(monkeypatch)
+    rng = np.random.default_rng(51)
+    edges = random_geometric_graph(12, 0.5, rng).adjacency > 0.0
+    one = np.zeros(12, dtype=int)
+    reg = EdgeRegularizer(0.1 * edges * (one[:, None] != one))
+    assert reg.neighbor_table[0].shape == (12, 0)
+    for shape in [(12, 2), (3, 12, 1)]:
+        x = rng.normal(0.0, 1.0, shape)
+        got = social_prox_l1(x, reg, 0.5)
+        assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
+    assert tried == [True, True]
+
+
+def _count_median_path_steps(monkeypatch, doc) -> tuple[int, int]:
+    """The l1 prox steps of run_experiment(doc) and how many of them kept
+    the median path's result."""
+    kernel, steps = strategies.social_prox_l1, []
     monkeypatch.setattr(strategies, "social_prox_l1",
                         lambda *args: steps.append(1) or kernel(*args))
-    monkeypatch.setattr(prox.ProxPlan, "shift",
-                        lambda plan, gamma: sorted_steps.append(1)
-                        or shift(plan, gamma))
+    tried = _count_median_path(monkeypatch)
     run_experiment(parse_config(doc))
     # one step per iteration of each chunk of runs
     assert len(steps) >= doc["iters"]
-    return len(steps), len(sorted_steps)
+    return len(steps), sum(tried)
 
 
 @pytest.mark.parametrize("clustered", [False, True])
-def test_prox_sort_path_runs_on_scalar_rho_configs(monkeypatch, clustered):
+def test_prox_median_path_runs_on_scalar_rho_configs(monkeypatch, clustered):
     # the sparse_prox benchmark workload at seed 0, and a clustered l1 step
-    # on a ring of its size: at least 95% of the steps take the sort path
+    # on a ring of its size: at least 95% of the steps keep the median path
     monkeypatch.syspath_prepend(str(PERFBENCH))
     doc = importlib.import_module("workloads").config("sparse_prox", 0)
     if clustered:
@@ -818,11 +882,11 @@ def test_prox_sort_path_runs_on_scalar_rho_configs(monkeypatch, clustered):
         doc["graph"] = {"kind": "ring", "n": 30}
         doc["strategy"] = {"kind": "clustered", "mu": 0.005, "eta": 2.0,
                            "clusters": [10, 10, 10], "rho": 0.1}
-    steps, sorted_steps = _count_sort_path_steps(monkeypatch, doc)
-    assert sorted_steps >= 0.95 * steps, (sorted_steps, steps)
+    steps, medians = _count_median_path_steps(monkeypatch, doc)
+    assert medians >= 0.95 * steps, (medians, steps)
 
 
-def test_prox_sort_path_never_runs_on_unequal_row_weights(monkeypatch):
+def test_prox_median_path_never_runs_on_unequal_row_weights(monkeypatch):
     # rho as the sparse_prox graph's own Gaussian edge weights: no row's
     # nonzero weights are all equal, so every step takes the argsort path
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -832,8 +896,8 @@ def test_prox_sort_path_never_runs_on_unequal_row_weights(monkeypatch):
     for k, l, w in doc["graph"]["edges"]:
         rho[k, l] = rho[l, k] = w
     doc["strategy"]["rho"] = rho.tolist()
-    steps, sorted_steps = _count_sort_path_steps(monkeypatch, doc)
-    assert steps > 0 and sorted_steps == 0
+    steps, medians = _count_median_path_steps(monkeypatch, doc)
+    assert steps > 0 and medians == 0
 
 
 def test_prox_near_ties_match_candidate_enumeration_to_rounding():
